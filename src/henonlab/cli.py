@@ -15,7 +15,7 @@ import hashlib
 import math
 import os
 import sys
-from typing import Any, Dict, List, Optional, Sequence
+from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -23,6 +23,7 @@ from . import __version__, rng
 from .core import (
     FiltrationParams,
     NumericOverflow,
+    Point,
     eval_inverse,
     eval_map,
     in_v_plus,
@@ -97,10 +98,26 @@ def _report(resolved: Dict[str, Any], result: Dict[str, Any]) -> Dict[str, Any]:
     return {"version": __version__, "config": resolved, "result": result}
 
 
+def _positive(r: Resolver, key: str, value: Optional[float]) -> Optional[float]:
+    if value is not None and not value > 0:
+        raise ConfigError(f"{r.ptr}/{key}", "must be positive")
+    return value
+
+
 def _params_field(r: Resolver, dist: MapDistribution) -> FiltrationParams:
-    rho = r.float_field("rho_margin", 1.0, lo=0.0)
-    params = condition_a_params(dist, rho_margin=rho)
-    return params
+    rho = _positive(r, "rho_margin", r.float_field("rho_margin", 1.0, lo=0.0))
+    return condition_a_params(dist, rho_margin=rho)
+
+
+def _discovery_fields(r: Resolver) -> Tuple[List[Point], Dict[str, Any]]:
+    """Start grid plus the discover_minimal_sets keywords, within its bounds."""
+    grid = r.points_field()
+    knobs = {
+        "burn_in": r.int_field("burn_in", 1000, lo=1000),
+        "n_record": r.int_field("n_record", 200, lo=2),
+        "cluster_eps": _positive(r, "cluster_eps", r.opt_float_field("cluster_eps", lo=0.0)),
+    }
+    return grid, knobs
 
 
 def _jsonify_descriptor(d: MinimalSetDescriptor) -> Dict[str, Any]:
@@ -128,14 +145,9 @@ def _discovery_block(
     if node is None:
         raise ConfigError(f"{r.ptr}/discovery", "missing required field")
     sub = Resolver(node, f"{r.ptr}/discovery")
-    starts = sub.points_field()
-    burn_in = sub.int_field("burn_in", 1000, lo=1)
-    n_record = sub.int_field("n_record", 200, lo=2)
-    eps = sub.opt_float_field("cluster_eps", lo=0.0)
+    starts, knobs = _discovery_fields(sub)
     r.resolved["discovery"] = sub.resolved
-    return discover_minimal_sets(
-        dist, params, starts, _phase(seed, 0), burn_in=burn_in, n_record=n_record, cluster_eps=eps
-    )
+    return discover_minimal_sets(dist, params, starts, _phase(seed, 0), **knobs)
 
 
 def _finite_target(r: Resolver, minsets: Sequence[MinimalSetDescriptor],
@@ -271,14 +283,9 @@ def _cmd_minsets(cfg: Any, out: str, seed_override: Optional[int], threads: int)
     r = Resolver(cfg)
     dist = r.dist_field()
     seed = r.seed_field(seed_override)
-    starts = r.points_field()
-    burn_in = r.int_field("burn_in", 1000, lo=1)
-    n_record = r.int_field("n_record", 200, lo=2)
-    eps = r.opt_float_field("cluster_eps", lo=0.0)
+    starts, knobs = _discovery_fields(r)
     params = _params_field(r, dist)
-    sets = discover_minimal_sets(
-        dist, params, starts, _phase(seed, 0), burn_in=burn_in, n_record=n_record, cluster_eps=eps
-    )
+    sets = discover_minimal_sets(dist, params, starts, _phase(seed, 0), **knobs)
     finite = [d for d in sets if not d.is_infinity]
     result = {
         "descriptors": [_jsonify_descriptor(d) for d in sets],
@@ -425,16 +432,12 @@ def _cmd_bifurcate(cfg: Any, out: str, seed_override: Optional[int], threads: in
     fam = r.family_field()
     seed = r.seed_field(seed_override)
     t_grid = r.float_list_field("t_grid", lo=0.0, hi=1.0)
-    grid = r.points_field()
-    burn_in = r.int_field("burn_in", 1000, lo=1)
-    n_record = r.int_field("n_record", 200, lo=2)
-    eps = r.opt_float_field("cluster_eps", lo=0.0)
+    grid, knobs = _discovery_fields(r)
     tl_samples = r.int_field("tl_samples", 200, lo=1)
     tl_max_iter = r.int_field("tl_max_iter", 500, lo=1)
 
     scan = scan_family(
-        fam, t_grid, grid, _phase(seed, 0),
-        burn_in=burn_in, n_record=n_record, cluster_eps=eps,
+        fam, t_grid, grid, _phase(seed, 0), **knobs,
         tl_samples=tl_samples, tl_max_iter=tl_max_iter, threads=threads,
     )
     intervals = locate_bifurcations(scan)

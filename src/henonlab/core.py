@@ -12,7 +12,6 @@ together with a closed-form certificate radius for it.
 
 from __future__ import annotations
 
-import cmath
 import math
 from dataclasses import dataclass
 from enum import Enum
@@ -277,7 +276,3 @@ def log_abs(c: complex) -> float:
     """log|c|, returning -inf at 0."""
     a = abs(c)
     return math.log(a) if a > 0 else -math.inf
-
-
-def cis(theta: float) -> complex:
-    return cmath.exp(1j * theta)

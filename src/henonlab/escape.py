@@ -15,7 +15,6 @@ bounded by C_tel * 2^(1-n).
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from enum import Enum
 from typing import List, Optional, Sequence, Tuple, Union
@@ -23,6 +22,7 @@ from typing import List, Optional, Sequence, Tuple, Union
 import numpy as np
 from scipy.spatial import cKDTree
 
+from . import lanes, rng
 from .core import (
     FiltrationParams,
     HenonMap,
@@ -30,6 +30,7 @@ from .core import (
     Point,
     Region,
     classify_region,
+    eval_map,
     in_v_plus,
     inverse_as_plus,
     log_abs,
@@ -105,6 +106,10 @@ class MapSource:
     def conjugate_inverse(self) -> "MapSource":  # pragma: no cover - interface
         raise NotImplementedError
 
+    def c_tel(self, params: FiltrationParams) -> float:
+        """Telescoping constant bounding every map this source can return."""
+        raise ValueError("c_tel required for custom sources")
+
 
 class ConstSource(MapSource):
     def __init__(self, f: HenonMap):
@@ -115,6 +120,9 @@ class ConstSource(MapSource):
 
     def conjugate_inverse(self) -> "ConstSource":
         return ConstSource(inverse_as_plus(self.map))
+
+    def c_tel(self, params: FiltrationParams) -> float:
+        return telescoping_constant(self.map, params)
 
 
 class ListSource(MapSource):
@@ -128,6 +136,9 @@ class ListSource(MapSource):
 
     def conjugate_inverse(self) -> "ListSource":
         return ListSource([inverse_as_plus(f) for f in self.maps])
+
+    def c_tel(self, params: FiltrationParams) -> float:
+        return telescoping_constant(self.maps, params)
 
 
 class DistSource(MapSource):
@@ -149,6 +160,9 @@ class DistSource(MapSource):
     def conjugate_inverse(self) -> "DistSource":
         return DistSource(inverse_distribution(self.dist), self.seed)
 
+    def c_tel(self, params: FiltrationParams) -> float:
+        return telescoping_constant(self.dist, params)
+
 
 class ShiftedSource(MapSource):
     def __init__(self, src: MapSource, k: int):
@@ -160,6 +174,9 @@ class ShiftedSource(MapSource):
 
     def conjugate_inverse(self) -> "ShiftedSource":
         return ShiftedSource(self.src.conjugate_inverse(), self.k)
+
+    def c_tel(self, params: FiltrationParams) -> float:
+        return self.src.c_tel(params)
 
 
 class SpliceSource(MapSource):
@@ -175,6 +192,10 @@ class SpliceSource(MapSource):
 
     def conjugate_inverse(self) -> "SpliceSource":
         return SpliceSource(self.head.conjugate_inverse(), self.tail.conjugate_inverse(), self.cut)
+
+    def c_tel(self, params: FiltrationParams) -> float:
+        # max of per-part constants bounds the combined support
+        return max(self.head.c_tel(params), self.tail.c_tel(params))
 
 
 SourceLike = Union[MapSource, HenonMap, Sequence[HenonMap], Tuple[MapDistribution, SequenceSeed]]
@@ -222,21 +243,12 @@ def classify_orbit(
         if n == max_iter:
             break
         try:
-            cur = eval_map_fast(src[n], cur)
+            cur = eval_map(src[n], cur)
         except NumericOverflow:
             return OrbitVerdict(OrbitStatus.UNCERTAIN, None, None, n + 1, cur)
     if classify_region(cur, R) == Region.D_R:
         return OrbitVerdict(OrbitStatus.BOUNDED, None, None, max_iter, cur)
     return OrbitVerdict(OrbitStatus.UNCERTAIN, None, None, max_iter, cur)
-
-
-def eval_map_fast(f: HenonMap, z: Point) -> Point:
-    # same arithmetic as core.eval_map, window check inlined for hot loops
-    x, y = z
-    w = (y + f.alpha, f.poly(y) - f.delta * x)
-    if not (abs(w[0]) <= 1e100 and abs(w[1]) <= 1e100):
-        raise NumericOverflow("iterate left the exact-arithmetic window")
-    return w
 
 
 # ---------------------------------------------------------------------------
@@ -376,7 +388,7 @@ def _green_engine(
         if n == max_iter:
             break
         try:
-            cur = eval_map_fast(src[n], cur)
+            cur = eval_map(src[n], cur)
         except NumericOverflow:
             part = GreenEstimate(max(math.log(max(abs(cur[0]), abs(cur[1]))), 0.0) / D, n, math.inf)
             raise GreenIndeterminate("orbit left the exact window undecided", part)
@@ -436,32 +448,11 @@ def green_plus(
     """
     src = as_source(source)
     if c_tel is None:
-        c_tel = _default_c_tel(source, src, params)
+        c_tel = src.c_tel(params)
     status, value, n, bound, _, _ = _green_engine(src, z, params, c_tel, tol, max_iter, None, False)
     if status == OrbitStatus.BOUNDED:
         return GreenEstimate(0.0, n, 0.0)
     return GreenEstimate(value, n, bound)
-
-
-def _default_c_tel(original: SourceLike, src: MapSource, params: FiltrationParams) -> float:
-    if isinstance(original, tuple) and len(original) == 2 and isinstance(original[1], SequenceSeed):
-        return telescoping_constant(original[0], params)
-    return _source_c_tel(src, params)
-
-
-def _source_c_tel(src: MapSource, params: FiltrationParams) -> float:
-    # max of per-part constants bounds the combined support
-    if isinstance(src, DistSource):
-        return telescoping_constant(src.dist, params)
-    if isinstance(src, ConstSource):
-        return telescoping_constant(src.map, params)
-    if isinstance(src, ListSource):
-        return telescoping_constant(src.maps, params)
-    if isinstance(src, ShiftedSource):
-        return _source_c_tel(src.src, params)
-    if isinstance(src, SpliceSource):
-        return max(_source_c_tel(src.head, params), _source_c_tel(src.tail, params))
-    raise ValueError("c_tel required for custom sources")
 
 
 def green_stages(
@@ -475,7 +466,7 @@ def green_stages(
     entry step; for telescoping diagnostics."""
     src = as_source(source)
     if c_tel is None:
-        c_tel = _default_c_tel(source, src, params)
+        c_tel = src.c_tel(params)
     status, _, _, _, entry, stages = _green_engine(
         src, z, params, c_tel, None, n_total, n_total, True
     )
@@ -496,19 +487,8 @@ def green_minus(
     inverse sequence at the swapped point."""
     src = as_source(source).conjugate_inverse()
     if c_tel is None:
-        c_tel = _conjugate_c_tel(source, params)
+        c_tel = src.c_tel(params)
     return green_plus(src, (z[1], z[0]), params, tol=tol, max_iter=max_iter, c_tel=c_tel)
-
-
-def _conjugate_c_tel(original: SourceLike, params: FiltrationParams) -> float:
-    if isinstance(original, tuple) and len(original) == 2 and isinstance(original[1], SequenceSeed):
-        return telescoping_constant(inverse_distribution(original[0]), params)
-    if isinstance(original, HenonMap):
-        return telescoping_constant(inverse_as_plus(original), params)
-    if isinstance(original, MapSource):
-        src = original.conjugate_inverse()
-        return _default_c_tel(src, src, params)
-    return telescoping_constant([inverse_as_plus(f) for f in original], params)
 
 
 # ---------------------------------------------------------------------------
@@ -569,17 +549,6 @@ class SliceRaster:
     step: np.ndarray
     green: np.ndarray
     error: np.ndarray
-
-
-def _horner_arr(coeffs, y: np.ndarray) -> np.ndarray:
-    acc = np.zeros_like(y)
-    for c in coeffs:
-        acc = acc * y + c
-    return acc
-
-
-def _poly_arr(poly, y: np.ndarray) -> np.ndarray:
-    return _horner_arr(poly.coeffs, y)
 
 
 def _norm_excess_arr(lx: np.ndarray, ly: np.ndarray) -> np.ndarray:
@@ -664,12 +633,8 @@ def _raster_block(
         f = maps[n]
         d = f.degree
         if n < max_iter and alive.size:
-            xs = X[alive]
-            ys = Y[alive]
-            nx = ys + f.alpha
-            ny = _poly_arr(f.poly, ys) - f.delta * xs
-            bad = ~(np.isfinite(nx.real) & np.isfinite(nx.imag) & np.isfinite(ny.real) & np.isfinite(ny.imag))
-            bad |= (np.abs(nx) > 1e100) | (np.abs(ny) > 1e100)
+            nx, ny = lanes.image(f, X[alive], Y[alive])
+            bad = lanes.outside(nx, ny)
             if bad.any():
                 dropped = alive[bad]
                 verdict[dropped] = VERDICT_UNCERTAIN
@@ -741,7 +706,7 @@ def raster_slice(
     independent blocks, so the result is identical for any thread count.
     """
     src = as_source(source)
-    c_tel = _default_c_tel(source, src, params)
+    c_tel = src.c_tel(params)
     n_refine = refine_steps(c_tel, tol)
     n_total = max(max_iter, n_refine)
     maps = [src[i] for i in range(n_total)]
@@ -753,19 +718,10 @@ def raster_slice(
     green = np.empty((res, res), dtype=np.float64)
     error = np.empty((res, res), dtype=np.float64)
 
-    # fixed row blocks: the partition must not depend on the thread count
-    blocks = [(a, min(a + 64, res)) for a in range(0, res, 64)]
+    def run(a, b):
+        return (a, b), _raster_block(maps, X[a:b], Y[a:b], params.R, max_iter, n_refine, c_tel)
 
-    def run(block):
-        a, b = block
-        return block, _raster_block(maps, X[a:b], Y[a:b], params.R, max_iter, n_refine, c_tel)
-
-    if threads > 1 and len(blocks) > 1:
-        with ThreadPoolExecutor(max_workers=threads) as ex:
-            results = list(ex.map(run, blocks))
-    else:
-        results = [run(b) for b in blocks]
-    for (a, b), (v, s, g, e) in results:
+    for (a, b), (v, s, g, e) in lanes.run_blocks(run, res, 64, threads):
         verdict[a:b] = v
         step[a:b] = s
         green[a:b] = g
@@ -838,8 +794,6 @@ def _census_chunk(
     R: float,
     max_iter: int,
 ) -> Tuple[int, int, int]:
-    from .dist import ball_offsets_array, finite_choices_array
-
     X = xs.copy()
     Y = ys.copy()
     streams = streams.copy()
@@ -855,27 +809,11 @@ def _census_chunk(
             X, Y, streams = X[keep], Y[keep], streams[keep]
         if n == max_iter or X.size == 0:
             break
-        if isinstance(dist, FiniteDist):
-            choice = finite_choices_array(dist, master, streams, n)
-            nx = np.empty_like(X)
-            ny = np.empty_like(Y)
-            for j, f in enumerate(dist.maps):
-                m = choice == j
-                if m.any():
-                    nx[m] = Y[m] + f.alpha
-                    ny[m] = _poly_arr(f.poly, Y[m]) - f.delta * X[m]
-        else:
-            a, b = ball_offsets_array(dist, master, streams, n)
-            base = dist.base
-            nx = Y + base.alpha + a
-            ny = _poly_arr(base.poly, Y) + b - base.delta * X
-        ok = (np.abs(nx) <= 1e100) & (np.abs(ny) <= 1e100)
-        ok &= np.isfinite(nx.real) & np.isfinite(nx.imag) & np.isfinite(ny.real) & np.isfinite(ny.imag)
+        nx, ny = lanes.step(dist, master, streams, n, X, Y)
+        # lanes leaving the window are tallied as uncertain below
+        ok = ~lanes.outside(nx, ny)
         if not ok.all():
-            # lanes leaving the window are tallied as uncertain below
-            X, Y, streams = nx[ok], ny[ok], streams[ok]
-            n += 1
-            continue
+            nx, ny, streams = nx[ok], ny[ok], streams[ok]
         X, Y = nx, ny
         n += 1
     bounded = int((np.maximum(np.abs(X), np.abs(Y)) < R).sum()) if X.size else 0
@@ -897,27 +835,18 @@ def escape_census(
     (seed.stream_id, i); doubling max_iter with the same seed reuses the
     same sequences, so the escaped count is nondecreasing in the cap.
     """
-    from . import rng
-
     xs = np.array([p[0] for p in points], dtype=np.complex128)
     ys = np.array([p[1] for p in points], dtype=np.complex128)
     streams = np.array(
         [rng.derive_stream(seed.stream_id, i) for i in range(len(points))], dtype=np.uint64
     )
-    # fixed walker chunks, independent of the thread count
-    blocks = [(a, min(a + 4096, len(points))) for a in range(0, len(points), 4096)]
 
-    def run(block):
-        a, b = block
+    def run(a, b):
         return _census_chunk(
             dist, seed.master_seed, streams[a:b], xs[a:b], ys[a:b], params.R, max_iter
         )
 
-    if threads > 1 and len(blocks) > 1:
-        with ThreadPoolExecutor(max_workers=threads) as ex:
-            parts = list(ex.map(run, blocks))
-    else:
-        parts = [run(b) for b in blocks]
+    parts = lanes.run_blocks(run, len(points), 4096, threads)
     esc = sum(p[0] for p in parts)
     bnd = sum(p[1] for p in parts)
     unc = sum(p[2] for p in parts)

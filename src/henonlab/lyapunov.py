@@ -14,19 +14,10 @@ from typing import Optional, Tuple
 
 import numpy as np
 
-from . import rng
+from . import lanes, rng
 from .core import FiltrationParams, Point, swap
-from .dist import (
-    BallNoise,
-    FiniteDist,
-    MapDistribution,
-    SequenceSeed,
-    ball_offsets_array,
-    condition_a_params,
-    finite_choices_array,
-    inverse_distribution,
-)
-from .escape import SourceLike, _horner_arr, _poly_arr, as_source
+from .dist import MapDistribution, SequenceSeed, condition_a_params, inverse_distribution
+from .escape import SourceLike, as_source
 
 ESCAPE_FACTOR = 10.0
 _TAG_ANGLE = 0x414E474C
@@ -122,8 +113,6 @@ def _batch_runs(
         V2[k] = v2
     acc = np.zeros(samples)
     escaped = np.zeros(samples, dtype=bool)
-    base = dist.base if isinstance(dist, BallNoise) else None
-    single = dist.maps[0] if isinstance(dist, FiniteDist) and len(dist.maps) == 1 else None
     # active lanes stay compacted; idx maps them back to stream order
     idx = np.arange(samples)
     x, y, v1, v2 = X, Y, V1, V2
@@ -138,29 +127,7 @@ def _batch_runs(
             x, y, v1, v2, part = x[keep], y[keep], v1[keep], v2[keep], part[keep]
             if idx.size == 0:
                 break
-        if single is not None:
-            # one atom: the support draw is constant, skip it
-            nx = y + single.alpha
-            ny = _poly_arr(single.poly, y) - single.delta * x
-            w2 = -single.delta * v1 + _horner_arr(single.poly._deriv, y) * v2
-        elif isinstance(dist, FiniteDist):
-            choice = finite_choices_array(dist, seed.master_seed, streams[idx], step)
-            nx = np.empty_like(x)
-            ny = np.empty_like(y)
-            w2 = np.empty_like(v2)
-            for j, f in enumerate(dist.maps):
-                m = choice == j
-                if m.any():
-                    nx[m] = y[m] + f.alpha
-                    ny[m] = _poly_arr(f.poly, y[m]) - f.delta * x[m]
-                    w2[m] = -f.delta * v1[m] + _horner_arr(f.poly._deriv, y[m]) * v2[m]
-        else:
-            a, b = ball_offsets_array(dist, seed.master_seed, streams[idx], step)
-            nx = y + base.alpha + a
-            ny = _poly_arr(base.poly, y) + b - base.delta * x
-            # the derivative ignores the constant offset, alpha is absent
-            w2 = -base.delta * v1 + _horner_arr(base.poly._deriv, y) * v2
-        w1 = v2
+        nx, ny, w1, w2 = lanes.step(dist, seed.master_seed, streams[idx], step, x, y, (v1, v2))
         nw = np.hypot(np.abs(w1), np.abs(w2))
         if (nw < 1e-300).any():
             raise DegenerateVector("tangent vector norm underflow")

@@ -14,7 +14,6 @@ certified convergence to the attracting fixed point on the line at infinity.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple, Union
 
@@ -23,18 +22,9 @@ from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import connected_components, shortest_path
 from scipy.spatial import cKDTree
 
-from . import rng
+from . import lanes, rng
 from .core import FiltrationParams, HenonMap, Point
-from .dist import (
-    FiniteDist,
-    MapDistribution,
-    SequenceSeed,
-    ball_offsets_array,
-    condition_a_params,
-    finite_choices_array,
-    support_sample,
-)
-from .escape import _poly_arr
+from .dist import MapDistribution, SequenceSeed, condition_a_params, support_sample
 
 INFINITY = "infinity"
 
@@ -180,11 +170,8 @@ def _components(xs: np.ndarray, ys: np.ndarray, radius: float) -> np.ndarray:
 
 def _apply_support(maps: Sequence[HenonMap], xs: np.ndarray, ys: np.ndarray):
     """Images of the cloud under every support map, concatenated."""
-    outx, outy = [], []
-    for f in maps:
-        outx.append(ys + f.alpha)
-        outy.append(_poly_arr(f.poly, ys) - f.delta * xs)
-    return np.concatenate(outx), np.concatenate(outy)
+    ix, iy = zip(*(lanes.image(f, xs, ys) for f in maps))
+    return np.concatenate(ix), np.concatenate(iy)
 
 
 def _saturate(
@@ -235,8 +222,7 @@ def _node_edges(
     n_nodes = int(labels.max()) + 1
     codes = []
     for f in maps:
-        ix = ys + f.alpha
-        iy = _poly_arr(f.poly, ys) - f.delta * xs
+        ix, iy = lanes.image(f, xs, ys)
         d, j = tree.query(_embed4(ix, iy), k=1, distance_upper_bound=radius)
         ok = np.isfinite(d)
         codes.append(labels[ok].astype(np.int64) * n_nodes + labels[j[ok]])
@@ -360,22 +346,6 @@ def detect_period(dist: MapDistribution, L: MinimalSetDescriptor, seed: Sequence
 # orbit recording
 
 
-def _advance_lanes(dist, master, streams, X, Y, step):
-    if isinstance(dist, FiniteDist):
-        choice = finite_choices_array(dist, master, streams, step)
-        nx = np.empty_like(X)
-        ny = np.empty_like(Y)
-        for j, f in enumerate(dist.maps):
-            m = choice == j
-            if m.any():
-                nx[m] = Y[m] + f.alpha
-                ny[m] = _poly_arr(f.poly, Y[m]) - f.delta * X[m]
-        return nx, ny
-    a, b = ball_offsets_array(dist, master, streams, step)
-    base = dist.base
-    return Y + base.alpha + a, _poly_arr(base.poly, Y) + b - base.delta * X
-
-
 def _record_orbits(
     dist: MapDistribution,
     params: FiltrationParams,
@@ -412,9 +382,8 @@ def _record_orbits(
             idx = idx[~esc]
             if idx.size == 0:
                 break
-        nx, ny = _advance_lanes(dist, seed.master_seed, streams[idx], X[idx], Y[idx], step)
-        bad = (np.abs(nx) > 1e100) | (np.abs(ny) > 1e100)
-        bad |= ~(np.isfinite(nx.real) & np.isfinite(nx.imag) & np.isfinite(ny.real) & np.isfinite(ny.imag))
+        nx, ny = lanes.step(dist, seed.master_seed, streams[idx], step, X[idx], Y[idx])
+        bad = lanes.outside(nx, ny)
         if bad.any():
             alive[idx[bad]] = False
             keep = ~bad
@@ -539,6 +508,8 @@ def discover_minimal_sets(
         raise ValueError("grid must be nonempty")
     if burn_in < 1000:
         raise ValueError("burn_in below 1e3")
+    if cluster_eps is not None and not cluster_eps > 0:
+        raise ValueError("cluster_eps must be positive")
     xs0, ys0, _, _ = _record_orbits(dist, params, grid, burn_in, n_record, seed)
     maps = support_sample(dist, seed)
     box = params.R
@@ -654,9 +625,8 @@ def _tl_chunk(
             X, Y, cand, run, streams = X[keep], Y[keep], cand[keep], run[keep], streams[keep]
         if X.size == 0 or step == max_iter:
             break
-        nx, ny = _advance_lanes(dist, master, streams, X, Y, step)
-        bad = (np.abs(nx) > 1e100) | (np.abs(ny) > 1e100)
-        bad |= ~(np.isfinite(nx.real) & np.isfinite(nx.imag) & np.isfinite(ny.real) & np.isfinite(ny.imag))
+        nx, ny = lanes.step(dist, master, streams, step, X, Y)
+        bad = lanes.outside(nx, ny)
         if bad.any():
             unresolved += int(bad.sum())
             keep = ~bad
@@ -692,16 +662,11 @@ def estimate_TL(
         [rng.derive_stream(seed.stream_id, _TAG_TL, i) for i in range(samples)],
         dtype=np.uint64,
     )
-    chunks = [streams[i:i + 4096] for i in range(0, samples, 4096)]
 
-    def work(chunk):
-        return _tl_chunk(dist, finite, params.R, z, seed.master_seed, chunk, max_iter)
+    def work(a, b):
+        return _tl_chunk(dist, finite, params.R, z, seed.master_seed, streams[a:b], max_iter)
 
-    if threads > 1 and len(chunks) > 1:
-        with ThreadPoolExecutor(max_workers=threads) as ex:
-            results = list(ex.map(work, chunks))
-    else:
-        results = [work(c) for c in chunks]
+    results = lanes.run_blocks(work, samples, 4096, threads)
     counts = np.sum([r[0] for r in results], axis=0) if finite else np.zeros(0, np.int64)
     inf_count = sum(r[1] for r in results)
     unresolved = sum(r[2] for r in results)
@@ -759,10 +724,8 @@ def _pair_tracking(
     R = params.R
     for step in range(n_steps):
         esc = np.abs(Y) > np.maximum(R, np.abs(X))
-        nx, ny = _advance_lanes(dist, seed.master_seed, streams, X, Y, step)
-        bad = (np.abs(nx) > 1e100) | (np.abs(ny) > 1e100)
-        bad |= ~(np.isfinite(nx.real) & np.isfinite(nx.imag) & np.isfinite(ny.real) & np.isfinite(ny.imag))
-        lane_bad = esc | bad
+        nx, ny = lanes.step(dist, seed.master_seed, streams, step, X, Y)
+        lane_bad = esc | lanes.outside(nx, ny)
         blown |= lane_bad[0::2] | lane_bad[1::2]
         ok = ~lane_bad
         X = np.where(ok, nx, X)

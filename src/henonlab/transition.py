@@ -16,17 +16,9 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from . import rng
+from . import lanes, rng
 from .core import FiltrationParams, Point
-from .dist import (
-    FiniteDist,
-    MapDistribution,
-    SequenceSeed,
-    ball_offsets_array,
-    condition_a_params,
-    finite_choices_array,
-)
-from .escape import _poly_arr
+from .dist import FiniteDist, MapDistribution, SequenceSeed, condition_a_params
 from .minsets import INFINITY, MinimalSetDescriptor, estimate_TL
 
 _DEF_BUDGET = 1_000_000
@@ -153,10 +145,10 @@ def apply_M(
         [rng.derive_stream(seed.stream_id, _TAG_MOP, i) for i in range(samples)],
         dtype=np.uint64,
     )
-    a, b = ball_offsets_array(dist, seed.master_seed, streams, 0)
-    base = dist.base
-    X = np.full(samples, complex(z[1])) + base.alpha + a
-    Y = _poly_arr(base.poly, np.full(samples, complex(z[1]))) + b - base.delta * z[0]
+    X, Y = lanes.step(
+        dist, seed.master_seed, streams, 0,
+        np.full(samples, complex(z[0])), np.full(samples, complex(z[1])),
+    )
     vals = _phi_array(phi, X, Y)
     se = float(np.std(vals, ddof=1) / math.sqrt(samples)) if samples > 1 else math.inf
     return OperatorValue(value=float(vals.mean()), se=se, exact=False)
@@ -173,8 +165,9 @@ def _tree_power(dist: FiniteDist, phi, z: Point, n: int) -> float:
     for _ in range(n):
         nx, ny, nw = [], [], []
         for w, f in zip(dist.weights, dist.maps):
-            nx.append(Y + f.alpha)
-            ny.append(_poly_arr(f.poly, Y) - f.delta * X)
+            ix, iy = lanes.image(f, X, Y)
+            nx.append(ix)
+            ny.append(iy)
             nw.append(W * w)
         X = np.concatenate(nx)
         Y = np.concatenate(ny)
@@ -212,23 +205,11 @@ def _mc_power(
         counts = _stratified_counts(dist.weights, samples)
         strata = np.repeat(np.arange(len(dist.maps)), counts)
     for step in range(n):
-        if isinstance(dist, FiniteDist):
-            if step == 0:
-                choice = strata
-            else:
-                choice = finite_choices_array(dist, seed.master_seed, streams, step)
-            nx = np.empty_like(X)
-            ny = np.empty_like(Y)
-            for j, f in enumerate(dist.maps):
-                msk = choice == j
-                if msk.any():
-                    nx[msk] = Y[msk] + f.alpha
-                    ny[msk] = _poly_arr(f.poly, Y[msk]) - f.delta * X[msk]
-            X, Y = nx, ny
+        if step == 0 and strata is not None:
+            drawn = strata
         else:
-            a, b = ball_offsets_array(dist, seed.master_seed, streams, step)
-            base = dist.base
-            X, Y = Y + base.alpha + a, _poly_arr(base.poly, Y) + b - base.delta * X
+            drawn = lanes.draw(dist, seed.master_seed, streams, step)
+        X, Y = lanes.apply(dist, drawn, X, Y)
     vals = _phi_array(phi, X, Y)
     if strata is None:
         se = float(np.std(vals, ddof=1) / math.sqrt(samples))

@@ -249,6 +249,25 @@ def test_cli_argparse_codes(capsys):
     capsys.readouterr()
 
 
+CYCLE_CFG = {
+    "maps": [{"alpha": 0.0, "delta": 0.1, "poly": [1.0, -1.3, 0.0]}],
+    "seed": 7,
+    "points": [[[0.1, 0], [0.1, 0]]],
+}
+
+
+@pytest.mark.parametrize("cmd, cfg, pointer", [
+    ("minsets", dict(CYCLE_CFG, burn_in=500), "/burn_in"),
+    ("minsets", dict(CYCLE_CFG, cluster_eps=0), "/cluster_eps"),
+    ("minsets", dict(CYCLE_CFG, rho_margin=0), "/rho_margin"),
+    ("tl", dict(CYCLE_CFG, discovery=dict(CYCLE_CFG, burn_in=500)), "/discovery/burn_in"),
+])
+def test_cli_library_bounds_exit_2(tmp_path, capsys, cmd, cfg, pointer):
+    code = run_cli([cmd, "--config", _write_cfg(tmp_path, cfg), "--out", str(tmp_path)])
+    assert code == 2
+    assert f"{pointer}:" in capsys.readouterr().err
+
+
 def test_cli_bad_flag_values(tmp_path, capsys):
     path = _write_cfg(tmp_path, QUAD_CFG)
     assert run_cli(["green", "--config", path, "--out", str(tmp_path),

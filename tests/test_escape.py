@@ -249,6 +249,16 @@ def test_census_counts_and_determinism(quad_params):
     assert (c.escaped, c.bounded, c.uncertain) == (a.escaped, a.bounded, a.uncertain)
 
 
+def test_census_thread_invariance_across_chunks(ball_cycle_dist):
+    # 9,000 walkers span three 4,096-lane chunks
+    params = condition_a_params(ball_cycle_dist)
+    pts = [((0.37 * k) % 3.0 - 1.5 + 0j, (0.53 * k) % 3.0 - 1.5 + 0j) for k in range(9000)]
+    runs = [escape_census(ball_cycle_dist, pts, params, 40, SequenceSeed(5, 4), threads=t)
+            for t in (1, 2)]
+    assert runs[0] == runs[1]
+    assert runs[0].total == 9000 and runs[0].escaped > 0 and runs[0].bounded > 0
+
+
 def test_census_ball_noise(ball_cycle_dist):
     params = condition_a_params(ball_cycle_dist)
     pts = [(0.05 * k % 0.7 + 0j, 0.07 * k % 0.9 + 0j) for k in range(200)]

@@ -288,6 +288,8 @@ def test_discovery_input_validation(cycle_dist):
     with pytest.raises(ValueError):
         discover_minimal_sets(cycle_dist, params, [(0.1, 0.1)], SEED, burn_in=10)
     with pytest.raises(ValueError):
+        discover_minimal_sets(cycle_dist, params, [(0.1, 0.1)], SEED, cluster_eps=0.0)
+    with pytest.raises(ValueError):
         estimate_TL(cycle_dist, [], (0.0, 0.0), 0, 10, SEED)
 
 
@@ -317,6 +319,15 @@ def test_tl_deterministic(noisy_cycle_dist, noisy_setup):
     b = estimate_TL(noisy_cycle_dist, descs, (0.2, -0.1), 300, 300, SEED, params)
     assert a.counts == b.counts
     assert a.unresolved_count == b.unresolved_count
+
+
+def test_tl_thread_invariance_across_chunks(noisy_cycle_dist, noisy_setup):
+    # 9,000 samples span three 4,096-lane chunks
+    params, descs = noisy_setup
+    runs = [estimate_TL(noisy_cycle_dist, descs, (0.3, 0.3), 9000, 60, SEED, params, threads=t)
+            for t in (1, 2)]
+    assert runs[0] == runs[1]
+    assert len(set(runs[0].counts.values())) > 1
 
 
 def test_tl_point_inside_capture(noisy_cycle_dist, noisy_setup):
