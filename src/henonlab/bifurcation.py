@@ -12,13 +12,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple
 
-from . import rng
 from .core import Point
 from .dist import NoiseFamily, SequenceSeed, condition_a_params, family_at
 from .minsets import MinimalSetDescriptor, discover_minimal_sets, estimate_TL
 
 _TAG_FAMILY = 0x46414D01
-_CONTRACTION_MARGIN = 1e-3
 _UNRESOLVED_STABLE = 0.01
 
 
@@ -57,11 +55,7 @@ def _t_stream(seed: SequenceSeed, t: float) -> SequenceSeed:
     # key the stream to the amplitude itself so grid refinement reuses
     # identical randomness at shared t values
     key = int(round(t * 2.0**32)) & ((1 << 64) - 1)
-    return SequenceSeed(seed.master_seed, rng.derive_stream(seed.stream_id, _TAG_FAMILY, key))
-
-
-def _attracting(d: MinimalSetDescriptor) -> bool:
-    return d.contraction is not None and d.contraction < 1.0 - _CONTRACTION_MARGIN
+    return seed.derive(_TAG_FAMILY, key)
 
 
 def scan_family(
@@ -102,15 +96,14 @@ def scan_family(
         unresolved = 0
         total = 0
         for i, z in enumerate(probes):
-            psub = SequenceSeed(sub.master_seed, rng.derive_stream(sub.stream_id, 1, i))
             est = estimate_TL(
-                dist, descs, z, tl_samples, tl_max_iter, psub,
+                dist, descs, z, tl_samples, tl_max_iter, sub.derive(1, i),
                 params=params, threads=threads,
             )
             unresolved += est.unresolved_count
             total += est.samples
         mass = unresolved / total if total else 0.0
-        attracting = sum(1 for d in finite if _attracting(d))
+        attracting = sum(1 for d in finite if d.attracting)
         all_attr = attracting == len(finite)
         points.append(
             FamilyPoint(

@@ -15,7 +15,8 @@ import hashlib
 import math
 import os
 import sys
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+from dataclasses import asdict, astuple, fields
+from typing import Any, Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -65,7 +66,7 @@ from .transition import (
     iterate_M,
     weight_derivative_TL,
 )
-from .bifurcation import locate_bifurcations, monotone_violations, scan_family
+from .bifurcation import FamilyPoint, locate_bifurcations, monotone_violations, scan_family
 from .config import ConfigError, Resolver, jsonify_point, load_text
 from .output import canonical_json, write_csv, write_json, write_pgm16
 
@@ -91,7 +92,7 @@ _COMPUTE_ERRORS = (
 
 def _phase(seed: SequenceSeed, *parts: int) -> SequenceSeed:
     """Per-phase sub-seed so commands draw independent streams."""
-    return SequenceSeed(seed.master_seed, rng.derive_stream(seed.stream_id, _TAG_CLI, *parts))
+    return seed.derive(_TAG_CLI, *parts)
 
 
 def _report(resolved: Dict[str, Any], result: Dict[str, Any]) -> Dict[str, Any]:
@@ -150,27 +151,32 @@ def _discovery_block(
     return discover_minimal_sets(dist, params, starts, _phase(seed, 0), **knobs)
 
 
-def _finite_target(r: Resolver, minsets: Sequence[MinimalSetDescriptor],
-                   allow_infinity: bool) -> MinimalSetDescriptor:
-    raw = r.cfg.get("target", 0)
-    if raw == INFINITY:
+def _target_field(r: Resolver, allow_infinity: bool) -> Union[int, str]:
+    """Finite minimal set index, or INFINITY where that is allowed."""
+    if r.cfg.get("target", 0) == INFINITY:
         if not allow_infinity:
             raise ConfigError(f"{r.ptr}/target", "a finite minimal set is required here")
         r.resolved["target"] = INFINITY
+        return INFINITY
+    return r.int_field("target", 0, lo=0)
+
+
+def _pick_target(minsets: Sequence[MinimalSetDescriptor],
+                 target: Union[int, str]) -> MinimalSetDescriptor:
+    if target == INFINITY:
         return minsets[-1]
-    idx = r.int_field("target", 0, lo=0)
     finite = [d for d in minsets if not d.is_infinity]
-    if idx >= len(finite):
+    if target >= len(finite):
         raise ComputeError(
-            f"target {idx} out of range: discovery found {len(finite)} finite minimal sets"
+            f"target {target} out of range: discovery found {len(finite)} finite minimal sets"
         )
-    return finite[idx]
+    return finite[target]
 
 
 def _basin_json(est) -> Dict[str, Any]:
     return {
         "counts": {str(k): int(v) for k, v in sorted(est.counts.items(), key=lambda kv: str(kv[0]))},
-        "probabilities": {str(k): v / est.samples for k, v in est.counts.items()},
+        "probabilities": {str(k): v for k, v in est.probabilities.items()},
         "unresolved": est.unresolved,
         "samples": est.samples,
     }
@@ -228,26 +234,9 @@ def _cmd_green(cfg: Any, out: str, seed_override: Optional[int], threads: int) -
     rows = []
     for i, z in enumerate(points):
         est = green_plus(source, z, params, tol=tol, max_iter=max_iter)
-        entries.append(
-            {
-                "point": jsonify_point(z),
-                "value": est.value,
-                "n_used": est.n_used,
-                "error_bound": est.error_bound,
-            }
-        )
-        rows.append(
-            (
-                i,
-                float(complex(z[0]).real),
-                float(complex(z[0]).imag),
-                float(complex(z[1]).real),
-                float(complex(z[1]).imag),
-                est.value,
-                est.n_used,
-                est.error_bound,
-            )
-        )
+        entries.append({"point": jsonify_point(z), **asdict(est)})
+        x, y = complex(z[0]), complex(z[1])
+        rows.append((i, x.real, x.imag, y.real, y.imag, *astuple(est)))
     write_csv(
         os.path.join(out, "green.csv"),
         ("index", "x_re", "x_im", "y_re", "y_im", "green", "n_used", "error_bound"),
@@ -267,15 +256,7 @@ def _cmd_lyapunov(cfg: Any, out: str, seed_override: Optional[int], threads: int
     direction = r.choice_field("direction", ("forward", "backward"), "forward")
     fn = lyapunov_statistics if direction == "forward" else backward_lyapunov_statistics
     rep = fn(dist, z, samples, n, _phase(seed, 0))
-    result = {
-        "exponent": rep.exponent,
-        "ci95_halfwidth": rep.ci95_halfwidth,
-        "escaped_fraction": rep.escaped_fraction,
-        "n_steps": rep.n_steps,
-        "samples": rep.samples,
-        "values": list(rep.values),
-    }
-    write_json(os.path.join(out, "lyapunov.json"), _report(r.resolved, result))
+    write_json(os.path.join(out, "lyapunov.json"), _report(r.resolved, asdict(rep)))
     return 0
 
 
@@ -290,9 +271,7 @@ def _cmd_minsets(cfg: Any, out: str, seed_override: Optional[int], threads: int)
     result = {
         "descriptors": [_jsonify_descriptor(d) for d in sets],
         "finite_count": len(finite),
-        "attracting_count": sum(
-            1 for d in finite if d.contraction is not None and d.contraction < 1.0 - 1e-3
-        ),
+        "attracting_count": sum(1 for d in finite if d.attracting),
         "R": params.R,
     }
     write_json(os.path.join(out, "minsets.json"), _report(r.resolved, result))
@@ -327,23 +306,26 @@ def _cmd_mop(cfg: Any, out: str, seed_override: Optional[int], threads: int) -> 
     dist = r.dist_field()
     seed = r.seed_field(seed_override)
     params = _params_field(r, dist)
-    sets = _discovery_block(r, dist, params, seed)
-    L = _finite_target(r, sets, allow_infinity=False)
+    target = _target_field(r, allow_infinity=False)
     points = r.points_field()
     powers = r.int_list_field("powers", lo=0)
     budget = r.int_field("budget", 1_000_000, lo=1)
-    mc_samples = r.int_field("mc_samples", 20_000, lo=1)
-    ramp_width = r.opt_float_field("ramp_width", lo=0.0)
+    mc_samples = r.int_field(
+        "mc_samples", 20_000, lo=len(dist.maps) if isinstance(dist, FiniteDist) else 1
+    )
+    ramp_width = _positive(r, "ramp_width", r.opt_float_field("ramp_width", lo=0.0))
     do_fit = r.bool_field("fit", False)
+    if do_fit:
+        tl_samples = r.int_field("tl_samples", 1000, lo=1)
+        tl_max_iter = r.int_field("tl_max_iter", 1000, lo=1)
+    sets = _discovery_block(r, dist, params, seed)
+    L = _pick_target(sets, target)
 
-    phi = CaptureRamp(L, width=ramp_width)
     result: Dict[str, Any] = {
         "descriptors": [_jsonify_descriptor(d) for d in sets],
         "target_id": L.id,
     }
     if do_fit:
-        tl_samples = r.int_field("tl_samples", 1000, lo=1)
-        tl_max_iter = r.int_field("tl_max_iter", 1000, lo=1)
         fit = fit_convergence_rate(
             dist,
             sets,
@@ -358,14 +340,9 @@ def _cmd_mop(cfg: Any, out: str, seed_override: Optional[int], threads: int) -> 
             mc_samples=mc_samples,
             params=params,
         )
-        result["fit"] = {
-            "lambda_hat": fit.lambda_hat,
-            "r_squared": fit.r_squared,
-            "n_range": list(fit.n_range),
-            "sup_errors": list(fit.sup_errors),
-            "used": fit.used,
-        }
+        result["fit"] = asdict(fit)
     else:
+        phi = CaptureRamp(L, width=ramp_width)
         table = []
         for i, z in enumerate(points):
             row = []
@@ -374,7 +351,7 @@ def _cmd_mop(cfg: Any, out: str, seed_override: Optional[int], threads: int) -> 
                     dist, phi, z, n, budget=budget, samples=mc_samples,
                     seed=_phase(seed, 2, i, k),
                 )
-                row.append({"n": n, "value": val.value, "se": val.se, "exact": val.exact})
+                row.append({"n": n, **asdict(val)})
             table.append({"point": jsonify_point(z), "powers": row})
         result["values"] = table
     write_json(os.path.join(out, "mop.json"), _report(r.resolved, result))
@@ -388,8 +365,7 @@ def _cmd_dtl(cfg: Any, out: str, seed_override: Optional[int], threads: int) -> 
         raise ConfigError("/maps", "weight derivatives need a finite-support distribution")
     seed = r.seed_field(seed_override)
     params = _params_field(r, dist)
-    sets = _discovery_block(r, dist, params, seed)
-    L = _finite_target(r, sets, allow_infinity=True)
+    target = _target_field(r, allow_infinity=True)
     z = r.point_field("z")
     m = len(dist.maps)
     index = r.int_field("index", lo=0, hi=m - 1)
@@ -401,10 +377,12 @@ def _cmd_dtl(cfg: Any, out: str, seed_override: Optional[int], threads: int) -> 
     tl_samples = r.int_field("tl_samples", 400, lo=1)
     tl_max_iter = r.int_field("tl_max_iter", 400, lo=1)
     budget = r.int_field("budget", 1_000_000, lo=1)
-    mc_samples = r.int_field("mc_samples", 10_000, lo=1)
+    mc_samples = r.int_field("mc_samples", 10_000, lo=m)
     h = r.float_field("h", 0.05, lo=1e-12, hi=1.0)
     fd_tl_samples = r.int_field("fd_tl_samples", 4000, lo=1)
     richardson = r.bool_field("richardson", False)
+    sets = _discovery_block(r, dist, params, seed)
+    L = _pick_target(sets, target)
 
     series = weight_derivative_TL(
         dist, sets, L, z, index, _phase(seed, 1),
@@ -419,8 +397,8 @@ def _cmd_dtl(cfg: Any, out: str, seed_override: Optional[int], threads: int) -> 
     result = {
         "descriptors": [_jsonify_descriptor(d) for d in sets],
         "target_id": L.id,
-        "series": {"value": series.value, "terms": list(series.terms)},
-        "fd": {"value": fd.value, "h": fd.h, "richardson": fd.richardson},
+        "series": asdict(series),
+        "fd": asdict(fd),
         "gap": abs(series.value - fd.value),
     }
     write_json(os.path.join(out, "dtl.json"), _report(r.resolved, result))
@@ -440,42 +418,19 @@ def _cmd_bifurcate(cfg: Any, out: str, seed_override: Optional[int], threads: in
         fam, t_grid, grid, _phase(seed, 0), **knobs,
         tl_samples=tl_samples, tl_max_iter=tl_max_iter, threads=threads,
     )
-    intervals = locate_bifurcations(scan)
+    # every FamilyPoint field but the descriptors, in declaration order
+    columns = [f.name for f in fields(FamilyPoint) if f.name != "descriptors"]
+    rows = [{c: getattr(p, c) for c in columns} for p in scan.points]
     result = {
-        "points": [
-            {
-                "t": p.t,
-                "minset_count": p.minset_count,
-                "finite_count": p.finite_count,
-                "attracting_count": p.attracting_count,
-                "all_attracting": p.all_attracting,
-                "unresolved_mass": p.unresolved_mass,
-                "mean_stable": p.mean_stable,
-            }
-            for p in scan.points
-        ],
-        "intervals": [
-            {
-                "t_lo": iv.t_lo,
-                "t_hi": iv.t_hi,
-                "count_lo": iv.count_lo,
-                "count_hi": iv.count_hi,
-                "monotone": iv.monotone,
-            }
-            for iv in intervals
-        ],
+        "points": rows,
+        "intervals": [asdict(iv) for iv in locate_bifurcations(scan)],
         "monotone_violations": list(monotone_violations(scan)),
     }
     write_json(os.path.join(out, "bifurcate.json"), _report(r.resolved, result))
     write_csv(
         os.path.join(out, "bifurcate.csv"),
-        ("t", "minset_count", "finite_count", "attracting_count",
-         "all_attracting", "unresolved_mass", "mean_stable"),
-        [
-            (p.t, p.minset_count, p.finite_count, p.attracting_count,
-             int(p.all_attracting), p.unresolved_mass, int(p.mean_stable))
-            for p in scan.points
-        ],
+        columns,
+        [[int(v) if isinstance(v, bool) else v for v in row.values()] for row in rows],
     )
     return 0
 

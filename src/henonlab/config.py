@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import json
 import math
-from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import Any, Dict, List, Mapping, Optional, Sequence
 
 from .core import HenonMap, Point, Poly
 from .dist import BallNoise, FiniteDist, MapDistribution, NoiseFamily, SequenceSeed

@@ -140,9 +140,14 @@ def _check_window(z: Point) -> Point:
     return z
 
 
-def eval_map(f: HenonMap, z: Point) -> Point:
+def image(f: HenonMap, z: Point) -> Point:
+    """f(z) without the exact-arithmetic window check."""
     x, y = z
-    return _check_window((y + f.alpha, f.poly(y) - f.delta * x))
+    return y + f.alpha, f.poly(y) - f.delta * x
+
+
+def eval_map(f: HenonMap, z: Point) -> Point:
+    return _check_window(image(f, z))
 
 
 def eval_inverse(f: HenonMap, z: Point) -> Point:

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import List, Sequence, Tuple, Union
+from typing import List, Tuple, Union
 
 import numpy as np
 
@@ -43,6 +43,10 @@ class SequenceSeed:
             v = getattr(self, name)
             if not (0 <= int(v) < 1 << 64):
                 raise ValueError(f"{name} must fit in 64 bits, got {v}")
+
+    def derive(self, *tags: int) -> "SequenceSeed":
+        """Sub-seed on the stream derived from (stream_id, *tags)."""
+        return SequenceSeed(self.master_seed, rng.derive_stream(self.stream_id, *tags))
 
 
 @dataclass(frozen=True)
@@ -155,8 +159,7 @@ def support_sample(dist: MapDistribution, seed: SequenceSeed, k: int = 64) -> Li
     finite, otherwise k ball samples drawn on a dedicated stream."""
     if isinstance(dist, FiniteDist):
         return list(dist.maps)
-    stream = rng.derive_stream(seed.stream_id, TAG_SUPPORT)
-    sub = SequenceSeed(seed.master_seed, stream)
+    sub = seed.derive(TAG_SUPPORT)
     return [sample_map(dist, sub, i) for i in range(k)]
 
 

@@ -15,7 +15,7 @@ bounded by C_tel * 2^(1-n).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 from typing import List, Optional, Sequence, Tuple, Union
 
@@ -309,6 +309,10 @@ def refine_steps(c_tel: float, tol: float) -> int:
     return max(0, math.ceil(1.0 + math.log2(c_tel / tol)))
 
 
+def _stage_bound(c_tel: float, n: int) -> float:
+    return c_tel * 2.0 ** (1 - n) if n < 1074 else 0.0
+
+
 # ---------------------------------------------------------------------------
 # Green's functions (scalar path)
 
@@ -415,8 +419,7 @@ def _green_engine(
         n += 1
     value = g + (state.norm_excess() / D if math.isfinite(D) else 0.0)
     value = max(value, _TINY)
-    bound = c_tel * 2.0 ** (1 - n) if n < 1074 else 0.0
-    return OrbitStatus.ESCAPED, value, n, bound, entry, stages
+    return OrbitStatus.ESCAPED, value, n, _stage_bound(c_tel, n), entry, stages
 
 
 def green_plus(
@@ -558,10 +561,6 @@ def _norm_excess_arr(lx: np.ndarray, ly: np.ndarray) -> np.ndarray:
     return np.where(safe, 0.5 * np.log1p(ex), 0.0)
 
 
-def _stage_bound(c_tel: float, n: int) -> float:
-    return c_tel * 2.0 ** (1 - n) if n < 1074 else 0.0
-
-
 def _raster_block(
     maps: List[HenonMap],
     X: np.ndarray,
@@ -595,9 +594,7 @@ def _raster_block(
     n_total = max(max_iter, n_refine)
     for n in range(n_total + 1):
         if alive.size and n <= max_iter:
-            ax = np.abs(X[alive])
-            ay = np.abs(Y[alive])
-            esc = ay > np.maximum(R, ax)
+            esc = lanes.in_cone(X[alive], Y[alive], R)
             if esc.any():
                 new = alive[esc]
                 verdict[new] = VERDICT_ESCAPED
@@ -676,7 +673,7 @@ def _raster_block(
             D *= d
 
     if alive.size:
-        inside = np.maximum(np.abs(X[alive]), np.abs(Y[alive])) < R
+        inside = lanes.in_bidisk(X[alive], Y[alive], R)
         bnd = alive[inside]
         unc = alive[~inside]
         verdict[bnd] = VERDICT_BOUNDED
@@ -800,9 +797,7 @@ def _census_chunk(
     escaped = 0
     n = 0
     while X.size and n <= max_iter:
-        ax = np.abs(X)
-        ay = np.abs(Y)
-        esc = ay > np.maximum(R, ax)
+        esc = lanes.in_cone(X, Y, R)
         if esc.any():
             escaped += int(esc.sum())
             keep = ~esc
@@ -816,7 +811,7 @@ def _census_chunk(
             nx, ny, streams = nx[ok], ny[ok], streams[ok]
         X, Y = nx, ny
         n += 1
-    bounded = int((np.maximum(np.abs(X), np.abs(Y)) < R).sum()) if X.size else 0
+    bounded = int(lanes.in_bidisk(X, Y, R).sum())
     uncertain = xs.size - escaped - bounded
     return escaped, bounded, uncertain
 
@@ -837,9 +832,7 @@ def escape_census(
     """
     xs = np.array([p[0] for p in points], dtype=np.complex128)
     ys = np.array([p[1] for p in points], dtype=np.complex128)
-    streams = np.array(
-        [rng.derive_stream(seed.stream_id, i) for i in range(len(points))], dtype=np.uint64
-    )
+    streams = rng.stream_table(seed.stream_id, len(points))
 
     def run(a, b):
         return _census_chunk(

@@ -4,8 +4,8 @@ Each lane follows its own i.i.d. map sequence.  Draws are counter-based, so
 lane k's map at step n is a pure function of (master seed, stream k, n) and
 does not depend on how the lanes are batched, compacted or split across
 threads.  Every vectorised walker in the library draws and steps through
-this module, checks the exact-arithmetic window here and runs its fixed
-blocks on the pool here.
+this module, checks the exact-arithmetic window, the escape cone and the
+central bidisk here and runs its fixed blocks on the pool here.
 """
 
 from __future__ import annotations
@@ -88,6 +88,16 @@ def step(dist: MapDistribution, master: int, streams: np.ndarray, n: int,
 def outside(X: np.ndarray, Y: np.ndarray) -> np.ndarray:
     """Lanes that left the exact-arithmetic window, non-finite ones included."""
     return ~((np.abs(X) <= OVERFLOW_LIMIT) & (np.abs(Y) <= OVERFLOW_LIMIT))
+
+
+def in_cone(X: np.ndarray, Y: np.ndarray, R: float) -> np.ndarray:
+    """Lanes inside the vertical escape cone |y| > max(R, |x|)."""
+    return np.abs(Y) > np.maximum(R, np.abs(X))
+
+
+def in_bidisk(X: np.ndarray, Y: np.ndarray, R: float) -> np.ndarray:
+    """Lanes inside the open central bidisk max(|x|, |y|) < R."""
+    return np.maximum(np.abs(X), np.abs(Y)) < R
 
 
 def run_blocks(work: Callable[[int, int], T], total: int, size: int, threads: int) -> List[T]:

@@ -15,7 +15,7 @@ from typing import Optional, Tuple
 import numpy as np
 
 from . import lanes, rng
-from .core import FiltrationParams, Point, swap
+from .core import FiltrationParams, Point, image, swap
 from .dist import MapDistribution, SequenceSeed, condition_a_params, inverse_distribution
 from .escape import SourceLike, as_source
 
@@ -87,7 +87,7 @@ def max_lyapunov_single(
             raise DegenerateVector("tangent vector norm underflow")
         acc += math.log(nw)
         v = (w[0] / nw, w[1] / nw)
-        cur = (y + f.alpha, f.poly(y) - f.delta * x)
+        cur = image(f, cur)
     return acc / n
 
 
@@ -100,9 +100,7 @@ def _batch_runs(
     r_big: float,
 ) -> Tuple[np.ndarray, np.ndarray]:
     """Per-run (value, escaped) arrays in stream order, batched over lanes."""
-    streams = np.array(
-        [rng.derive_stream(seed.stream_id, k) for k in range(samples)], dtype=np.uint64
-    )
+    streams = rng.stream_table(seed.stream_id, samples)
     X = np.full(samples, z[0], dtype=np.complex128)
     Y = np.full(samples, z[1], dtype=np.complex128)
     V1 = np.empty(samples, dtype=np.complex128)

@@ -35,6 +35,8 @@ _ASSIGN_FACTOR = 5.0  # coverage radius in units of cluster_eps
 _CAPTURE_DWELL = 20
 _TAG_TL = 0x544C0001
 _TAG_PROBE = 0x50524F42
+# certified contraction: the worst probe-pair ratio stays below 1 - 1e-3
+ATTRACTING_RATIO = 0.999
 
 
 class NotMinimal(RuntimeError):
@@ -83,6 +85,10 @@ class MinimalSetDescriptor:
     @property
     def is_infinity(self) -> bool:
         return self.id == INFINITY
+
+    @property
+    def attracting(self) -> bool:
+        return self.contraction is not None and self.contraction < ATTRACTING_RATIO
 
 
 @dataclass(frozen=True)
@@ -242,27 +248,29 @@ def _adjacency(edges: np.ndarray, n_nodes: int) -> csr_matrix:
 
 
 def _bfs_levels(edges: np.ndarray, n_nodes: int, root: int) -> np.ndarray:
-    lv = shortest_path(
+    return shortest_path(
         _adjacency(edges, n_nodes), method="D", unweighted=True, indices=root
-    )
-    return lv
+    ).astype(np.int64)
+
+
+def _level_period(edges: np.ndarray, level: np.ndarray) -> int:
+    """gcd over all edges (u, v) of level(u) + 1 - level(v): the period of a
+    strongly connected digraph whose BFS levels are ``level``."""
+    if not len(edges):
+        return 1
+    return int(np.gcd.reduce(level[edges[:, 0]] + 1 - level[edges[:, 1]])) or 1
 
 
 def digraph_period(edges: Sequence[Tuple[int, int]], n_nodes: int) -> int:
-    """gcd of cycle lengths of a strongly connected digraph.
-
-    Computed as the gcd over all edges (u, v) of level(u) + 1 - level(v),
-    with levels the BFS distances from node 0.
-    """
+    """gcd of cycle lengths of a strongly connected digraph, with levels the
+    BFS distances from node 0."""
     e = np.asarray(list(edges), dtype=np.int64).reshape(-1, 2)
     if len(e) == 0:
         return 1
     nscc, _ = _strong_components(e, n_nodes)
     if nscc > 1:
         raise ValueError("digraph is not strongly connected")
-    level = _bfs_levels(e, n_nodes, 0).astype(np.int64)
-    g = int(np.gcd.reduce(level[e[:, 0]] + 1 - level[e[:, 1]]))
-    return g if g else 1
+    return _level_period(e, _bfs_levels(e, n_nodes, 0))
 
 
 def _strong_components(edges: np.ndarray, n_nodes: int) -> Tuple[int, np.ndarray]:
@@ -287,59 +295,49 @@ def _terminal_sccs(edges: np.ndarray, n_nodes: int) -> List[np.ndarray]:
     return [np.nonzero(scc == s)[0] for s in good]
 
 
-def _structure_from_graph(
-    xs: np.ndarray, ys: np.ndarray, labels: np.ndarray, edges: np.ndarray
-) -> Tuple[int, Tuple[Tuple[int, ...], ...]]:
-    """Period and cyclic parts (point index classes) of a candidate digraph.
-
-    Raises NotMinimal when the digraph is not strongly connected.  Part 0 is
-    the class of the lexicographically least cloud point, fixing the cyclic
-    orientation.
-    """
-    n_nodes = int(labels.max()) + 1
-    nscc, scc = _strong_components(edges, n_nodes)
-    if nscc > 1:
-        comps = [
-            [int(p) for p in np.nonzero(np.isin(labels, nodes))[0]]
-            for nodes in _terminal_sccs(edges, n_nodes)
-        ]
-        raise NotMinimal(comps)
-    order = np.lexsort((ys.imag, ys.real, xs.imag, xs.real))
-    root = int(labels[order[0]])
-    level = _bfs_levels(edges, n_nodes, root)
-    if not np.isfinite(level).all():
-        raise NotMinimal([])  # pragma: no cover - single SCC is reachable
-    level = level.astype(np.int64)
-    if len(edges):
-        g = int(np.gcd.reduce(level[edges[:, 0]] + 1 - level[edges[:, 1]]))
-        r = abs(g) if g else 1
-    else:
-        r = 1
-    cls = level[labels] % r
-    parts = tuple(tuple(int(i) for i in np.nonzero(cls == j)[0]) for j in range(r))
-    return r, parts
-
-
-def _cycle_structure(
+def _digraph(
     xs: np.ndarray, ys: np.ndarray, maps: Sequence[HenonMap], eps: float
-) -> Tuple[int, Tuple[Tuple[int, ...], ...]]:
+) -> Tuple[np.ndarray, np.ndarray]:
+    """Component labels of the cloud at its linking radius, and the
+    transition edges between the components."""
     link = _link_radius(xs, ys, eps)
     labels = _components(xs, ys, link)
-    edges = _node_edges(xs, ys, labels, maps, max(_ASSIGN_FACTOR * eps, 1.5 * link))
-    return _structure_from_graph(xs, ys, labels, edges)
+    return labels, _node_edges(xs, ys, labels, maps, max(_ASSIGN_FACTOR * eps, 1.5 * link))
+
+
+def _cyclic_parts(
+    xs: np.ndarray, ys: np.ndarray, labels: np.ndarray, edges: np.ndarray
+) -> Tuple[int, Tuple[Tuple[int, ...], ...]]:
+    """Period and cyclic parts (point index classes) of a strongly connected
+    candidate digraph.  Part 0 is the class of the lexicographically least
+    cloud point, fixing the cyclic orientation."""
+    order = np.lexsort((ys.imag, ys.real, xs.imag, xs.real))
+    level = _bfs_levels(edges, int(labels.max()) + 1, int(labels[order[0]]))
+    r = _level_period(edges, level)
+    cls = level[labels] % r
+    return r, tuple(tuple(int(i) for i in np.nonzero(cls == j)[0]) for j in range(r))
 
 
 def detect_period(dist: MapDistribution, L: MinimalSetDescriptor, seed: SequenceSeed,
                   sub_eps: Optional[float] = None) -> int:
-    """Cyclic period of a finite minimal set from its transition digraph."""
+    """Cyclic period of a finite minimal set from its transition digraph.
+
+    Raises NotMinimal, carrying the terminal components as point index
+    lists, when the digraph is not strongly connected."""
     if L.is_infinity:
         raise ValueError("period detection needs a finite minimal set")
     eps = sub_eps if sub_eps is not None else L.cluster_eps
     xs = np.array([p[0] for p in L.cloud])
     ys = np.array([p[1] for p in L.cloud])
-    maps = support_sample(dist, seed)
-    r, _ = _cycle_structure(xs, ys, maps, eps)
-    return r
+    labels, edges = _digraph(xs, ys, support_sample(dist, seed), eps)
+    n_nodes = int(labels.max()) + 1
+    nscc, _ = _strong_components(edges, n_nodes)
+    if nscc > 1:
+        raise NotMinimal([
+            [int(p) for p in np.nonzero(np.isin(labels, nodes))[0]]
+            for nodes in _terminal_sccs(edges, n_nodes)
+        ])
+    return _cyclic_parts(xs, ys, labels, edges)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -362,9 +360,7 @@ def _record_orbits(
     discards as transient.
     """
     R = params.R
-    streams = np.array(
-        [rng.derive_stream(seed.stream_id, i) for i in range(len(grid))], dtype=np.uint64
-    )
+    streams = rng.stream_table(seed.stream_id, len(grid))
     X = np.array([p[0] for p in grid], dtype=np.complex128)
     Y = np.array([p[1] for p in grid], dtype=np.complex128)
     alive = np.ones(len(grid), dtype=bool)
@@ -375,7 +371,7 @@ def _record_orbits(
         idx = np.nonzero(alive)[0]
         if idx.size == 0:
             break
-        esc = np.abs(Y[idx]) > np.maximum(R, np.abs(X[idx]))
+        esc = lanes.in_cone(X[idx], Y[idx], R)
         if esc.any():
             alive[idx[esc]] = False
             escaped += int(esc.sum())
@@ -395,7 +391,7 @@ def _record_orbits(
             rec_y.append(Y[alive].copy())
     xs = np.concatenate(rec_x) if rec_x else np.zeros(0, dtype=np.complex128)
     ys = np.concatenate(rec_y) if rec_y else np.zeros(0, dtype=np.complex128)
-    inbox = (np.abs(xs) < R) & (np.abs(ys) < R)
+    inbox = lanes.in_bidisk(xs, ys, R)
     dropped = int((~inbox).sum())
     return xs[inbox], ys[inbox], escaped, dropped
 
@@ -433,9 +429,7 @@ def _candidates_at(
     # linking radii do not demand a volumetric fill of noise-blown blobs
     assign = max(_ASSIGN_FACTOR * eps, 2.0 * _link_radius(xs, ys, eps))
     xs, ys, ok = _saturate(xs, ys, maps, eps, box, assign)
-    link = _link_radius(xs, ys, eps)
-    labels = _components(xs, ys, link)
-    edges = _node_edges(xs, ys, labels, maps, max(_ASSIGN_FACTOR * eps, 1.5 * link))
+    labels, edges = _digraph(xs, ys, maps, eps)
     drafts = []
     for nodes in _terminal_sccs(edges, int(labels.max()) + 1):
         sel = np.isin(labels, nodes)
@@ -445,11 +439,7 @@ def _candidates_at(
         node_map[nodes] = np.arange(len(nodes))
         sub_labels = node_map[labels[sel]]
         both = np.isin(edges[:, 0], nodes) & np.isin(edges[:, 1], nodes)
-        sub_edges = node_map[edges[both]]
-        try:
-            r, parts = _structure_from_graph(cx, cy, sub_labels, sub_edges)
-        except NotMinimal:  # pragma: no cover - terminal SCCs are connected
-            continue
+        r, parts = _cyclic_parts(cx, cy, sub_labels, node_map[edges[both]])
         drafts.append(_Draft(cx, cy, r, parts, ok))
     return drafts
 
@@ -546,7 +536,7 @@ def discover_minimal_sets(
     for i, (d, (centers, radii), cap) in enumerate(zip(drafts, geoms, caps)):
         ratio = _pair_tracking(
             dist, params, centers, radii, cap,
-            SequenceSeed(seed.master_seed, rng.derive_stream(seed.stream_id, _TAG_PROBE, i)),
+            seed.derive(_TAG_PROBE, i),
             pairs=16, n_steps=100,
         )[0]
         out.append(
@@ -601,7 +591,7 @@ def _tl_chunk(
     inf_count = 0
     unresolved = 0
     for step in range(max_iter + 1):
-        esc = np.abs(Y) > np.maximum(R, np.abs(X))
+        esc = lanes.in_cone(X, Y, R)
         if esc.any():
             inf_count += int(esc.sum())
             keep = ~esc
@@ -658,10 +648,7 @@ def estimate_TL(
     if params is None:
         params = condition_a_params(dist)
     finite = [d for d in minsets if not d.is_infinity]
-    streams = np.array(
-        [rng.derive_stream(seed.stream_id, _TAG_TL, i) for i in range(samples)],
-        dtype=np.uint64,
-    )
+    streams = rng.stream_table(seed.stream_id, samples, _TAG_TL)
 
     def work(a, b):
         return _tl_chunk(dist, finite, params.R, z, seed.master_seed, streams[a:b], max_iter)
@@ -723,7 +710,7 @@ def _pair_tracking(
     frozen = np.zeros(pairs, dtype=bool)
     R = params.R
     for step in range(n_steps):
-        esc = np.abs(Y) > np.maximum(R, np.abs(X))
+        esc = lanes.in_cone(X, Y, R)
         nx, ny = lanes.step(dist, seed.master_seed, streams, step, X, Y)
         lane_bad = esc | lanes.outside(nx, ny)
         blown |= lane_bad[0::2] | lane_bad[1::2]
@@ -754,7 +741,8 @@ def certify_attracting(
 ) -> ContractionReport:
     """Two-point contraction certificate on the capture neighborhood.
 
-    Certifies when the worst pair ratio (d_n/d_0)^(1/n) stays below 1 - 1e-3.
+    Certifies when the worst pair ratio (d_n/d_0)^(1/n) stays below
+    ATTRACTING_RATIO, the bound MinimalSetDescriptor.attracting uses.
     """
     if L.is_infinity:
         raise ValueError("certification applies to finite minimal sets")
@@ -764,7 +752,7 @@ def certify_attracting(
     )
     return ContractionReport(
         ratio=ratio,
-        certified=used > 0 and ratio < 1.0 - 1e-3,
+        certified=used > 0 and ratio < ATTRACTING_RATIO,
         pairs=used,
         n_steps=n_steps,
         skipped=skipped,

@@ -76,6 +76,13 @@ def word64_array(master_seed: int, stream_ids, index, word=0) -> np.ndarray:
     return h
 
 
+def stream_table(stream_id: int, n: int, *tags: int) -> np.ndarray:
+    """Lane stream ids derive_stream(stream_id, *tags, i) for i in range(n)."""
+    prefix = np.uint64(derive_stream(stream_id, *tags))
+    with np.errstate(over="ignore"):
+        return _mix64_np(prefix ^ np.arange(n, dtype=np.uint64))
+
+
 def uniform01_array(master_seed: int, stream_ids, index, word=0) -> np.ndarray:
     w = word64_array(master_seed, stream_ids, index, word)
     return (w >> np.uint64(11)).astype(np.float64) * _U53

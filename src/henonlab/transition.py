@@ -17,9 +17,9 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from . import lanes, rng
-from .core import FiltrationParams, Point
+from .core import FiltrationParams, Point, image
 from .dist import FiniteDist, MapDistribution, SequenceSeed, condition_a_params
-from .minsets import INFINITY, MinimalSetDescriptor, estimate_TL
+from .minsets import MinimalSetDescriptor, estimate_TL
 
 _DEF_BUDGET = 1_000_000
 _DEF_MC = 100_000
@@ -128,30 +128,12 @@ def apply_M(
     samples: int = 256,
     seed: Optional[SequenceSeed] = None,
 ) -> OperatorValue:
-    """One application of the transition operator at z.
+    """One application of the transition operator at z: iterate_M at n = 1.
 
     Exact weighted sum over a finite support; Monte Carlo with a standard
     error for noise balls (seed required).
     """
-    if isinstance(dist, FiniteDist):
-        total = 0.0
-        for w, f in zip(dist.weights, dist.maps):
-            x, y = z[1] + f.alpha, f.poly(z[1]) - f.delta * z[0]
-            total += w * phi((x, y))
-        return OperatorValue(value=total, se=0.0, exact=True)
-    if seed is None:
-        raise ValueError("seed required for Monte Carlo application")
-    streams = np.array(
-        [rng.derive_stream(seed.stream_id, _TAG_MOP, i) for i in range(samples)],
-        dtype=np.uint64,
-    )
-    X, Y = lanes.step(
-        dist, seed.master_seed, streams, 0,
-        np.full(samples, complex(z[0])), np.full(samples, complex(z[1])),
-    )
-    vals = _phi_array(phi, X, Y)
-    se = float(np.std(vals, ddof=1) / math.sqrt(samples)) if samples > 1 else math.inf
-    return OperatorValue(value=float(vals.mean()), se=se, exact=False)
+    return iterate_M(dist, phi, z, 1, samples=samples, seed=seed)
 
 
 # ---------------------------------------------------------------------------
@@ -194,10 +176,7 @@ def _stratified_counts(weights: Sequence[float], total: int) -> np.ndarray:
 def _mc_power(
     dist: MapDistribution, phi, z: Point, n: int, samples: int, seed: SequenceSeed
 ) -> OperatorValue:
-    streams = np.array(
-        [rng.derive_stream(seed.stream_id, _TAG_MOP, i) for i in range(samples)],
-        dtype=np.uint64,
-    )
+    streams = rng.stream_table(seed.stream_id, samples, _TAG_MOP)
     X = np.full(samples, complex(z[0]))
     Y = np.full(samples, complex(z[1]))
     strata: Optional[np.ndarray] = None
@@ -212,13 +191,12 @@ def _mc_power(
         X, Y = lanes.apply(dist, drawn, X, Y)
     vals = _phi_array(phi, X, Y)
     if strata is None:
-        se = float(np.std(vals, ddof=1) / math.sqrt(samples))
+        se = float(np.std(vals, ddof=1) / math.sqrt(samples)) if samples > 1 else math.inf
         return OperatorValue(value=float(vals.mean()), se=se, exact=False)
     # stratified estimator: sum_j w_j mean_j, se^2 = sum_j w_j^2 var_j / n_j
     val = 0.0
     var = 0.0
     pos = 0
-    counts = _stratified_counts(dist.weights, samples)
     for w, c in zip(dist.weights, counts):
         sl = vals[pos:pos + int(c)]
         pos += int(c)
@@ -314,13 +292,9 @@ class _TLCache:
         if hit is not None:
             return hit
         self.misses += 1
-        sub = SequenceSeed(
-            self.seed.master_seed,
-            rng.derive_stream(self.seed.stream_id, _TAG_TLCACHE, self.misses),
-        )
         est = estimate_TL(
-            self.dist, self.minsets, z, self.samples, self.max_iter, sub,
-            params=self.params,
+            self.dist, self.minsets, z, self.samples, self.max_iter,
+            self.seed.derive(_TAG_TLCACHE, self.misses), params=self.params,
         )
         val = est.probabilities.get(self.L.id, 0.0)
         self._store[key] = val
@@ -362,8 +336,8 @@ def fit_convergence_rate(
     phi = CaptureRamp(L, ramp_width)
     targets = []
     for i, z in enumerate(test_points):
-        sub = SequenceSeed(seed.master_seed, rng.derive_stream(seed.stream_id, 1, i))
-        est = estimate_TL(dist, minsets, z, tl_samples, tl_max_iter, sub, params=params)
+        est = estimate_TL(dist, minsets, z, tl_samples, tl_max_iter, seed.derive(1, i),
+                          params=params)
         targets.append(est.probabilities.get(L.id, 0.0))
     errors: List[float] = []
     floors: List[float] = []
@@ -371,8 +345,8 @@ def fit_convergence_rate(
         worst = 0.0
         mc_se = 0.0
         for i, (z, t) in enumerate(zip(test_points, targets)):
-            sub = SequenceSeed(seed.master_seed, rng.derive_stream(seed.stream_id, 2, i, n))
-            ov = iterate_M(dist, phi, z, n, budget=budget, samples=mc_samples, seed=sub)
+            ov = iterate_M(dist, phi, z, n, budget=budget, samples=mc_samples,
+                           seed=seed.derive(2, i, n))
             worst = max(worst, abs(ov.value - t))
             mc_se = max(mc_se, ov.se)
         errors.append(worst)
@@ -440,16 +414,13 @@ def weight_derivative_TL(
     hi, hm = dist.maps[index], dist.maps[ref]
 
     def zeta(pt: Point) -> float:
-        x, y = pt
-        zi = (y + hi.alpha, hi.poly(y) - hi.delta * x)
-        zm = (y + hm.alpha, hm.poly(y) - hm.delta * x)
-        return cache(zi) - cache(zm)
+        return cache(image(hi, pt)) - cache(image(hm, pt))
 
     terms: List[float] = []
     small = 0
     for n in range(max_terms):
-        sub = SequenceSeed(seed.master_seed, rng.derive_stream(seed.stream_id, 3, n))
-        ov = iterate_M(dist, zeta, z, n, budget=budget, samples=mc_samples, seed=sub)
+        ov = iterate_M(dist, zeta, z, n, budget=budget, samples=mc_samples,
+                       seed=seed.derive(3, n))
         terms.append(ov.value)
         small = small + 1 if abs(ov.value) < eps_trunc else 0
         if small >= 3:

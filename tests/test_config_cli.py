@@ -254,6 +254,9 @@ CYCLE_CFG = {
     "seed": 7,
     "points": [[[0.1, 0], [0.1, 0]]],
 }
+TWO_MAP_CFG = dict(CYCLE_CFG, maps=CYCLE_CFG["maps"] + [
+    {"alpha": 0.0, "delta": 0.1, "poly": [1.0, -1.3, 0.02]},
+])
 
 
 @pytest.mark.parametrize("cmd, cfg, pointer", [
@@ -261,6 +264,9 @@ CYCLE_CFG = {
     ("minsets", dict(CYCLE_CFG, cluster_eps=0), "/cluster_eps"),
     ("minsets", dict(CYCLE_CFG, rho_margin=0), "/rho_margin"),
     ("tl", dict(CYCLE_CFG, discovery=dict(CYCLE_CFG, burn_in=500)), "/discovery/burn_in"),
+    ("mop", dict(CYCLE_CFG, discovery=CYCLE_CFG, powers=[1], ramp_width=0), "/ramp_width"),
+    ("mop", dict(TWO_MAP_CFG, discovery=TWO_MAP_CFG, powers=[5], budget=4, mc_samples=1),
+     "/mc_samples"),
 ])
 def test_cli_library_bounds_exit_2(tmp_path, capsys, cmd, cfg, pointer):
     code = run_cli([cmd, "--config", _write_cfg(tmp_path, cfg), "--out", str(tmp_path)])

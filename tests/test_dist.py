@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from conftest import QUAD, QUAD_C
+from henonlab import rng
 from henonlab.core import HenonMap, Poly
 from henonlab.dist import (
     BallNoise,
@@ -160,3 +161,11 @@ def test_seed_validation():
         SequenceSeed(-1, 0)
     with pytest.raises(ValueError):
         SequenceSeed(2**64, 0)
+
+
+def test_sequence_seed_derive_spells_out_the_sub_seed_rule():
+    seed = SequenceSeed(0xABCDEF, 42)
+    for tags in ((), (7,), (0x53555050, 3, 1)):
+        assert seed.derive(*tags) == SequenceSeed(
+            seed.master_seed, rng.derive_stream(seed.stream_id, *tags)
+        )

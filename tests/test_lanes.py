@@ -7,7 +7,7 @@ import pytest
 
 from conftest import CUBIC, QUAD_C, QUAD_W
 from henonlab import lanes, rng
-from henonlab.core import eval_map, jacobian
+from henonlab.core import Region, classify_region, eval_map, in_v_plus, jacobian
 from henonlab.dist import BallNoise, FiniteDist, SequenceSeed, sample_map
 
 LANES = 500
@@ -49,3 +49,20 @@ def test_one_map_support_draws_nothing():
     streams = np.arange(8, dtype=np.uint64)
     assert lanes.draw(DISTS["one-map"], MASTER, streams, STEP) is None
     assert lanes.draw(DISTS["three-map"], MASTER, streams, STEP).shape == (8,)
+
+
+def test_masks_match_scalar_regions_on_boundaries():
+    R = 2.0
+    # magnitudes 0, 1.5, R, 2.5, 5 (|3 + 4i| = 5 exactly) in several phases,
+    # so both the cone edge |y| = max(R, |x|) and the bidisk edge
+    # max(|x|, |y|) = R are hit exactly
+    values = [0.0, 1.5, -1.5j, 2.0, -2.0, 2.0j, 2.5, 5.0, 3 + 4j, -4 - 3j]
+    pts = [(complex(x), complex(y)) for x in values for y in values]
+    X = np.array([p[0] for p in pts])
+    Y = np.array([p[1] for p in pts])
+    cone = lanes.in_cone(X, Y, R)
+    disk = lanes.in_bidisk(X, Y, R)
+    assert list(cone) == [in_v_plus(p, R) for p in pts]
+    assert list(disk) == [classify_region(p, R) == Region.D_R for p in pts]
+    assert any(abs(p[1]) == max(R, abs(p[0])) for p in pts)
+    assert any(max(abs(p[0]), abs(p[1])) == R for p in pts)

@@ -9,7 +9,9 @@ import pytest
 
 from henonlab.core import HenonMap, Poly, eval_map
 from henonlab.dist import FiniteDist, SequenceSeed, condition_a_params, support_sample
+from henonlab import minsets
 from henonlab.minsets import (
+    ATTRACTING_RATIO,
     INFINITY,
     AmbiguousCapture,
     BasinEstimate,
@@ -228,6 +230,26 @@ def test_superattracting_period3():
     assert rep.certified
     est = estimate_TL(dist, descs, (0.1, 0.1), 200, 2000, SEED, params)
     assert est.counts[L.id] == 200
+
+
+def _finite_descriptor(contraction):
+    return MinimalSetDescriptor(
+        id=0, cloud=((CYCLE_Y1, CYCLE_Y2),), period=1, parts=((0,),), capture_radius=0.01,
+        contraction=contraction, cluster_eps=0.01,
+        parts_centers=((CYCLE_Y1, CYCLE_Y2),), parts_radii=(0.0,),
+    )
+
+
+def test_attracting_threshold_is_shared(cycle_dist, monkeypatch):
+    assert ATTRACTING_RATIO == 1.0 - 1e-3
+    assert not _finite_descriptor(None).attracting
+    below = math.nextafter(ATTRACTING_RATIO, 0.0)
+    params = condition_a_params(cycle_dist)
+    for ratio, want in ((below, True), (ATTRACTING_RATIO, False), (1.0, False)):
+        L = _finite_descriptor(ratio)
+        assert L.attracting is want
+        monkeypatch.setattr(minsets, "_pair_tracking", lambda *a, r=ratio: (r, 4, 0))
+        assert certify_attracting(cycle_dist, L, params, SEED).certified is want
 
 
 # ---------------------------------------------------------------------------

@@ -58,3 +58,12 @@ def test_uniform_equidistribution_coarse():
     u = rng.uniform01_array(42, streams, 0)
     assert abs(u.mean() - 0.5) < 0.01
     assert abs(u.var() - 1.0 / 12.0) < 0.01
+
+
+def test_stream_table_matches_derive_stream():
+    for tags in ((), (0x544C0001,), (3, 9)):
+        want = np.array([rng.derive_stream(77, *tags, i) for i in range(300)], dtype=np.uint64)
+        got = rng.stream_table(77, 300, *tags)
+        assert got.dtype == np.uint64
+        assert np.array_equal(got, want)
+    assert rng.stream_table(77, 0).shape == (0,)

@@ -4,6 +4,7 @@ weight derivatives of basin probabilities."""
 from __future__ import annotations
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -114,6 +115,13 @@ def test_ball_apply_reports_se():
     assert not ov.exact and ov.se > 0
     center = apply_M(FiniteDist((QUAD_A,), (1.0,)), phi_test, Z0)
     assert abs(ov.value - center.value) < 0.1
+
+
+def test_single_sample_se_is_infinite_without_warnings():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        ov = iterate_M(BallNoise(QUAD_A, 0.05), phi_test, Z0, 2, samples=1, seed=SEED)
+    assert not ov.exact and ov.se == math.inf
 
 
 def test_ball_power_reproducible():
