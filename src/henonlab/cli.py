@@ -41,6 +41,7 @@ from .escape import (
     ShiftedSource,
     escape_census,
     green_plus,
+    green_points,
     raster_slice,
 )
 from .lyapunov import (
@@ -229,11 +230,11 @@ def _cmd_green(cfg: Any, out: str, seed_override: Optional[int], threads: int) -
     tol = r.float_field("tol", 1e-6, lo=1e-300, hi=1.0)
     params = _params_field(r, dist)
     source = DistSource(dist, _phase(seed, 0))
+    estimates = green_points(source, points, params, tol=tol, max_iter=max_iter, threads=threads)
 
     entries = []
     rows = []
-    for i, z in enumerate(points):
-        est = green_plus(source, z, params, tol=tol, max_iter=max_iter)
+    for i, (z, est) in enumerate(zip(points, estimates)):
         entries.append({"point": jsonify_point(z), **asdict(est)})
         x, y = complex(z[0]), complex(z[1])
         rows.append((i, x.real, x.imag, y.real, y.imag, *astuple(est)))
@@ -316,6 +317,8 @@ def _cmd_mop(cfg: Any, out: str, seed_override: Optional[int], threads: int) -> 
     ramp_width = _positive(r, "ramp_width", r.opt_float_field("ramp_width", lo=0.0))
     do_fit = r.bool_field("fit", False)
     if do_fit:
+        if len(set(powers)) < 3:
+            raise ConfigError("/powers", "a rate fit needs at least three distinct powers")
         tl_samples = r.int_field("tl_samples", 1000, lo=1)
         tl_max_iter = r.int_field("tl_max_iter", 1000, lo=1)
     sets = _discovery_block(r, dist, params, seed)
@@ -410,6 +413,8 @@ def _cmd_bifurcate(cfg: Any, out: str, seed_override: Optional[int], threads: in
     fam = r.family_field()
     seed = r.seed_field(seed_override)
     t_grid = r.float_list_field("t_grid", lo=0.0, hi=1.0)
+    if len(t_grid) < 2 or any(b <= a for a, b in zip(t_grid, t_grid[1:])):
+        raise ConfigError("/t_grid", "expected at least two strictly increasing amplitudes")
     grid, knobs = _discovery_fields(r)
     tl_samples = r.int_field("tl_samples", 200, lo=1)
     tl_max_iter = r.int_field("tl_max_iter", 500, lo=1)
@@ -531,6 +536,8 @@ def _build_parser() -> argparse.ArgumentParser:
         "functions, Lyapunov statistics, minimal sets, capture probabilities.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    affinity = getattr(os, "sched_getaffinity", None)  # not on every platform
+    cpus = len(affinity(0)) if affinity else os.cpu_count() or 1
     for name in _COMMANDS:
         p = sub.add_parser(name)
         if name != "selftest":
@@ -542,8 +549,8 @@ def _build_parser() -> argparse.ArgumentParser:
                            help="optional directory for the check report")
         p.add_argument("--seed", type=int, default=None,
                        help="override the config master seed")
-        p.add_argument("--threads", type=int, default=None,
-                       help="worker threads (default: hardware parallelism)")
+        p.add_argument("--threads", type=int, default=cpus,
+                       help="worker threads (default: the CPUs this process may run on)")
     return parser
 
 
@@ -554,8 +561,7 @@ def run_cli(argv: Sequence[str]) -> int:
     except SystemExit as e:
         return 0 if e.code in (0, None) else 2
 
-    threads = args.threads if args.threads is not None else (os.cpu_count() or 1)
-    if threads < 1:
+    if args.threads < 1:
         print("config error: --threads must be positive", file=sys.stderr)
         return 2
     if args.seed is not None and not 0 <= args.seed < (1 << 64):
@@ -587,7 +593,7 @@ def run_cli(argv: Sequence[str]) -> int:
             return 2
 
     try:
-        return _COMMANDS[args.command](cfg, args.out, args.seed, threads)
+        return _COMMANDS[args.command](cfg, args.out, args.seed, args.threads)
     except ConfigError as e:
         print(f"config error: {e}", file=sys.stderr)
         return 2

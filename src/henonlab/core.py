@@ -269,15 +269,3 @@ def classify_region(z: Point, R: float) -> Region:
 def in_v_plus(z: Point, R: float) -> bool:
     x, y = z
     return max(R, abs(x)) < abs(y)
-
-
-def phase(c: complex) -> complex:
-    """Unit-modulus direction of c, with 1 for c = 0."""
-    a = abs(c)
-    return c / a if a > 0 else 1 + 0j
-
-
-def log_abs(c: complex) -> float:
-    """log|c|, returning -inf at 0."""
-    a = abs(c)
-    return math.log(a) if a > 0 else -math.inf

@@ -33,8 +33,7 @@ from .core import (
     eval_map,
     in_v_plus,
     inverse_as_plus,
-    log_abs,
-    phase,
+    norm,
 )
 from .dist import (
     BallNoise,
@@ -314,70 +313,85 @@ def _stage_bound(c_tel: float, n: int) -> float:
 
 
 # ---------------------------------------------------------------------------
-# Green's functions (scalar path)
+# log-coordinate recursion (array kernel shared by every Green path)
+
+LogState = Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]
 
 
-class _LogState:
-    """Iterate coordinates as (log magnitude, unit phase) pairs."""
+def _log_entry(X: np.ndarray, Y: np.ndarray, D: float) -> LogState:
+    """State (g, log|x|, phase x, log|y|, phase y) of cone iterates entering
+    at composition degree D; the running sum g of normalized log|y|
+    increments starts at log|y| / D.  x = 0 has log -inf and phase 1."""
+    with np.errstate(divide="ignore"):
+        lx = np.log(np.abs(X))
+    px = np.where(X != 0, X, 1.0)
+    ly = np.log(np.abs(Y))
+    g = ly / D if math.isfinite(D) else np.zeros_like(ly)
+    return g, lx, px / np.abs(px), ly, Y / np.abs(Y)
 
-    __slots__ = ("lx", "px", "ly", "py")
 
-    def __init__(self, z: Point):
-        x, y = z
-        self.lx = log_abs(x)
-        self.px = phase(x)
-        self.ly = log_abs(y)
-        self.py = phase(y)
+def _log_step(f: HenonMap, state: LogState, D: float) -> LogState:
+    """Apply f in log coordinates, D being the degree after f.  The y
+    recursion reads log|y'| = d log|y| + log|c0| + log|q|; the increment
+    log|c0| + log|q| enters g over D."""
+    g, lx, px, ly, py = state
+    c0 = f.poly.coeffs[0]
+    d = f.degree
+    u = (1.0 / py) * np.where(ly < 700.0, np.exp(-np.minimum(ly, 700.0)), 0.0)
+    corr = np.zeros_like(u)
+    upow = np.ones_like(u)
+    for c in f.poly.coeffs[1:]:
+        upow = upow * u
+        corr = corr + (c / c0) * upow
+    ediff = lx - d * ly
+    mask = np.isfinite(ediff) & (ediff > -700.0)
+    if mask.any():
+        term = np.zeros_like(corr)
+        term[mask] = (f.delta / c0) * (px[mask] / py[mask] ** d) * np.exp(ediff[mask])
+        corr = corr - term
+    q = 1.0 + corr
+    inc = math.log(abs(c0)) + np.log(np.abs(q))
+    t = c0 * (py**d) * q
+    w = 1.0 + f.alpha * u
+    new_px = py * w
+    g = g + (inc / D if math.isfinite(D) else 0.0)
+    new_ly = np.where(np.isfinite(ly), d * ly + inc, np.inf)
+    return g, ly + np.log(np.abs(w)), new_px / np.abs(new_px), new_ly, t / np.abs(t)
 
-    def advance(self, f: HenonMap) -> Tuple[float, float]:
-        """Apply f; returns (log|c0| + log|q|, d) of the y-recursion."""
-        c0 = f.poly.coeffs[0]
-        d = f.degree
-        u = (1.0 / self.py) * (math.exp(-self.ly) if self.ly < 700.0 else 0.0)
-        corr = 0j
-        upow = 1 + 0j
-        for c in f.poly.coeffs[1:]:
-            upow *= u
-            corr += (c / c0) * upow
-        ediff = self.lx - d * self.ly
-        if math.isfinite(ediff) and ediff > -700.0:
-            corr -= (f.delta / c0) * (self.px / self.py**d) * math.exp(ediff)
-        q = 1.0 + corr
-        inc = math.log(abs(c0)) + math.log(abs(q))
-        t = c0 * (self.py**d) * q
-        w = 1.0 + f.alpha * u
-        lx_new = self.ly + math.log(abs(w))
-        px_new = self.py * w
-        self.lx = lx_new
-        self.px = px_new / abs(px_new)
-        self.ly = d * self.ly + inc if math.isfinite(self.ly) else math.inf
-        self.py = t / abs(t)
-        return inc, d
 
-    def norm_excess(self) -> float:
-        """log(norm / |y|), in [0, log sqrt 2] on the vertical cone."""
-        diff = self.lx - self.ly
-        if not math.isfinite(diff) or diff < -300.0:
-            return 0.0
-        return 0.5 * math.log1p(math.exp(2.0 * diff))
+def _log_value(state: LogState, D: float) -> np.ndarray:
+    """Stage value: the running sum g plus log(norm / |y|) / D, the norm
+    correction that lies in [0, log sqrt 2] on the vertical cone."""
+    g, lx, _, ly, _ = state
+    diff = lx - ly
+    safe = np.isfinite(diff) & (diff > -300.0)
+    excess = np.where(safe, 0.5 * np.log1p(np.exp(2.0 * np.where(safe, diff, -np.inf))), 0.0)
+    return g + (excess / D if math.isfinite(D) else 0.0)
+
+
+# ---------------------------------------------------------------------------
+# Green's functions (per-point reference path)
 
 
 _TINY = 5e-324  # escaped orbits report a positive value even after underflow
 
 
 def _green_engine(
-    src: MapSource,
+    source: SourceLike,
     z: Point,
     params: FiltrationParams,
-    c_tel: float,
+    c_tel: Optional[float],
     tol: Optional[float],
     max_iter: int,
     n_total: Optional[int],
-    collect: bool,
 ):
-    """Shared scalar driver; refines to error <= tol or to stage n_total."""
+    """Per-point reference path; refines to error <= tol or, recording
+    every stage, to stage n_total.  Returns (estimate, entry, stages)."""
+    src = as_source(source)
+    if c_tel is None:
+        c_tel = src.c_tel(params)
     R = params.R
-    stages: List[float] = [] if collect else None  # type: ignore[assignment]
+    stages: List[float] = [] if n_total is not None else None  # type: ignore[assignment]
     cur = z
     D = 1.0
     n = 0
@@ -386,9 +400,10 @@ def _green_engine(
         if in_v_plus(cur, R):
             entry = n
             break
-        if collect:
-            nv = math.hypot(abs(cur[0]), abs(cur[1]))
-            stages.append(max(math.log(nv), 0.0) / D if nv > 0 else 0.0)
+        nv = norm(cur)
+        direct = max(math.log(nv), 0.0) / D if nv > 0 else 0.0  # normalized log norm
+        if stages is not None:
+            stages.append(direct)
         if n == max_iter:
             break
         try:
@@ -400,26 +415,24 @@ def _green_engine(
         n += 1
     if entry is None:
         if classify_region(cur, R) == Region.D_R:
-            return OrbitStatus.BOUNDED, 0.0, max_iter, 0.0, None, stages
-        nv = math.hypot(abs(cur[0]), abs(cur[1]))
-        part = GreenEstimate(max(math.log(nv), 0.0) / D if nv > 0 else 0.0, n, math.inf)
+            return GreenEstimate(0.0, max_iter, 0.0), None, stages
+        part = GreenEstimate(direct, n, math.inf)
         raise GreenIndeterminate("orbit undecided at iteration cap", part)
 
-    state = _LogState(cur)
-    g = (state.ly / D) if math.isfinite(D) else 0.0
+    # one-lane run of the raster's log-coordinate recursion
+    state = _log_entry(np.array([cur[0]], dtype=np.complex128),
+                       np.array([cur[1]], dtype=np.complex128), D)
     stop = n_total if n_total is not None else max(entry, refine_steps(c_tel, tol))
     while True:
-        if collect:
-            stages.append(g + (state.norm_excess() / D if math.isfinite(D) else 0.0))
+        if stages is not None:
+            stages.append(float(_log_value(state, D)[0]))
         if n >= stop:
             break
-        inc, d = state.advance(src[n])
-        D *= d
-        g += inc / D if math.isfinite(D) else 0.0
+        D *= src[n].degree
+        state = _log_step(src[n], state, D)
         n += 1
-    value = g + (state.norm_excess() / D if math.isfinite(D) else 0.0)
-    value = max(value, _TINY)
-    return OrbitStatus.ESCAPED, value, n, _stage_bound(c_tel, n), entry, stages
+    value = max(float(_log_value(state, D)[0]), _TINY)
+    return GreenEstimate(value, n, _stage_bound(c_tel, n)), entry, stages
 
 
 def green_plus(
@@ -449,13 +462,7 @@ def green_plus(
     GreenIndeterminate
         When the orbit is undecided at the cap; carries a partial estimate.
     """
-    src = as_source(source)
-    if c_tel is None:
-        c_tel = src.c_tel(params)
-    status, value, n, bound, _, _ = _green_engine(src, z, params, c_tel, tol, max_iter, None, False)
-    if status == OrbitStatus.BOUNDED:
-        return GreenEstimate(0.0, n, 0.0)
-    return GreenEstimate(value, n, bound)
+    return _green_engine(source, z, params, c_tel, tol, max_iter, None)[0]
 
 
 def green_stages(
@@ -467,14 +474,7 @@ def green_stages(
 ) -> Tuple[List[float], Optional[int]]:
     """Stage values (normalized log norms) for n = 0..n_total plus the cone
     entry step; for telescoping diagnostics."""
-    src = as_source(source)
-    if c_tel is None:
-        c_tel = src.c_tel(params)
-    status, _, _, _, entry, stages = _green_engine(
-        src, z, params, c_tel, None, n_total, n_total, True
-    )
-    if status == OrbitStatus.BOUNDED:
-        return stages, None
+    _, entry, stages = _green_engine(source, z, params, c_tel, None, n_total, n_total)
     return stages, entry
 
 
@@ -489,8 +489,6 @@ def green_minus(
     """Backward escape rate, computed as green_plus of the swap-conjugated
     inverse sequence at the swapped point."""
     src = as_source(source).conjugate_inverse()
-    if c_tel is None:
-        c_tel = src.c_tel(params)
     return green_plus(src, (z[1], z[0]), params, tol=tol, max_iter=max_iter, c_tel=c_tel)
 
 
@@ -554,13 +552,6 @@ class SliceRaster:
     error: np.ndarray
 
 
-def _norm_excess_arr(lx: np.ndarray, ly: np.ndarray) -> np.ndarray:
-    diff = lx - ly
-    safe = np.isfinite(diff) & (diff > -300.0)
-    ex = np.exp(2.0 * np.where(safe, diff, -np.inf))
-    return np.where(safe, 0.5 * np.log1p(ex), 0.0)
-
-
 def _raster_block(
     maps: List[HenonMap],
     X: np.ndarray,
@@ -570,25 +561,20 @@ def _raster_block(
     n_refine: int,
     c_tel: float,
 ) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    shape = X.shape
-    X = X.ravel().copy()
-    Y = Y.ravel().copy()
+    X = X.copy()
+    Y = Y.copy()
     npix = X.size
-    verdict = np.full(npix, -1, dtype=np.int8)
+    # lanes end uncertain unless they enter the cone or end in the bidisk
+    verdict = np.full(npix, VERDICT_UNCERTAIN, dtype=np.int8)
     step = np.full(npix, max_iter, dtype=np.int32)
-    green = np.zeros(npix, dtype=np.float64)
-    error = np.zeros(npix, dtype=np.float64)
+    green = np.full(npix, np.nan)
+    error = np.full(npix, np.inf)
 
     alive = np.arange(npix)
-    # refining pool: cone entries before n_refine, advanced until the shared
-    # truncation bound reaches tol; entries at or past n_refine are final
-    # immediately since the bound only depends on the global step count
-    pool_idx = np.zeros(0, dtype=np.int64)
-    pool_lx = np.zeros(0)
-    pool_ly = np.zeros(0)
-    pool_px = np.zeros(0, dtype=np.complex128)
-    pool_py = np.zeros(0, dtype=np.complex128)
-    pool_g = np.zeros(0)
+    # refining pool (lane indices, then the log state): cone entries
+    # advance until the shared truncation bound, which only depends on the
+    # global step count, reaches tol at n_refine
+    pool = None
     D = 1.0
 
     n_total = max(max_iter, n_refine)
@@ -599,94 +585,60 @@ def _raster_block(
                 new = alive[esc]
                 verdict[new] = VERDICT_ESCAPED
                 step[new] = n
-                xs = X[new]
-                ys = Y[new]
-                with np.errstate(divide="ignore"):
-                    lx = np.log(np.abs(xs))
-                ly = np.log(np.abs(ys))
-                px = np.where(xs != 0, xs, 1.0)
-                px = px / np.abs(px)
-                py = ys / np.abs(ys)
-                g = ly / D if math.isfinite(D) else np.zeros_like(ly)
-                if n >= n_refine:
-                    vals = g + (_norm_excess_arr(lx, ly) / D if math.isfinite(D) else 0.0)
-                    green[new] = np.maximum(vals, _TINY)
-                    error[new] = _stage_bound(c_tel, n)
-                else:
-                    pool_idx = np.concatenate([pool_idx, new])
-                    pool_lx = np.concatenate([pool_lx, lx])
-                    pool_ly = np.concatenate([pool_ly, ly])
-                    pool_px = np.concatenate([pool_px, px])
-                    pool_py = np.concatenate([pool_py, py])
-                    pool_g = np.concatenate([pool_g, g])
+                entries = (new, *_log_entry(X[new], Y[new], D))
+                pool = entries if pool is None else tuple(map(np.concatenate, zip(pool, entries)))
                 alive = alive[~esc]
-        if n == n_refine and pool_idx.size:
-            vals = pool_g + (_norm_excess_arr(pool_lx, pool_ly) / D if math.isfinite(D) else 0.0)
-            green[pool_idx] = np.maximum(vals, _TINY)
-            error[pool_idx] = _stage_bound(c_tel, n)
-            pool_idx = np.zeros(0, dtype=np.int64)
-        if n == n_total or (alive.size == 0 and pool_idx.size == 0):
+        if n >= n_refine and pool is not None:
+            green[pool[0]] = np.maximum(_log_value(pool[1:], D), _TINY)
+            error[pool[0]] = _stage_bound(c_tel, n)
+            pool = None
+        if n == n_total or (alive.size == 0 and pool is None):
             break
         f = maps[n]
-        d = f.degree
         if n < max_iter and alive.size:
             nx, ny = lanes.image(f, X[alive], Y[alive])
             bad = lanes.outside(nx, ny)
-            if bad.any():
-                dropped = alive[bad]
-                verdict[dropped] = VERDICT_UNCERTAIN
-                green[dropped] = np.nan
-                error[dropped] = np.inf
+            if bad.any():  # lanes leaving the window stay uncertain
                 keep = ~bad
                 alive = alive[keep]
                 nx = nx[keep]
                 ny = ny[keep]
             X[alive] = nx
             Y[alive] = ny
-        if pool_idx.size:
-            c0 = f.poly.coeffs[0]
-            u = (1.0 / pool_py) * np.where(pool_ly < 700.0, np.exp(-np.minimum(pool_ly, 700.0)), 0.0)
-            corr = np.zeros_like(u)
-            upow = np.ones_like(u)
-            for c in f.poly.coeffs[1:]:
-                upow = upow * u
-                corr = corr + (c / c0) * upow
-            ediff = pool_lx - d * pool_ly
-            mask = np.isfinite(ediff) & (ediff > -700.0)
-            if mask.any():
-                term = np.zeros_like(corr)
-                term[mask] = (f.delta / c0) * (pool_px[mask] / pool_py[mask] ** d) * np.exp(ediff[mask])
-                corr = corr - term
-            q = 1.0 + corr
-            inc = math.log(abs(c0)) + np.log(np.abs(q))
-            t = c0 * (pool_py**d) * q
-            w = 1.0 + f.alpha * u
-            new_px = pool_py * w
-            pool_lx = pool_ly + np.log(np.abs(w))
-            pool_px = new_px / np.abs(new_px)
-            pool_ly = np.where(np.isfinite(pool_ly), d * pool_ly + inc, np.inf)
-            pool_py = t / np.abs(t)
-            D_next = D * d
-            pool_g = pool_g + (inc / D_next if math.isfinite(D_next) else 0.0)
-            D = D_next
-        else:
-            D *= d
+        D *= f.degree
+        if pool is not None:
+            pool = (pool[0], *_log_step(f, pool[1:], D))
 
-    if alive.size:
-        inside = lanes.in_bidisk(X[alive], Y[alive], R)
-        bnd = alive[inside]
-        unc = alive[~inside]
-        verdict[bnd] = VERDICT_BOUNDED
-        verdict[unc] = VERDICT_UNCERTAIN
-        green[unc] = np.nan
-        error[unc] = np.inf
-    verdict[verdict == -1] = VERDICT_UNCERTAIN
-    return (
-        verdict.reshape(shape),
-        step.reshape(shape),
-        green.reshape(shape),
-        error.reshape(shape),
-    )
+    bnd = alive[lanes.in_bidisk(X[alive], Y[alive], R)]
+    verdict[bnd] = VERDICT_BOUNDED
+    green[bnd] = 0.0
+    error[bnd] = 0.0
+    return verdict, step, green, error
+
+
+_BLOCK_LANES = 1 << 15  # fixed, so results never depend on the thread count
+
+
+def _lane_green(
+    src: MapSource,
+    X: np.ndarray,
+    Y: np.ndarray,
+    params: FiltrationParams,
+    max_iter: int,
+    tol: float,
+    threads: int,
+) -> Tuple[float, int, Tuple[np.ndarray, ...]]:
+    """(c_tel, n_refine, (verdict, step, green, error)) for flat lanes X, Y
+    under one shared map sequence."""
+    c_tel = src.c_tel(params)
+    n_refine = refine_steps(c_tel, tol)
+    maps = [src[i] for i in range(max(max_iter, n_refine))]
+
+    def run(a, b):
+        return _raster_block(maps, X[a:b], Y[a:b], params.R, max_iter, n_refine, c_tel)
+
+    parts = lanes.run_blocks(run, X.size, _BLOCK_LANES, threads)
+    return c_tel, n_refine, tuple(map(np.concatenate, zip(*parts)))
 
 
 def raster_slice(
@@ -699,31 +651,50 @@ def raster_slice(
 ) -> SliceRaster:
     """Classify and evaluate the escape rate on a pixel grid.
 
-    One shared map sequence drives every pixel.  Rows are processed in
-    independent blocks, so the result is identical for any thread count.
+    One shared map sequence drives every pixel.  Pixels are processed in
+    independent fixed blocks, so the result is identical for any thread count.
     """
-    src = as_source(source)
-    c_tel = src.c_tel(params)
-    n_refine = refine_steps(c_tel, tol)
-    n_total = max(max_iter, n_refine)
-    maps = [src[i] for i in range(n_total)]
     X, Y = spec.grid()
-    res = spec.resolution
+    c_tel, _, cols = _lane_green(
+        as_source(source), X.ravel(), Y.ravel(), params, max_iter, tol, threads
+    )
+    return SliceRaster(spec, params, max_iter, tol, c_tel, *(c.reshape(X.shape) for c in cols))
 
-    verdict = np.empty((res, res), dtype=np.int8)
-    step = np.empty((res, res), dtype=np.int32)
-    green = np.empty((res, res), dtype=np.float64)
-    error = np.empty((res, res), dtype=np.float64)
 
-    def run(a, b):
-        return (a, b), _raster_block(maps, X[a:b], Y[a:b], params.R, max_iter, n_refine, c_tel)
+def green_points(
+    source: SourceLike,
+    points: Sequence[Point],
+    params: FiltrationParams,
+    tol: float = 1e-6,
+    max_iter: int = 1000,
+    threads: int = 1,
+) -> List[GreenEstimate]:
+    """:func:`green_plus` of every point under one shared sequence, batched
+    on the raster's lane engine.
 
-    for (a, b), (v, s, g, e) in lanes.run_blocks(run, res, 64, threads):
-        verdict[a:b] = v
-        step[a:b] = s
-        green[a:b] = g
-        error[a:b] = e
-    return SliceRaster(spec, params, max_iter, tol, c_tel, verdict, step, green, error)
+    A point the lanes leave undecided is handed to :func:`green_plus`, whose
+    GreenIndeterminate (with its partial estimate) is re-raised naming the
+    point's index.
+    """
+    if not len(points):
+        return []
+    src = as_source(source)
+    X, Y = np.array(points, dtype=np.complex128).reshape(-1, 2).T
+    c_tel, n_refine, (verdict, step, green, error) = _lane_green(
+        src, X, Y, params, max_iter, tol, threads
+    )
+    out = []
+    for i, z in enumerate(points):
+        if verdict[i] == VERDICT_ESCAPED:
+            out.append(GreenEstimate(float(green[i]), max(int(step[i]), n_refine), float(error[i])))
+        elif verdict[i] == VERDICT_BOUNDED:
+            out.append(GreenEstimate(0.0, max_iter, 0.0))
+        else:
+            try:
+                out.append(green_plus(src, z, params, tol, max_iter, c_tel))
+            except GreenIndeterminate as e:
+                raise GreenIndeterminate(f"point {i}: {e}", e.partial) from None
+    return out
 
 
 # ---------------------------------------------------------------------------

@@ -193,7 +193,8 @@ def _mc_power(
     if strata is None:
         se = float(np.std(vals, ddof=1) / math.sqrt(samples)) if samples > 1 else math.inf
         return OperatorValue(value=float(vals.mean()), se=se, exact=False)
-    # stratified estimator: sum_j w_j mean_j, se^2 = sum_j w_j^2 var_j / n_j
+    # stratified estimator: sum_j w_j mean_j, se^2 = sum_j w_j^2 var_j / n_j;
+    # a one-sample stratum has no variance estimate, so se is inf
     val = 0.0
     var = 0.0
     pos = 0
@@ -201,8 +202,7 @@ def _mc_power(
         sl = vals[pos:pos + int(c)]
         pos += int(c)
         val += w * float(sl.mean())
-        if c > 1:
-            var += w * w * float(sl.var(ddof=1)) / int(c)
+        var += w * w * float(sl.var(ddof=1)) / int(c) if c > 1 else math.inf
     return OperatorValue(value=val, se=math.sqrt(var), exact=False)
 
 

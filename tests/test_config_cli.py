@@ -259,6 +259,13 @@ TWO_MAP_CFG = dict(CYCLE_CFG, maps=CYCLE_CFG["maps"] + [
 ])
 
 
+FAMILY_CFG = {
+    "family": {"base": CYCLE_CFG["maps"][0], "v": 0.05, "u": 0.77},
+    "seed": 7,
+    "points": CYCLE_CFG["points"],
+}
+
+
 @pytest.mark.parametrize("cmd, cfg, pointer", [
     ("minsets", dict(CYCLE_CFG, burn_in=500), "/burn_in"),
     ("minsets", dict(CYCLE_CFG, cluster_eps=0), "/cluster_eps"),
@@ -267,11 +274,24 @@ TWO_MAP_CFG = dict(CYCLE_CFG, maps=CYCLE_CFG["maps"] + [
     ("mop", dict(CYCLE_CFG, discovery=CYCLE_CFG, powers=[1], ramp_width=0), "/ramp_width"),
     ("mop", dict(TWO_MAP_CFG, discovery=TWO_MAP_CFG, powers=[5], budget=4, mc_samples=1),
      "/mc_samples"),
+    ("bifurcate", dict(FAMILY_CFG, t_grid=[0.5]), "/t_grid"),
+    ("bifurcate", dict(FAMILY_CFG, t_grid=[0.5, 0.2]), "/t_grid"),
+    ("mop", dict(CYCLE_CFG, discovery=CYCLE_CFG, fit=True, powers=[1, 2]), "/powers"),
 ])
 def test_cli_library_bounds_exit_2(tmp_path, capsys, cmd, cfg, pointer):
     code = run_cli([cmd, "--config", _write_cfg(tmp_path, cfg), "--out", str(tmp_path)])
     assert code == 2
     assert f"{pointer}:" in capsys.readouterr().err
+
+
+def test_cli_green_undecided_point_exit_3(tmp_path, capsys):
+    # (3690, 20) maps to (20, 5): outside the bidisk, outside the cone
+    cfg = dict(QUAD_CFG, points=[[[0, 0], [3, 0]], [[3690, 0], [20, 0]]], max_iter=1)
+    code = run_cli(["green", "--config", _write_cfg(tmp_path, cfg), "--out", str(tmp_path)])
+    assert code == 3
+    assert "point 1:" in capsys.readouterr().err
+    assert not (tmp_path / "green.json").exists()
+    assert not (tmp_path / "green.csv").exists()
 
 
 def test_cli_bad_flag_values(tmp_path, capsys):
@@ -341,9 +361,11 @@ def test_cli_selftest_passes(tmp_path, capsys):
 
 
 def test_console_entry_point():
+    src = os.path.join(os.path.dirname(os.path.abspath(__file__)), "..", "src")
+    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
     proc = subprocess.run(
         [sys.executable, "-m", "henonlab.cli", "--help"],
-        capture_output=True, text=True,
+        capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=path),
     )
     assert proc.returncode == 0
     for cmd in ("render-julia", "green", "lyapunov", "minsets", "tl", "mop",

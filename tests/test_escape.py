@@ -5,9 +5,18 @@ import math
 import numpy as np
 import pytest
 
-from conftest import QUAD, QUAD_A, QUAD_C
-from henonlab.core import condition_a_radius, eval_map, inverse_as_plus, swap
-from henonlab.dist import FiniteDist, SequenceSeed, condition_a_params
+from conftest import CUBIC, QUAD, QUAD_A, QUAD_C
+from henonlab import escape
+from henonlab.core import (
+    HenonMap,
+    NumericOverflow,
+    Poly,
+    condition_a_radius,
+    eval_map,
+    inverse_as_plus,
+    swap,
+)
+from henonlab.dist import BallNoise, FiniteDist, SequenceSeed, condition_a_params
 from henonlab.escape import (
     VERDICT_BOUNDED,
     VERDICT_ESCAPED,
@@ -24,6 +33,7 @@ from henonlab.escape import (
     escape_census,
     green_minus,
     green_plus,
+    green_points,
     green_stages,
     hausdorff_pixels,
     raster_slice,
@@ -59,20 +69,35 @@ def test_escape_verdict_stable_under_refinement(quad_params):
     assert a.step == b.step
 
 
-def test_green_stages_match_direct_iteration(quad_params):
-    # direct normalized log norms, while still inside the float window
-    z = (0.0, 2.0)
-    stages, entry = green_stages(QUAD, z, quad_params, 7)
+@pytest.mark.parametrize("support", ["quad", "two-map-cubic", "ball"])
+def test_green_stages_match_direct_iteration(quad_params, support):
+    # direct normalized log norms, while still inside the float window: the
+    # independent reference for the log-coordinate recursion after entry
+    if support == "quad":
+        source, params, z = QUAD, quad_params, (0.0, 2.0)
+    else:
+        dist = (FiniteDist((QUAD_C, CUBIC), (0.5, 0.5)) if support == "two-map-cubic"
+                else BallNoise(QUAD_C, 0.05))
+        source, params, z = (dist, SequenceSeed(3, 1)), condition_a_params(dist), (0.1, 3.0)
+    src = as_source(source)
+    stages, entry = green_stages(src, z, params, 7)
     cur = z
     D = 1.0
+    post_entry = 0
     for n in range(8):
         nv = math.hypot(abs(cur[0]), abs(cur[1]))
         want = max(math.log(nv), 0.0) / D
         assert abs(stages[n] - want) < 1e-13
-        if n < 7:
-            cur = eval_map(QUAD, cur)
-            D *= 2
-    assert entry == 3
+        post_entry += n >= entry
+        if n == 7:
+            break
+        try:
+            cur = eval_map(src[n], cur)
+        except NumericOverflow:
+            break
+        D *= src[n].degree
+    assert entry == (3 if support == "quad" else 2)
+    assert post_entry >= 4
 
 
 def test_green_value_near_last_direct_stage(quad_params):
@@ -180,6 +205,48 @@ def test_raster_thread_count_invariant(quad_params):
     assert np.array_equal(r1.step, r8.step)
     assert np.array_equal(r1.green, r8.green, equal_nan=True)
     assert np.array_equal(r1.error, r8.error, equal_nan=True)
+
+
+def test_raster_thread_count_invariant_across_blocks(quad_params):
+    spec = SliceSpec((0.0, 0.0), (1.0, 0.0), (0.0, 1.0), 2.0, 192)
+    assert spec.resolution**2 > escape._BLOCK_LANES  # two lane blocks
+    r1 = raster_slice(QUAD, spec, quad_params, max_iter=150, tol=1e-6, threads=1)
+    r2 = raster_slice(QUAD, spec, quad_params, max_iter=150, tol=1e-6, threads=2)
+    assert np.array_equal(r1.verdict, r2.verdict)
+    assert np.array_equal(r1.step, r2.step)
+    assert np.array_equal(r1.green, r2.green, equal_nan=True)
+    assert np.array_equal(r1.error, r2.error, equal_nan=True)
+
+
+H_KICK = HenonMap(alpha=0.0, delta=0.1, poly=Poly((1.0, -1.3, 0.02)))
+
+
+@pytest.mark.parametrize("dist", [
+    FiniteDist((QUAD_C,), (1.0,)),
+    FiniteDist((QUAD_C, H_KICK), (0.5, 0.5)),
+    BallNoise(QUAD_C, 0.05),
+], ids=["one-map", "two-map", "ball"])
+def test_green_points_match_green_plus(dist):
+    params = condition_a_params(dist)
+    source = (dist, SequenceSeed(5, 2))
+    pts = [(complex(x), complex(y)) for x in np.linspace(-2, 2, 7) for y in np.linspace(-3, 3, 7)]
+    got = green_points(source, pts, params, tol=1e-8, max_iter=300, threads=2)
+    escaped = 0
+    for z, est in zip(pts, got):
+        ref = green_plus(source, z, params, tol=1e-8, max_iter=300)
+        assert est.n_used == ref.n_used
+        assert est.error_bound == ref.error_bound
+        assert abs(est.value - ref.value) <= 1e-12 * max(1.0, ref.value)
+        escaped += ref.value > 0
+    assert 0 < escaped < len(pts)
+    assert green_points(source, [], params) == []
+
+
+def test_green_points_names_undecided_point(quad_c_params):
+    # (3690, 20) maps to (20, 5): outside the bidisk, outside the cone
+    with pytest.raises(GreenIndeterminate, match="point 1:") as info:
+        green_points(QUAD_C, [(0.0, 0.5), (3690.0, 20.0)], quad_c_params, max_iter=1)
+    assert info.value.partial.error_bound == math.inf
 
 
 def test_raster_uncertain_shrinks_with_cap(quad_c_params):

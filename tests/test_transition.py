@@ -124,6 +124,13 @@ def test_single_sample_se_is_infinite_without_warnings():
     assert not ov.exact and ov.se == math.inf
 
 
+def test_one_sample_stratum_se_is_infinite():
+    # two samples over the two-map support leave each stratum one sample,
+    # which carries no variance estimate
+    mc = iterate_M(PAIR, phi_test, Z0, 6, budget=1, samples=2, seed=SEED)
+    assert not mc.exact and mc.se == math.inf
+
+
 def test_ball_power_reproducible():
     dist = BallNoise(QUAD_A, 0.05)
     a = iterate_M(dist, phi_test, Z0, 3, samples=4000, seed=SEED)
