@@ -11,7 +11,10 @@ Two kinds are supported:
 
 All sampling is addressed through the counter-based words in :mod:`rng`;
 the map at position ``index`` of a sequence never depends on how many maps
-were drawn before it.
+were drawn before it.  A ball draw hashes its (master, stream, index) prefix
+once and then one word per coordinate; the vector draw hashes its attempts
+in blocks, and each lane takes the first accepted attempt, so the block size
+never changes bits.  Both stop after the same number of attempts.
 """
 
 from __future__ import annotations
@@ -117,14 +120,15 @@ def _perturbed(base: HenonMap, a: complex, b: complex) -> HenonMap:
 
 def _ball_draw(radius: float, master: int, stream: int, index: int) -> Tuple[complex, complex]:
     r2 = radius * radius
+    prefix = rng._prefix(master, stream, index)
     for attempt in range(_MAX_BALL_ATTEMPTS):
         c = [
-            (2.0 * rng.uniform01(master, stream, index, 4 * attempt + k) - 1.0) * radius
-            for k in range(4)
+            (2.0 * ((rng.mix64(prefix ^ w) >> 11) * rng._U53) - 1.0) * radius
+            for w in range(4 * attempt, 4 * attempt + 4)
         ]
         if c[0] * c[0] + c[1] * c[1] + c[2] * c[2] + c[3] * c[3] <= r2:
             return complex(c[0], c[1]), complex(c[2], c[3])
-    raise RuntimeError("ball rejection failed to terminate")  # pragma: no cover
+    raise RuntimeError("ball rejection failed to terminate")
 
 
 def sample_map(dist: MapDistribution, seed: SequenceSeed, index: int) -> HenonMap:
@@ -190,33 +194,49 @@ def finite_choices_array(
     return np.minimum(j, len(dist.maps) - 1)
 
 
+def _block_attempts(pending: int) -> int:
+    """Rejection attempts drawn per pending lane in one pass.  A pass over
+    few lanes costs mostly its fixed numpy overhead, so up to 16 attempts
+    (about 1 in 360 lanes needs more) are nearly free; over many lanes the
+    pass is bounded to 2**14 words, which keeps its arrays, and peak memory,
+    small."""
+    return min(16, max(1, (1 << 14) // (4 * pending)))
+
+
 def ball_offsets_array(
     dist: BallNoise, master: int, streams: np.ndarray, index: int
 ) -> Tuple[np.ndarray, np.ndarray]:
     """Per-walker (alpha, constant-coefficient) offsets for step ``index``.
 
-    Bitwise identical to looping sample_map over the same streams.
+    Bitwise identical to looping sample_map over the same streams.  Each
+    rejection pass hashes a block of k attempts (4 words each) for every
+    pending lane in one call, and a lane takes the first accepted attempt of
+    its block: the attempt the scalar draw accepts, so k never changes bits.
+    Lanes with none accepted go on to the next block.
     """
     radius = dist.radius
+    r2 = radius * radius
     n = streams.shape[0]
     a = np.zeros(n, dtype=np.complex128)
     b = np.zeros(n, dtype=np.complex128)
     pending = np.arange(n)
-    attempt = np.zeros(n, dtype=np.uint64)
-    r2 = radius * radius
+    first = 0  # every pending lane has rejected attempts 0 .. first - 1
     while pending.size:
-        s = streams[pending]
-        t = attempt[pending] * np.uint64(4)
-        c = [
-            (2.0 * rng.uniform01_array(master, s, np.uint64(index), t + np.uint64(k)) - 1.0)
-            * radius
-            for k in range(4)
-        ]
-        ok = c[0] * c[0] + c[1] * c[1] + c[2] * c[2] + c[3] * c[3] <= r2
-        acc = pending[ok]
-        a[acc] = c[0][ok] + 1j * c[1][ok]
-        b[acc] = c[2][ok] + 1j * c[3][ok]
-        rej = pending[~ok]
-        attempt[rej] += 1
-        pending = rej
+        if first == _MAX_BALL_ATTEMPTS:
+            raise RuntimeError("ball rejection failed to terminate")
+        k = min(_block_attempts(pending.size), _MAX_BALL_ATTEMPTS - first)
+        words = np.arange(4 * first, 4 * (first + k), dtype=np.uint64)
+        # (4k, p) block, streams along the row, so each lane's prefix is
+        # hashed once; row 4j + w holds word w of attempt first + j
+        u = rng.uniform01_array(master, streams[None, pending], np.uint64(index), words[:, None])
+        c = ((2.0 * u - 1.0) * radius).reshape(k, 4, -1)
+        sq = c * c
+        ok = sq[:, 0] + sq[:, 1] + sq[:, 2] + sq[:, 3] <= r2
+        hit = np.flatnonzero(ok.any(axis=0))
+        rows = c[ok[:, hit].argmax(axis=0), :, hit]
+        acc = pending[hit]
+        a[acc] = rows[:, 0] + 1j * rows[:, 1]
+        b[acc] = rows[:, 2] + 1j * rows[:, 3]
+        pending = np.delete(pending, hit)
+        first += k
     return a, b

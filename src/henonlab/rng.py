@@ -33,13 +33,18 @@ def mix64(z: int) -> int:
     return z ^ (z >> 31)
 
 
-def word64(master_seed: int, stream_id: int, index: int, word: int = 0) -> int:
-    """The 64-bit word at cell (master_seed, stream_id, index, word)."""
+def _prefix(master_seed: int, stream_id: int, index: int) -> int:
+    """Hash of the (master_seed, stream_id, index) cell prefix; every word of
+    the cell is ``mix64(prefix ^ word)``, so a caller drawing many words of
+    one cell hashes the prefix once."""
     h = mix64(master_seed ^ _GAMMA)
     h = mix64(h ^ (stream_id & MASK64))
-    h = mix64(h ^ (index & MASK64))
-    h = mix64(h ^ (word & MASK64))
-    return h
+    return mix64(h ^ (index & MASK64))
+
+
+def word64(master_seed: int, stream_id: int, index: int, word: int = 0) -> int:
+    """The 64-bit word at cell (master_seed, stream_id, index, word)."""
+    return mix64(_prefix(master_seed, stream_id, index) ^ (word & MASK64))
 
 
 def uniform01(master_seed: int, stream_id: int, index: int, word: int = 0) -> float:

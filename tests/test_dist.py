@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from conftest import QUAD, QUAD_C
+from henonlab import dist as dist_mod
 from henonlab import rng
 from henonlab.core import HenonMap, Poly
 from henonlab.dist import (
@@ -79,14 +80,61 @@ def test_ball_draw_properties():
     assert sample_map(bn, s, 3) == sample_map(bn, s, 3)
 
 
+def _reference_ball_draw(radius, master, stream, index):
+    """Rejection from the 4-cube, one rng.uniform01 call per word; returns
+    the offsets and the accepted attempt."""
+    for attempt in range(256):
+        c = [
+            (2.0 * rng.uniform01(master, stream, index, 4 * attempt + w) - 1.0) * radius
+            for w in range(4)
+        ]
+        if c[0] * c[0] + c[1] * c[1] + c[2] * c[2] + c[3] * c[3] <= radius * radius:
+            return complex(c[0], c[1]), complex(c[2], c[3]), attempt
+    raise AssertionError("reference rejection did not terminate")
+
+
+def test_ball_draw_matches_per_word_reference():
+    for radius in (0.25, 1.7):
+        for index in range(2000):
+            stream = rng.derive_stream(index, 5)
+            a, b, _ = _reference_ball_draw(radius, 31, stream, index)
+            assert dist_mod._ball_draw(radius, 31, stream, index) == (a, b)
+
+
 def test_ball_offsets_vectorized_matches_scalar():
     bn = BallNoise(QUAD_C, 0.25)
-    streams = np.arange(64, dtype=np.uint64)
-    a, b = ball_offsets_array(bn, 11, streams, 17)
-    for k, s in enumerate(streams.tolist()):
-        f = sample_map(bn, SequenceSeed(11, s), 17)
-        assert a[k] == f.alpha - QUAD_C.alpha
-        assert b[k] == f.poly.coeffs[-1] - QUAD_C.poly.coeffs[-1]
+    for lanes in (1, 9, 300, 1000, 5000):
+        streams = rng.stream_table(lanes, lanes)
+        k = dist_mod._block_attempts(lanes)
+        second_pass = 0
+        for index in (0, 17, 2**40 + 3):
+            a, b = ball_offsets_array(bn, 11, streams, index)
+            for j, s in enumerate(streams.tolist()):
+                f = sample_map(bn, SequenceSeed(11, s), index)
+                assert a[j] == f.alpha - QUAD_C.alpha
+                assert b[j] == f.poly.coeffs[-1] - QUAD_C.poly.coeffs[-1]
+                second_pass += _reference_ball_draw(0.25, 11, s, index)[2] >= k
+        if lanes >= 300:
+            # some lane's accepted attempt lies beyond its first block
+            assert second_pass > 0
+
+
+@pytest.mark.parametrize("lanes", [5, 300])
+def test_ball_rejection_cap_is_shared(monkeypatch, lanes):
+    bn = BallNoise(QUAD_C, 0.25)
+    drawn = []
+
+    def corner(master, streams, index, words):
+        drawn.append(np.asarray(words).ravel())
+        return np.ones(np.broadcast_shapes(np.shape(streams), np.shape(words))) * 0.99
+
+    monkeypatch.setattr(rng, "uniform01_array", corner)
+    with pytest.raises(RuntimeError, match="ball rejection failed to terminate"):
+        ball_offsets_array(bn, 3, np.arange(lanes, dtype=np.uint64), 0)
+    assert np.array_equal(np.concatenate(drawn), np.arange(4 * 256))
+    monkeypatch.setattr(rng, "mix64", lambda z: rng.MASK64)
+    with pytest.raises(RuntimeError, match="ball rejection failed to terminate"):
+        sample_map(bn, SequenceSeed(3, 0), 0)
 
 
 def test_ball_second_moment():

@@ -38,6 +38,10 @@ def test_vector_words_match_scalar(master, index):
     vec = rng.word64_array(master, streams, index, word=2)
     for s, w in zip(streams.tolist(), vec.tolist()):
         assert w == rng.word64(master, s, index, 2)
+    block = rng.word64_array(master, streams[:, None], index, np.arange(9, dtype=np.uint64)[None, :])
+    assert block.shape == (5, 9)
+    for s, row in zip(streams.tolist(), block.tolist()):
+        assert row == [rng.word64(master, s, index, w) for w in range(9)]
 
 
 def test_vector_uniforms_match_scalar():
