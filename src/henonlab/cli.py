@@ -375,7 +375,7 @@ def _cmd_dtl(cfg: Any, out: str, seed_override: Optional[int], threads: int) -> 
     if index == m - 1:
         raise ConfigError("/index", "the last weight is dependent; vary one of the others")
 
-    eps_trunc = r.float_field("eps_trunc", 1e-3, lo=0.0)
+    eps_trunc = _positive(r, "eps_trunc", r.float_field("eps_trunc", 1e-3, lo=0.0))
     max_terms = r.int_field("max_terms", 200, lo=1)
     tl_samples = r.int_field("tl_samples", 400, lo=1)
     tl_max_iter = r.int_field("tl_max_iter", 400, lo=1)

@@ -762,27 +762,15 @@ def _census_chunk(
     R: float,
     max_iter: int,
 ) -> Tuple[int, int, int]:
-    X = xs.copy()
-    Y = ys.copy()
-    streams = streams.copy()
+    w = lanes.Walk(xs, ys, streams)
     escaped = 0
-    n = 0
-    while X.size and n <= max_iter:
-        esc = lanes.in_cone(X, Y, R)
-        if esc.any():
-            escaped += int(esc.sum())
-            keep = ~esc
-            X, Y, streams = X[keep], Y[keep], streams[keep]
-        if n == max_iter or X.size == 0:
+    for n in range(max_iter + 1):
+        escaped += w.retire(lanes.in_cone(w.X, w.Y, R)).size
+        if n == max_iter or not len(w):
             break
-        nx, ny = lanes.step(dist, master, streams, n, X, Y)
         # lanes leaving the window are tallied as uncertain below
-        ok = ~lanes.outside(nx, ny)
-        if not ok.all():
-            nx, ny, streams = nx[ok], ny[ok], streams[ok]
-        X, Y = nx, ny
-        n += 1
-    bounded = int(lanes.in_bidisk(X, Y, R).sum())
+        w.step(dist, master, n)
+    bounded = int(lanes.in_bidisk(w.X, w.Y, R).sum())
     uncertain = xs.size - escaped - bounded
     return escaped, bounded, uncertain
 
@@ -810,7 +798,7 @@ def escape_census(
             dist, seed.master_seed, streams[a:b], xs[a:b], ys[a:b], params.R, max_iter
         )
 
-    parts = lanes.run_blocks(run, len(points), 4096, threads)
+    parts = lanes.run_blocks(run, len(points), lanes.WALK_BLOCK, threads)
     esc = sum(p[0] for p in parts)
     bnd = sum(p[1] for p in parts)
     unc = sum(p[2] for p in parts)

@@ -5,13 +5,15 @@ lane k's map at step n is a pure function of (master seed, stream k, n) and
 does not depend on how the lanes are batched, compacted or split across
 threads.  Every vectorised walker in the library draws and steps through
 this module, checks the exact-arithmetic window, the escape cone and the
-central bidisk here and runs its fixed blocks on the pool here.
+central bidisk here and runs its fixed blocks on the pool here.  A
+:class:`Walk` holds a batch's live lanes: it steps them, retires lanes and
+compacts the survivors with their per-lane carry arrays.
 """
 
 from __future__ import annotations
 
 from concurrent.futures import ThreadPoolExecutor
-from typing import Callable, List, Optional, Tuple, TypeVar
+from typing import Callable, Dict, List, Optional, Tuple, TypeVar
 
 import numpy as np
 
@@ -85,6 +87,40 @@ def step(dist: MapDistribution, master: int, streams: np.ndarray, n: int,
     return apply(dist, draw(dist, master, streams, n), X, Y, V)
 
 
+class Walk:
+    """The live lanes of a batch: positions X, Y, draw streams, each lane's
+    index in the starting batch (``lane``) and per-lane ``carry`` arrays.
+    Retiring compacts them all in lane order.  Arrays are rebound, never
+    written in place, so a caller may keep a reference to any of them."""
+
+    def __init__(self, X: np.ndarray, Y: np.ndarray, streams: np.ndarray, **carry: np.ndarray):
+        self.X = X
+        self.Y = Y
+        self.streams = streams
+        self.lane = np.arange(X.size)
+        self.carry: Dict[str, np.ndarray] = carry
+
+    def __len__(self) -> int:
+        return self.lane.size
+
+    def retire(self, mask: np.ndarray) -> np.ndarray:
+        """Drop the masked lanes; their batch indices, in lane order."""
+        if not mask.any():
+            return self.lane[:0]
+        gone = self.lane[mask]
+        keep = ~mask
+        self.X, self.Y = self.X[keep], self.Y[keep]
+        self.streams, self.lane = self.streams[keep], self.lane[keep]
+        self.carry = {k: v[keep] for k, v in self.carry.items()}
+        return gone
+
+    def step(self, dist: MapDistribution, master: int, n: int) -> np.ndarray:
+        """Take step n on every lane, then retire the lanes that left the
+        exact-arithmetic window; returns their batch indices."""
+        self.X, self.Y = step(dist, master, self.streams, n, self.X, self.Y)
+        return self.retire(outside(self.X, self.Y))
+
+
 def outside(X: np.ndarray, Y: np.ndarray) -> np.ndarray:
     """Lanes that left the exact-arithmetic window, non-finite ones included."""
     return ~((np.abs(X) <= OVERFLOW_LIMIT) & (np.abs(Y) <= OVERFLOW_LIMIT))
@@ -98,6 +134,9 @@ def in_cone(X: np.ndarray, Y: np.ndarray, R: float) -> np.ndarray:
 def in_bidisk(X: np.ndarray, Y: np.ndarray, R: float) -> np.ndarray:
     """Lanes inside the open central bidisk max(|x|, |y|) < R."""
     return np.maximum(np.abs(X), np.abs(Y)) < R
+
+
+WALK_BLOCK = 4096  # fixed, so results never depend on the thread count
 
 
 def run_blocks(work: Callable[[int, int], T], total: int, size: int, threads: int) -> List[T]:

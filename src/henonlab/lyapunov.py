@@ -111,30 +111,23 @@ def _batch_runs(
         V2[k] = v2
     acc = np.zeros(samples)
     escaped = np.zeros(samples, dtype=bool)
-    # active lanes stay compacted; idx maps them back to stream order
-    idx = np.arange(samples)
-    x, y, v1, v2 = X, Y, V1, V2
-    part = np.zeros(samples)
+    w = lanes.Walk(X, Y, streams, V1=V1, V2=V2, part=np.zeros(samples))
+    # no window check per step: a lane leaves the 10R bidisk, and retires, first
     for step in range(n):
-        out = np.maximum(np.abs(x), np.abs(y)) > r_big
+        out = np.maximum(np.abs(w.X), np.abs(w.Y)) > r_big
         if out.any():
-            escaped[idx[out]] = True
-            acc[idx[out]] = part[out]
-            keep = ~out
-            idx = idx[keep]
-            x, y, v1, v2, part = x[keep], y[keep], v1[keep], v2[keep], part[keep]
-            if idx.size == 0:
+            acc[w.lane[out]] = w.carry["part"][out]
+            escaped[w.retire(out)] = True
+            if not len(w):
                 break
-        nx, ny, w1, w2 = lanes.step(dist, seed.master_seed, streams[idx], step, x, y, (v1, v2))
+        c = w.carry
+        w.X, w.Y, w1, w2 = lanes.step(dist, seed.master_seed, w.streams, step, w.X, w.Y,
+                                      (c["V1"], c["V2"]))
         nw = np.hypot(np.abs(w1), np.abs(w2))
         if (nw < 1e-300).any():
             raise DegenerateVector("tangent vector norm underflow")
-        part += np.log(nw)
-        v1 = w1 / nw
-        v2 = w2 / nw
-        x = nx
-        y = ny
-    acc[idx] = part
+        w.carry.update(V1=w1 / nw, V2=w2 / nw, part=c["part"] + np.log(nw))
+    acc[w.lane] = w.carry["part"]
     return acc / n, escaped
 
 

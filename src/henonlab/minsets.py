@@ -363,32 +363,18 @@ def _record_orbits(
     streams = rng.stream_table(seed.stream_id, len(grid))
     X = np.array([p[0] for p in grid], dtype=np.complex128)
     Y = np.array([p[1] for p in grid], dtype=np.complex128)
-    alive = np.ones(len(grid), dtype=bool)
+    w = lanes.Walk(X, Y, streams)
     escaped = 0
     rec_x: List[np.ndarray] = []
     rec_y: List[np.ndarray] = []
     for step in range(burn_in + n_record):
-        idx = np.nonzero(alive)[0]
-        if idx.size == 0:
+        escaped += w.retire(lanes.in_cone(w.X, w.Y, R)).size
+        if not len(w):
             break
-        esc = lanes.in_cone(X[idx], Y[idx], R)
-        if esc.any():
-            alive[idx[esc]] = False
-            escaped += int(esc.sum())
-            idx = idx[~esc]
-            if idx.size == 0:
-                break
-        nx, ny = lanes.step(dist, seed.master_seed, streams[idx], step, X[idx], Y[idx])
-        bad = lanes.outside(nx, ny)
-        if bad.any():
-            alive[idx[bad]] = False
-            keep = ~bad
-            idx, nx, ny = idx[keep], nx[keep], ny[keep]
-        X[idx] = nx
-        Y[idx] = ny
+        w.step(dist, seed.master_seed, step)
         if step >= burn_in - 1:
-            rec_x.append(X[alive].copy())
-            rec_y.append(Y[alive].copy())
+            rec_x.append(w.X)
+            rec_y.append(w.Y)
     xs = np.concatenate(rec_x) if rec_x else np.zeros(0, dtype=np.complex128)
     ys = np.concatenate(rec_y) if rec_y else np.zeros(0, dtype=np.complex128)
     inbox = lanes.in_bidisk(xs, ys, R)
@@ -583,47 +569,33 @@ def _tl_chunk(
     max_iter: int,
 ) -> Tuple[np.ndarray, int, int]:
     m = streams.shape[0]
-    X = np.full(m, complex(z[0]))
-    Y = np.full(m, complex(z[1]))
-    cand = np.full(m, -1, dtype=np.int64)
-    run = np.zeros(m, dtype=np.int64)
+    w = lanes.Walk(np.full(m, complex(z[0])), np.full(m, complex(z[1])), streams,
+                   cand=np.full(m, -1, dtype=np.int64), run=np.zeros(m, dtype=np.int64))
     counts = np.zeros(len(finite), dtype=np.int64)
     inf_count = 0
     unresolved = 0
     for step in range(max_iter + 1):
-        esc = lanes.in_cone(X, Y, R)
-        if esc.any():
-            inf_count += int(esc.sum())
-            keep = ~esc
-            X, Y, cand, run, streams = X[keep], Y[keep], cand[keep], run[keep], streams[keep]
-        if X.size == 0:
+        inf_count += w.retire(lanes.in_cone(w.X, w.Y, R)).size
+        if not len(w):
             break
         if finite:
-            inside = np.stack([_inside_descriptor(d, X, Y) for d in finite])
+            inside = np.stack([_inside_descriptor(d, w.X, w.Y) for d in finite])
             n_in = inside.sum(axis=0)
             if (n_in > 1).any():
                 raise AmbiguousCapture("orbit point lies in two capture neighborhoods")
             which = np.where(n_in == 1, inside.argmax(axis=0), -1)
         else:
-            which = np.full(X.size, -1, dtype=np.int64)
-        run = np.where(which < 0, 0, np.where(which == cand, run + 1, 1))
-        cand = which
+            which = np.full(len(w), -1, dtype=np.int64)
+        run = np.where(which < 0, 0, np.where(which == w.carry["cand"], w.carry["run"] + 1, 1))
+        w.carry.update(cand=which, run=run)
         done = run >= _CAPTURE_DWELL
         if done.any():
-            counts += np.bincount(cand[done], minlength=len(finite))
-            keep = ~done
-            X, Y, cand, run, streams = X[keep], Y[keep], cand[keep], run[keep], streams[keep]
-        if X.size == 0 or step == max_iter:
+            counts += np.bincount(which[done], minlength=len(finite))
+            w.retire(done)
+        if not len(w) or step == max_iter:
             break
-        nx, ny = lanes.step(dist, master, streams, step, X, Y)
-        bad = lanes.outside(nx, ny)
-        if bad.any():
-            unresolved += int(bad.sum())
-            keep = ~bad
-            nx, ny = nx[keep], ny[keep]
-            X, Y, cand, run, streams = X[keep], Y[keep], cand[keep], run[keep], streams[keep]
-        X, Y = nx, ny
-    unresolved += int(X.size)
+        unresolved += w.step(dist, master, step).size
+    unresolved += len(w)
     return counts, inf_count, unresolved
 
 
@@ -653,7 +625,7 @@ def estimate_TL(
     def work(a, b):
         return _tl_chunk(dist, finite, params.R, z, seed.master_seed, streams[a:b], max_iter)
 
-    results = lanes.run_blocks(work, samples, 4096, threads)
+    results = lanes.run_blocks(work, samples, lanes.WALK_BLOCK, threads)
     counts = np.sum([r[0] for r in results], axis=0) if finite else np.zeros(0, np.int64)
     inf_count = sum(r[1] for r in results)
     unresolved = sum(r[2] for r in results)
@@ -701,7 +673,7 @@ def _pair_tracking(
     d0 = np.hypot(
         np.abs(starts_x[0::2] - starts_x[1::2]), np.abs(starts_y[0::2] - starts_y[1::2])
     )
-    X, Y = starts_x.copy(), starts_y.copy()
+    w = lanes.Walk(starts_x, starts_y, streams)
     blown = np.zeros(pairs, dtype=bool)
     # per-pair distance and step count frozen at first passage below 1e-13,
     # before the paired orbits collapse onto the same float orbit
@@ -710,18 +682,21 @@ def _pair_tracking(
     frozen = np.zeros(pairs, dtype=bool)
     R = params.R
     for step in range(n_steps):
-        esc = lanes.in_cone(X, Y, R)
-        nx, ny = lanes.step(dist, seed.master_seed, streams, step, X, Y)
-        lane_bad = esc | lanes.outside(nx, ny)
-        blown |= lane_bad[0::2] | lane_bad[1::2]
-        ok = ~lane_bad
-        X = np.where(ok, nx, X)
-        Y = np.where(ok, ny, Y)
-        d = np.hypot(np.abs(X[0::2] - X[1::2]), np.abs(Y[0::2] - Y[1::2]))
-        live = ~frozen & ~blown
-        dn[live] = d[live]
-        n_eff[live] = step + 1
-        frozen |= live & (d < 1e-13)
+        # a pair is blown, and retires, when either lane enters the cone or
+        # leaves the window
+        blown[w.lane[lanes.in_cone(w.X, w.Y, R)] // 2] = True
+        w.retire(blown[w.lane // 2])
+        if not len(w):
+            break
+        blown[w.step(dist, seed.master_seed, step) // 2] = True
+        w.retire(blown[w.lane // 2])
+        # frozen pairs keep walking: a later escape still blows them
+        pair = w.lane[0::2] // 2
+        d = np.hypot(np.abs(w.X[0::2] - w.X[1::2]), np.abs(w.Y[0::2] - w.Y[1::2]))
+        live = ~frozen[pair]
+        dn[pair[live]] = d[live]
+        n_eff[pair[live]] = step + 1
+        frozen[pair[live & (d < 1e-13)]] = True
     usable = (d0 >= 1e-12) & (n_eff > 0)
     skipped = int((~usable).sum())
     safe_n = np.maximum(n_eff, 1)

@@ -17,7 +17,7 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from . import lanes, rng
-from .core import FiltrationParams, Point, image
+from .core import FiltrationParams, Point, image, in_v_plus
 from .dist import FiniteDist, MapDistribution, SequenceSeed, condition_a_params
 from .minsets import MinimalSetDescriptor, estimate_TL
 
@@ -268,7 +268,7 @@ class _TLCache:
         if not (np.isfinite(x.real) and np.isfinite(x.imag)
                 and np.isfinite(y.real) and np.isfinite(y.imag)):
             return 0.0
-        if abs(y) > max(self.params.R, abs(x)):
+        if in_v_plus((x, y), self.params.R):
             return 1.0 if self.L.is_infinity else 0.0
         for d in self.minsets:
             if d.is_infinity:

@@ -277,6 +277,8 @@ FAMILY_CFG = {
     ("bifurcate", dict(FAMILY_CFG, t_grid=[0.5]), "/t_grid"),
     ("bifurcate", dict(FAMILY_CFG, t_grid=[0.5, 0.2]), "/t_grid"),
     ("mop", dict(CYCLE_CFG, discovery=CYCLE_CFG, fit=True, powers=[1, 2]), "/powers"),
+    ("dtl", dict(TWO_MAP_CFG, discovery=TWO_MAP_CFG, z=CYCLE_CFG["points"][0], index=0,
+                 eps_trunc=0), "/eps_trunc"),
 ])
 def test_cli_library_bounds_exit_2(tmp_path, capsys, cmd, cfg, pointer):
     code = run_cli([cmd, "--config", _write_cfg(tmp_path, cfg), "--out", str(tmp_path)])

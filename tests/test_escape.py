@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from conftest import CUBIC, QUAD, QUAD_A, QUAD_C
-from henonlab import escape
+from henonlab import escape, lanes
 from henonlab.core import (
     HenonMap,
     NumericOverflow,
@@ -317,7 +317,8 @@ def test_census_counts_and_determinism(quad_params):
 
 
 def test_census_thread_invariance_across_chunks(ball_cycle_dist):
-    # 9,000 walkers span three 4,096-lane chunks
+    # 9,000 walkers span three walker blocks
+    assert 2 * lanes.WALK_BLOCK < 9000
     params = condition_a_params(ball_cycle_dist)
     pts = [((0.37 * k) % 3.0 - 1.5 + 0j, (0.53 * k) % 3.0 - 1.5 + 0j) for k in range(9000)]
     runs = [escape_census(ball_cycle_dist, pts, params, 40, SequenceSeed(5, 4), threads=t)

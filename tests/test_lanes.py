@@ -66,3 +66,55 @@ def test_masks_match_scalar_regions_on_boundaries():
     assert list(disk) == [classify_region(p, R) == Region.D_R for p in pts]
     assert any(abs(p[1]) == max(R, abs(p[0])) for p in pts)
     assert any(max(abs(p[0]), abs(p[1])) == R for p in pts)
+
+
+def test_walk_retire_returns_batch_indices_and_keeps_carry_aligned():
+    n = 10
+    X = np.arange(n) + 0j
+    w = lanes.Walk(X, -X, np.arange(n, dtype=np.uint64), tag=np.arange(n) * 10)
+    assert list(w.retire(np.isin(np.arange(n), (1, 4, 5)))) == [1, 4, 5]
+    assert list(w.retire(np.isin(w.lane, (0, 9)))) == [0, 9]
+    assert len(w) == 5 and w.retire(np.zeros(5, dtype=bool)).size == 0
+    for arr in (w.X.real, -w.Y.real, w.streams, w.carry["tag"] // 10):
+        assert list(arr) == list(w.lane) == [2, 3, 6, 7, 8]
+    assert list(X.real) == list(range(n))  # the starting arrays are not written
+
+
+def test_walk_step_retires_exactly_the_lanes_leaving_the_window():
+    # y' = y**2 - 1.3 y - 0.1 x: y = 9e49 lands at 8.1e99 (kept), 2e50 and
+    # 1e60 overshoot, and x = -1e102 pushes y' past the window on its own
+    dist = DISTS["one-map"]
+    Y = np.array([0.3, 9e49, 2e50, 0.0, 1e60, 0.0]) + 0j
+    X = np.array([0.0, 0.0, 0.0, 0.5, 0.0, -1e102]) + 0j
+    w = lanes.Walk(X, Y, np.arange(6, dtype=np.uint64))
+    want_x, want_y = lanes.image(dist.maps[0], X, Y)
+    assert list(w.step(dist, MASTER, 0)) == [2, 4, 5]
+    assert list(w.lane) == [0, 1, 3]
+    assert not lanes.outside(w.X, w.Y).any()
+    assert np.array_equal(w.X, want_x[[0, 1, 3]]) and np.array_equal(w.Y, want_y[[0, 1, 3]])
+
+
+def _walk_positions(dist, streams, X, Y, steps):
+    # every lane's position after each step, NaN once it has retired
+    w = lanes.Walk(X, Y, streams)
+    out = np.full((steps, 2, X.size), np.nan, dtype=np.complex128)
+    for n in range(steps):
+        w.retire(lanes.in_cone(w.X, w.Y, 2.0))
+        w.step(dist, MASTER, n)
+        out[n, :, w.lane] = np.stack([w.X, w.Y], axis=1)
+    return out
+
+
+@pytest.mark.parametrize("name", ["three-map", "ball"])
+def test_walk_is_batch_invariant(name):
+    dist = DISTS[name]
+    n = 600
+    streams = rng.stream_table(9, n)
+    u = np.random.default_rng(5).uniform(-1.2, 1.2, (4, n))
+    X, Y = u[0] + 1j * u[1], u[2] + 1j * u[3]
+    whole = _walk_positions(dist, streams, X, Y, 12)
+    halves = np.concatenate([_walk_positions(dist, streams[s], X[s], Y[s], 12)
+                             for s in (slice(0, 250), slice(250, n))], axis=2)
+    retired = np.isnan(whole[-1, 0])
+    assert retired.any() and not retired.all()
+    assert np.array_equal(whole, halves, equal_nan=True)

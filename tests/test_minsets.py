@@ -9,7 +9,7 @@ import pytest
 
 from henonlab.core import HenonMap, Poly, eval_map
 from henonlab.dist import FiniteDist, SequenceSeed, condition_a_params, support_sample
-from henonlab import minsets
+from henonlab import lanes, minsets
 from henonlab.minsets import (
     ATTRACTING_RATIO,
     INFINITY,
@@ -344,7 +344,8 @@ def test_tl_deterministic(noisy_cycle_dist, noisy_setup):
 
 
 def test_tl_thread_invariance_across_chunks(noisy_cycle_dist, noisy_setup):
-    # 9,000 samples span three 4,096-lane chunks
+    # 9,000 samples span three walker blocks
+    assert 2 * lanes.WALK_BLOCK < 9000
     params, descs = noisy_setup
     runs = [estimate_TL(noisy_cycle_dist, descs, (0.3, 0.3), 9000, 60, SEED, params, threads=t)
             for t in (1, 2)]
