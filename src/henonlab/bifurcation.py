@@ -66,14 +66,13 @@ def scan_family(
     burn_in: int = 1000,
     n_record: int = 200,
     cluster_eps: Optional[float] = None,
-    tl_probes: Optional[Sequence[Point]] = None,
     tl_samples: int = 200,
     tl_max_iter: int = 500,
     threads: int = 1,
 ) -> FamilyScan:
     """Discover and certify minimal sets at every amplitude of the grid.
 
-    tl_probes (the orbit grid when omitted) feed pooled capture statistics;
+    The orbit grid also serves as the probes of pooled capture statistics;
     a point is mean stable when every finite minimal set is attracting and
     under 1 percent of the probe mass stays unresolved.
     """
@@ -82,7 +81,6 @@ def scan_family(
         raise ValueError("amplitude grid needs at least two points")
     if any(b <= a for a, b in zip(ts, ts[1:])):
         raise ValueError("amplitude grid must be strictly increasing")
-    probes = list(tl_probes) if tl_probes is not None else list(grid)
     points: List[FamilyPoint] = []
     for t in ts:
         dist = family_at(fam, t)
@@ -95,7 +93,7 @@ def scan_family(
         finite = [d for d in descs if not d.is_infinity]
         unresolved = 0
         total = 0
-        for i, z in enumerate(probes):
+        for i, z in enumerate(grid):
             est = estimate_TL(
                 dist, descs, z, tl_samples, tl_max_iter, sub.derive(1, i),
                 params=params, threads=threads,

@@ -134,7 +134,6 @@ def _jsonify_descriptor(d: MinimalSetDescriptor) -> Dict[str, Any]:
             "parts_centers": [jsonify_point(p) for p in d.parts_centers],
             "parts_radii": list(d.parts_radii),
             "cloud_size": len(d.cloud),
-            "saturated": d.saturated,
         }
     )
     return out

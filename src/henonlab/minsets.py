@@ -63,7 +63,6 @@ class MinimalSetDescriptor:
     cluster_eps: float
     parts_centers: Tuple[Point, ...]
     parts_radii: Tuple[float, ...]
-    saturated: bool = True
 
     def __post_init__(self) -> None:
         if self.id == INFINITY:
@@ -150,34 +149,44 @@ def _embed4(xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
     return np.stack([xs.real, xs.imag, ys.real, ys.imag], axis=1)
 
 
-def _link_radius(xs: np.ndarray, ys: np.ndarray, eps: float) -> float:
+def _link_radius(tree: cKDTree, eps: float) -> float:
     """Linking radius adapted to the cloud's sampling density.
 
     eps when the cloud is at least that dense, otherwise twice the lower
     quartile of nearest-neighbor spacing, capped at 10 eps so genuinely
     separated structures (isolated cycle points) never merge.
     """
-    if xs.size < 2:
+    if tree.n < 2:
         return eps
-    d, _ = cKDTree(_embed4(xs, ys)).query(_embed4(xs, ys), k=2)
+    d, _ = tree.query(tree.data, k=2)
     q = float(np.quantile(d[:, 1], 0.25))
     return float(min(max(eps, 2.0 * q), 10.0 * eps))
 
 
-def _components(xs: np.ndarray, ys: np.ndarray, radius: float) -> np.ndarray:
+def _components(tree: cKDTree, radius: float) -> np.ndarray:
     """Single-linkage component label per point at the given radius."""
-    m = xs.size
-    pairs = cKDTree(_embed4(xs, ys)).query_pairs(radius, output_type="ndarray")
+    m = tree.n
+    pairs = tree.query_pairs(radius, output_type="ndarray")
     data = np.ones(len(pairs), dtype=np.int8)
     adj = csr_matrix((data, (pairs[:, 0], pairs[:, 1])), shape=(m, m))
     _, labels = connected_components(adj, directed=False)
     return labels
 
 
-def _apply_support(maps: Sequence[HenonMap], xs: np.ndarray, ys: np.ndarray):
-    """Images of the cloud under every support map, concatenated."""
-    ix, iy = zip(*(lanes.image(f, xs, ys) for f in maps))
-    return np.concatenate(ix), np.concatenate(iy)
+def _image_hits(
+    tree: cKDTree, xs: np.ndarray, ys: np.ndarray, maps: Sequence[HenonMap],
+    radius: float, box: float = math.inf,
+):
+    """For each support map in turn: the mask of cloud points whose image
+    stays in the |coordinate| <= box window, those images, and the index of
+    each image's nearest cloud point within ``radius`` (``tree.n`` where
+    there is none)."""
+    for f in maps:
+        ix, iy = lanes.image(f, xs, ys)
+        keep = (np.abs(ix) <= box) & (np.abs(iy) <= box)
+        ix, iy = ix[keep], iy[keep]
+        _, j = tree.query(_embed4(ix, iy), k=1, distance_upper_bound=radius)
+        yield keep, ix, iy, j
 
 
 def _saturate(
@@ -189,24 +198,26 @@ def _saturate(
     Only image points farther than the coverage radius ``assign`` from the
     cloud are added (after lattice dedup), so the cloud stays a sample of the
     set rather than a volumetric fill; points leaving the |coordinate| <= box
-    window are discarded.  The flag reports whether coverage closed before
-    the round or size limits."""
+    window are discarded.  The flag reports whether coverage closed; the
+    cloud stops unclosed at the round limit, or before a round that would
+    carry it past ``_MAX_CLOUD`` points."""
     for _ in range(_MAX_SATURATION_ROUNDS):
         tree = cKDTree(_embed4(xs, ys))
-        ix, iy = _apply_support(maps, xs, ys)
-        keep = (np.abs(ix) <= box) & (np.abs(iy) <= box)
-        ix, iy = ix[keep], iy[keep]
-        d, _ = tree.query(_embed4(ix, iy), k=1, distance_upper_bound=assign)
-        far = ~np.isfinite(d)
-        if far.sum() <= 1e-3 * max(ix.size, 1):
+        far_x, far_y, kept = [], [], 0
+        for _, ix, iy, j in _image_hits(tree, xs, ys, maps, assign, box):
+            far_x.append(ix[j == tree.n])
+            far_y.append(iy[j == tree.n])
+            kept += ix.size
+        fx, fy = np.concatenate(far_x), np.concatenate(far_y)
+        if fx.size <= 1e-3 * max(kept, 1):
             return xs, ys, True
-        nx, ny = _lattice_points(_quantize(ix[far], iy[far], eps), eps)
-        d2, _ = tree.query(_embed4(nx, ny), k=1, distance_upper_bound=assign)
-        fresh = ~np.isfinite(d2)
+        nx, ny = _lattice_points(_quantize(fx, fy, eps), eps)
+        _, j = tree.query(_embed4(nx, ny), k=1, distance_upper_bound=assign)
+        fresh = j == tree.n
+        if xs.size + fresh.sum() > _MAX_CLOUD:
+            return xs, ys, False
         xs = np.concatenate([xs, nx[fresh]])
         ys = np.concatenate([ys, ny[fresh]])
-        if xs.size > _MAX_CLOUD:
-            return xs, ys, False
     return xs, ys, False
 
 
@@ -215,23 +226,17 @@ def _saturate(
 
 
 def _node_edges(
-    xs: np.ndarray,
-    ys: np.ndarray,
-    labels: np.ndarray,
-    maps: Sequence[HenonMap],
-    radius: float,
+    tree: cKDTree, xs: np.ndarray, ys: np.ndarray, labels: np.ndarray,
+    maps: Sequence[HenonMap], radius: float,
 ) -> np.ndarray:
     """Directed edges (u, v): some support map sends a u-point within
     ``radius`` of a v-point.  Image points with no cloud point that close
     contribute no edge."""
-    tree = cKDTree(_embed4(xs, ys))
     n_nodes = int(labels.max()) + 1
     codes = []
-    for f in maps:
-        ix, iy = lanes.image(f, xs, ys)
-        d, j = tree.query(_embed4(ix, iy), k=1, distance_upper_bound=radius)
-        ok = np.isfinite(d)
-        codes.append(labels[ok].astype(np.int64) * n_nodes + labels[j[ok]])
+    for keep, _, _, j in _image_hits(tree, xs, ys, maps, radius):
+        hit = j < tree.n
+        codes.append(labels[keep][hit].astype(np.int64) * n_nodes + labels[j[hit]])
     if not codes:
         return np.zeros((0, 2), dtype=np.int64)
     code = np.unique(np.concatenate(codes))
@@ -248,9 +253,9 @@ def _adjacency(edges: np.ndarray, n_nodes: int) -> csr_matrix:
 
 
 def _bfs_levels(edges: np.ndarray, n_nodes: int, root: int) -> np.ndarray:
-    return shortest_path(
-        _adjacency(edges, n_nodes), method="D", unweighted=True, indices=root
-    ).astype(np.int64)
+    """BFS distance of every node from root; -1 for nodes it does not reach."""
+    dist = shortest_path(_adjacency(edges, n_nodes), method="D", unweighted=True, indices=root)
+    return np.where(np.isinf(dist), -1, dist).astype(np.int64)
 
 
 def _level_period(edges: np.ndarray, level: np.ndarray) -> int:
@@ -299,18 +304,21 @@ def _digraph(
     xs: np.ndarray, ys: np.ndarray, maps: Sequence[HenonMap], eps: float
 ) -> Tuple[np.ndarray, np.ndarray]:
     """Component labels of the cloud at its linking radius, and the
-    transition edges between the components."""
-    link = _link_radius(xs, ys, eps)
-    labels = _components(xs, ys, link)
-    return labels, _node_edges(xs, ys, labels, maps, max(_ASSIGN_FACTOR * eps, 1.5 * link))
+    transition edges between the components, from one index of the cloud."""
+    tree = cKDTree(_embed4(xs, ys))
+    link = _link_radius(tree, eps)
+    labels = _components(tree, link)
+    radius = max(_ASSIGN_FACTOR * eps, 1.5 * link)
+    return labels, _node_edges(tree, xs, ys, labels, maps, radius)
 
 
 def _cyclic_parts(
     xs: np.ndarray, ys: np.ndarray, labels: np.ndarray, edges: np.ndarray
 ) -> Tuple[int, Tuple[Tuple[int, ...], ...]]:
     """Period and cyclic parts (point index classes) of a strongly connected
-    candidate digraph.  Part 0 is the class of the lexicographically least
-    cloud point, fixing the cyclic orientation."""
+    candidate digraph: ``labels`` are the candidate points' node ids and
+    ``edges`` the candidate's own edges.  Part 0 is the class of the
+    lexicographically least cloud point, fixing the cyclic orientation."""
     order = np.lexsort((ys.imag, ys.real, xs.imag, xs.real))
     level = _bfs_levels(edges, int(labels.max()) + 1, int(labels[order[0]]))
     r = _level_period(edges, level)
@@ -392,18 +400,14 @@ class _Draft:
     ys: np.ndarray
     period: int
     parts: Tuple[Tuple[int, ...], ...]
-    saturated: bool
 
 
 def _candidates_at(
-    xs0: np.ndarray,
-    ys0: np.ndarray,
-    maps: Sequence[HenonMap],
-    eps: float,
-    box: float,
+    xs0: np.ndarray, ys0: np.ndarray, maps: Sequence[HenonMap], eps: float, box: float
 ) -> List[_Draft]:
     """Saturate the recorded cloud and split it into terminal strongly
-    connected pieces of the component digraph."""
+    connected pieces of the component digraph.  A cloud whose coverage does
+    not close gives no candidates."""
     rows = _quantize(xs0, ys0, eps)
     if rows.shape[0] == 0:
         return []
@@ -413,20 +417,17 @@ def _candidates_at(
     xs, ys = _lattice_points(rows, eps)
     # coverage radius tracks the sampling density, not just eps, so finer
     # linking radii do not demand a volumetric fill of noise-blown blobs
-    assign = max(_ASSIGN_FACTOR * eps, 2.0 * _link_radius(xs, ys, eps))
+    assign = max(_ASSIGN_FACTOR * eps, 2.0 * _link_radius(cKDTree(_embed4(xs, ys)), eps))
     xs, ys, ok = _saturate(xs, ys, maps, eps, box, assign)
+    if not ok:
+        return []
     labels, edges = _digraph(xs, ys, maps, eps)
     drafts = []
     for nodes in _terminal_sccs(edges, int(labels.max()) + 1):
         sel = np.isin(labels, nodes)
-        cx, cy = xs[sel], ys[sel]
-        # reuse the digraph restricted to this component
-        node_map = np.full(int(labels.max()) + 2, -1, dtype=np.int64)
-        node_map[nodes] = np.arange(len(nodes))
-        sub_labels = node_map[labels[sel]]
-        both = np.isin(edges[:, 0], nodes) & np.isin(edges[:, 1], nodes)
-        r, parts = _cyclic_parts(cx, cy, sub_labels, node_map[edges[both]])
-        drafts.append(_Draft(cx, cy, r, parts, ok))
+        # a terminal SCC's out-edges stay inside it
+        r, parts = _cyclic_parts(xs[sel], ys[sel], labels[sel], edges[np.isin(edges[:, 0], nodes)])
+        drafts.append(_Draft(xs[sel], ys[sel], r, parts))
     return drafts
 
 
@@ -491,22 +492,20 @@ def discover_minimal_sets(
     box = params.R
 
     if cluster_eps is not None:
-        eps = cluster_eps
-        drafts = _candidates_at(xs0, ys0, maps, eps, box)
+        eps, drafts = cluster_eps, _candidates_at(xs0, ys0, maps, cluster_eps, box)
     else:
-        eps = 1e-2
-        cache = {0: _candidates_at(xs0, ys0, maps, eps, box)}
-        for k in range(6):
-            for j in (k + 1, k + 2):
-                if j not in cache:
-                    cache[j] = _candidates_at(xs0, ys0, maps, eps / 2**j, box)
-            if len(cache[k]) == len(cache[k + 1]) == len(cache[k + 2]):
-                eps = eps / 2**k
-                drafts = cache[k]
-                break
-        else:  # pragma: no cover - no stable count within six halvings
-            eps = eps / 2**6
-            drafts = cache[6]
+        # halve eps from 1e-2 until the candidate count holds over two more
+        # halvings; after six halvings take the sixth
+        levels: Dict[int, List[_Draft]] = {}
+
+        def level(j: int) -> List[_Draft]:
+            if j not in levels:
+                levels[j] = _candidates_at(xs0, ys0, maps, 1e-2 / 2**j, box)
+            return levels[j]
+
+        k = next((k for k in range(6)
+                  if len(level(k)) == len(level(k + 1)) == len(level(k + 2))), 6)
+        eps, drafts = 1e-2 / 2**k, level(k)
 
     # stable ids: sort by lexicographically least cloud point
     def _key(d: _Draft):
@@ -536,7 +535,6 @@ def discover_minimal_sets(
                 cluster_eps=eps,
                 parts_centers=centers,
                 parts_radii=radii,
-                saturated=d.saturated,
             )
         )
     out.append(

@@ -1,15 +1,24 @@
 """Source hygiene: every module-level import and private helper in the
-library is used."""
+library is used, and every name the benchmark's span recorder wraps is
+still live."""
 
 from __future__ import annotations
 
 import ast
 import glob
+import importlib.util
 import os
 
 import pytest
+from scipy.spatial import cKDTree
 
-SRC = os.path.join(os.path.dirname(__file__), "..", "src", "henonlab")
+from henonlab import minsets
+from henonlab.dist import FiniteDist, SequenceSeed, condition_a_params
+
+from conftest import QUAD_C
+
+ROOT = os.path.join(os.path.dirname(__file__), "..")
+SRC = os.path.join(ROOT, "src", "henonlab")
 # __init__ imports names to re-export them
 MODULES = sorted(p for p in glob.glob(os.path.join(SRC, "*.py"))
                  if os.path.basename(p) != "__init__.py")
@@ -76,3 +85,38 @@ def test_no_dead_private_helpers():
             for mod, tree in trees.items()
             for name, line in _private_definitions(tree).items() if name not in used}
     assert not dead, f"private helpers nothing in src/ uses: {sorted(dead)}"
+
+
+def test_benchmark_spans_reach_discovery_layers():
+    # perfbench/spans.py wraps module-level names of the library; a renamed
+    # or reshaped name must fail here rather than in a traced benchmark run
+    spec = importlib.util.spec_from_file_location(
+        "perfbench_spans", os.path.join(ROOT, "perfbench", "spans.py"))
+    spans = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(spans)
+
+    dist = FiniteDist((QUAD_C,), (1.0,))
+    params = condition_a_params(dist)
+    grid = [(0.15, 0.05), (-0.05, 0.25)]
+    seed = SequenceSeed(11, 2)
+
+    def run():
+        descs = minsets.discover_minimal_sets(dist, params, grid, seed, cluster_eps=0.01)
+        return descs, minsets.estimate_TL(dist, descs, grid[0], 50, 100, seed, params)
+
+    plain = run()
+    saturate = minsets._saturate
+    tr = spans.Tracer()
+    inst = spans.install(tr)
+    try:
+        traced = run()
+    finally:
+        inst.undo()
+    assert minsets._saturate is saturate and minsets.cKDTree is cKDTree
+    assert traced == plain
+    assert len(plain[0]) == 2  # the 2-cycle and infinity
+    m = spans.layer_metrics(tr)
+    for name in ("minsets._candidates_at.calls", "minsets._saturate.calls",
+                 "minsets.kd.builds", "minsets.estimate_TL.calls",
+                 "minsets._link_radius.s", "minsets._components.s", "minsets._node_edges.s"):
+        assert m[name][0] > 0, name

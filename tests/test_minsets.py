@@ -6,9 +6,12 @@ import math
 
 import numpy as np
 import pytest
+from scipy.sparse import csr_matrix
+from scipy.sparse.csgraph import connected_components
+from scipy.spatial import cKDTree
 
 from henonlab.core import HenonMap, Poly, eval_map
-from henonlab.dist import FiniteDist, SequenceSeed, condition_a_params, support_sample
+from henonlab.dist import BallNoise, FiniteDist, SequenceSeed, condition_a_params, support_sample
 from henonlab import lanes, minsets
 from henonlab.minsets import (
     ATTRACTING_RATIO,
@@ -95,7 +98,6 @@ def test_cycle_discovery_structure(cycle_setup):
     assert L.id == 0
     assert L.period == 2
     assert len(L.parts) == 2
-    assert L.saturated
     # parts are the two cycle points up to lattice rounding
     got = sorted(c[1].real for c in L.parts_centers)
     assert abs(got[0] - CYCLE_Y1) < 2 * L.cluster_eps
@@ -408,9 +410,88 @@ def test_ball_blob_discovery(ball_cycle_dist):
     assert len(finite) == 1
     L = finite[0]
     assert L.period == 2
-    assert L.saturated
     # blobs are noise-sized, far smaller than the part gap
     for r in L.parts_radii:
         assert 0.05 < r < 0.5
     assert certify_attracting(ball_cycle_dist, L, params, SEED).certified
     assert detect_period(ball_cycle_dist, L, SEED) == 2
+
+
+# ---------------------------------------------------------------------------
+# saturation cap and the transition digraph
+
+LOST_GRID = [(0.1, 0.1), (0.1, 0.2), (0.2, 0.1), (0.2, 0.2)]
+SMALL_CAP = 12_000
+
+
+def _start_cloud(dist, eps):
+    params = condition_a_params(dist)
+    xs, ys, _, _ = minsets._record_orbits(dist, params, LOST_GRID, 1000, 200, SEED)
+    xs, ys = minsets._lattice_points(minsets._quantize(xs, ys, eps), eps)
+    return xs, ys, support_sample(dist, SEED), params.R
+
+
+def test_saturate_stops_at_cloud_cap(monkeypatch):
+    # at noise radius 0.1 the cloud keeps growing: 804 start points, 10,813
+    # after one round, 28,416 after the round that crosses the cap
+    monkeypatch.setattr(minsets, "_MAX_CLOUD", SMALL_CAP)
+    eps = 0.01
+    xs, ys, maps, box = _start_cloud(BallNoise(QUAD_C, 0.1), eps)
+    assert xs.size < SMALL_CAP
+    sx, sy, ok = minsets._saturate(xs, ys, maps, eps, box, 5.0 * eps)
+    assert not ok
+    assert xs.size < sx.size == sy.size <= SMALL_CAP
+
+
+def test_unclosed_cloud_gives_no_candidates(monkeypatch):
+    monkeypatch.setattr(minsets, "_MAX_CLOUD", SMALL_CAP)
+
+    def no_digraph(*args):
+        raise AssertionError("digraph built for an unsaturated cloud")
+
+    monkeypatch.setattr(minsets, "_digraph", no_digraph)
+    dist = BallNoise(QUAD_C, 0.1)
+    descs = discover_minimal_sets(dist, condition_a_params(dist), LOST_GRID, SEED,
+                                  cluster_eps=0.01)
+    assert [d.id for d in descs] == [INFINITY]
+
+
+def _embed(xs, ys):
+    return np.stack([xs.real, xs.imag, ys.real, ys.imag], axis=1)
+
+
+def _reference_link(tree, eps):
+    near, _ = tree.query(tree.data, k=2)
+    return min(max(eps, 2.0 * float(np.quantile(near[:, 1], 0.25))), 10.0 * eps)
+
+
+@pytest.mark.parametrize("kind", ["two-map", "ball"])
+def test_digraph_edges_match_reference(kind):
+    if kind == "ball":
+        dist = BallNoise(QUAD_C, 0.05)
+    else:
+        kicked = HenonMap(0.004, 0.1, Poly((1.0, -1.3, 0.003)))
+        dist = FiniteDist((QUAD_C, kicked), (0.5, 0.5))
+    eps = 0.002
+    xs, ys, maps, box = _start_cloud(dist, eps)
+    assign = max(5.0 * eps, 2.0 * _reference_link(cKDTree(_embed(xs, ys)), eps))
+    xs, ys, ok = minsets._saturate(xs, ys, maps, eps, box, assign)
+    assert ok
+    labels, edges = minsets._digraph(xs, ys, maps, eps)
+
+    tree = cKDTree(_embed(xs, ys))
+    link = _reference_link(tree, eps)
+    pairs = tree.query_pairs(link, output_type="ndarray")
+    adj = csr_matrix((np.ones(len(pairs)), (pairs[:, 0], pairs[:, 1])), shape=(xs.size,) * 2)
+    n_nodes, want_labels = connected_components(adj, directed=False)
+    assert np.array_equal(labels, want_labels)
+
+    radius = max(5.0 * eps, 1.5 * link)  # the edge radius
+    want = set()
+    for f in maps:
+        ix, iy = lanes.image(f, xs, ys)
+        d, j = tree.query(_embed(ix, iy), distance_upper_bound=radius)
+        hit = np.isfinite(d)
+        want |= set(zip(labels[hit].tolist(), labels[j[hit]].tolist()))
+    assert len(want) > n_nodes > 1
+    assert sorted(map(tuple, edges.tolist())) == sorted(want)
