@@ -36,6 +36,9 @@ from .dist import (
     condition_a_params,
 )
 from .escape import (
+    VERDICT_BOUNDED,
+    VERDICT_ESCAPED,
+    VERDICT_UNCERTAIN,
     DistSource,
     GreenIndeterminate,
     ShiftedSource,
@@ -205,9 +208,9 @@ def _cmd_render_julia(cfg: Any, out: str, seed_override: Optional[int], threads:
     header = canonical_json({"config": r.resolved, "version": __version__})
     write_pgm16(os.path.join(out, "julia.pgm"), pix, comment=f"cfg {header}")
     counts = {
-        "bounded": int((raster.verdict == 0).sum()),
-        "escaped": int((raster.verdict == 1).sum()),
-        "uncertain": int((raster.verdict == 2).sum()),
+        "bounded": int((raster.verdict == VERDICT_BOUNDED).sum()),
+        "escaped": int((raster.verdict == VERDICT_ESCAPED).sum()),
+        "uncertain": int((raster.verdict == VERDICT_UNCERTAIN).sum()),
     }
     result = {
         "pixels": counts,

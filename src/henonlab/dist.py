@@ -57,8 +57,6 @@ class FiniteDist:
     maps: Tuple[HenonMap, ...]
     weights: Tuple[float, ...]
 
-    kind = "finite"
-
     def __post_init__(self) -> None:
         maps = tuple(self.maps)
         weights = tuple(float(w) for w in self.weights)
@@ -83,8 +81,6 @@ class FiniteDist:
 class BallNoise:
     base: HenonMap
     radius: float
-
-    kind = "ball"
 
     def __post_init__(self) -> None:
         if not (self.radius > 0 and math.isfinite(self.radius)):

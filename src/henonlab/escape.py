@@ -51,11 +51,6 @@ VERDICT_ESCAPED = 1
 VERDICT_UNCERTAIN = 2
 
 
-class Dir(Enum):
-    PLUS = "plus"
-    MINUS = "minus"
-
-
 class OrbitStatus(Enum):
     ESCAPED = "escaped"
     BOUNDED = "bounded"
@@ -66,7 +61,6 @@ class OrbitStatus(Enum):
 class OrbitVerdict:
     status: OrbitStatus
     step: Optional[int]  # first cone entry, ESCAPED only
-    direction: Optional[Dir]
     iterations: int
     last_point: Point
 
@@ -223,7 +217,6 @@ def classify_orbit(
     z: Point,
     params: FiltrationParams,
     max_iter: int,
-    direction: Dir = Dir.PLUS,
 ) -> OrbitVerdict:
     """Forward-orbit verdict against the cone filtration.
 
@@ -238,16 +231,16 @@ def classify_orbit(
     cur = z
     for n in range(max_iter + 1):
         if in_v_plus(cur, R):
-            return OrbitVerdict(OrbitStatus.ESCAPED, n, direction, n, cur)
+            return OrbitVerdict(OrbitStatus.ESCAPED, n, n, cur)
         if n == max_iter:
             break
         try:
             cur = eval_map(src[n], cur)
         except NumericOverflow:
-            return OrbitVerdict(OrbitStatus.UNCERTAIN, None, None, n + 1, cur)
+            return OrbitVerdict(OrbitStatus.UNCERTAIN, None, n + 1, cur)
     if classify_region(cur, R) == Region.D_R:
-        return OrbitVerdict(OrbitStatus.BOUNDED, None, None, max_iter, cur)
-    return OrbitVerdict(OrbitStatus.UNCERTAIN, None, None, max_iter, cur)
+        return OrbitVerdict(OrbitStatus.BOUNDED, None, max_iter, cur)
+    return OrbitVerdict(OrbitStatus.UNCERTAIN, None, max_iter, cur)
 
 
 # ---------------------------------------------------------------------------
@@ -541,10 +534,6 @@ class SliceSpec:
 
 @dataclass
 class SliceRaster:
-    spec: SliceSpec
-    params: FiltrationParams
-    max_iter: int
-    tol: float
     c_tel: float
     verdict: np.ndarray
     step: np.ndarray
@@ -561,8 +550,6 @@ def _raster_block(
     n_refine: int,
     c_tel: float,
 ) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    X = X.copy()
-    Y = Y.copy()
     npix = X.size
     # lanes end uncertain unless they enter the cone or end in the bidisk
     verdict = np.full(npix, VERDICT_UNCERTAIN, dtype=np.int8)
@@ -570,7 +557,7 @@ def _raster_block(
     green = np.full(npix, np.nan)
     error = np.full(npix, np.inf)
 
-    alive = np.arange(npix)
+    w = lanes.Walk(X, Y)
     # refining pool (lane indices, then the log state): cone entries
     # advance until the shared truncation bound, which only depends on the
     # global step count, reaches tol at n_refine
@@ -579,37 +566,29 @@ def _raster_block(
 
     n_total = max(max_iter, n_refine)
     for n in range(n_total + 1):
-        if alive.size and n <= max_iter:
-            esc = lanes.in_cone(X[alive], Y[alive], R)
+        if len(w) and n <= max_iter:
+            esc = lanes.in_cone(w.X, w.Y, R)
             if esc.any():
-                new = alive[esc]
+                state = _log_entry(w.X[esc], w.Y[esc], D)
+                new = w.retire(esc)
                 verdict[new] = VERDICT_ESCAPED
                 step[new] = n
-                entries = (new, *_log_entry(X[new], Y[new], D))
+                entries = (new, *state)
                 pool = entries if pool is None else tuple(map(np.concatenate, zip(pool, entries)))
-                alive = alive[~esc]
         if n >= n_refine and pool is not None:
             green[pool[0]] = np.maximum(_log_value(pool[1:], D), _TINY)
             error[pool[0]] = _stage_bound(c_tel, n)
             pool = None
-        if n == n_total or (alive.size == 0 and pool is None):
+        if n == n_total or (not len(w) and pool is None):
             break
         f = maps[n]
-        if n < max_iter and alive.size:
-            nx, ny = lanes.image(f, X[alive], Y[alive])
-            bad = lanes.outside(nx, ny)
-            if bad.any():  # lanes leaving the window stay uncertain
-                keep = ~bad
-                alive = alive[keep]
-                nx = nx[keep]
-                ny = ny[keep]
-            X[alive] = nx
-            Y[alive] = ny
+        if n < max_iter and len(w):
+            w.move(*lanes.image(f, w.X, w.Y))  # lanes leaving the window stay uncertain
         D *= f.degree
         if pool is not None:
             pool = (pool[0], *_log_step(f, pool[1:], D))
 
-    bnd = alive[lanes.in_bidisk(X[alive], Y[alive], R)]
+    bnd = w.lane[lanes.in_bidisk(w.X, w.Y, R)]
     verdict[bnd] = VERDICT_BOUNDED
     green[bnd] = 0.0
     error[bnd] = 0.0
@@ -658,7 +637,7 @@ def raster_slice(
     c_tel, _, cols = _lane_green(
         as_source(source), X.ravel(), Y.ravel(), params, max_iter, tol, threads
     )
-    return SliceRaster(spec, params, max_iter, tol, c_tel, *(c.reshape(X.shape) for c in cols))
+    return SliceRaster(c_tel, *(c.reshape(X.shape) for c in cols))
 
 
 def green_points(

@@ -6,8 +6,9 @@ does not depend on how the lanes are batched, compacted or split across
 threads.  Every vectorised walker in the library draws and steps through
 this module, checks the exact-arithmetic window, the escape cone and the
 central bidisk here and runs its fixed blocks on the pool here.  A
-:class:`Walk` holds a batch's live lanes: it steps them, retires lanes and
-compacts the survivors with their per-lane carry arrays.
+:class:`Walk` holds a batch's live lanes, with per-lane streams or under
+one shared sequence: it moves them, retires lanes (those that leave the
+window among them) and compacts the survivors with their carry arrays.
 """
 
 from __future__ import annotations
@@ -88,12 +89,14 @@ def step(dist: MapDistribution, master: int, streams: np.ndarray, n: int,
 
 
 class Walk:
-    """The live lanes of a batch: positions X, Y, draw streams, each lane's
-    index in the starting batch (``lane``) and per-lane ``carry`` arrays.
-    Retiring compacts them all in lane order.  Arrays are rebound, never
-    written in place, so a caller may keep a reference to any of them."""
+    """The live lanes of a batch: positions X, Y, draw streams (None for a
+    batch that shares one map sequence), each lane's index in the starting
+    batch (``lane``) and per-lane ``carry`` arrays.  Retiring compacts them
+    all in lane order.  Arrays are rebound, never written in place, so a
+    caller may keep a reference to any of them."""
 
-    def __init__(self, X: np.ndarray, Y: np.ndarray, streams: np.ndarray, **carry: np.ndarray):
+    def __init__(self, X: np.ndarray, Y: np.ndarray, streams: Optional[np.ndarray] = None,
+                 **carry: np.ndarray):
         self.X = X
         self.Y = Y
         self.streams = streams
@@ -109,16 +112,21 @@ class Walk:
             return self.lane[:0]
         gone = self.lane[mask]
         keep = ~mask
-        self.X, self.Y = self.X[keep], self.Y[keep]
-        self.streams, self.lane = self.streams[keep], self.lane[keep]
+        self.X, self.Y, self.lane = self.X[keep], self.Y[keep], self.lane[keep]
+        if self.streams is not None:
+            self.streams = self.streams[keep]
         self.carry = {k: v[keep] for k, v in self.carry.items()}
         return gone
 
+    def move(self, X: np.ndarray, Y: np.ndarray) -> np.ndarray:
+        """Rebind the lanes to their images X, Y, then retire the lanes that
+        left the exact-arithmetic window; returns their batch indices."""
+        self.X, self.Y = X, Y
+        return self.retire(outside(X, Y))
+
     def step(self, dist: MapDistribution, master: int, n: int) -> np.ndarray:
-        """Take step n on every lane, then retire the lanes that left the
-        exact-arithmetic window; returns their batch indices."""
-        self.X, self.Y = step(dist, master, self.streams, n, self.X, self.Y)
-        return self.retire(outside(self.X, self.Y))
+        """Take step n on every lane (see :meth:`move`)."""
+        return self.move(*step(dist, master, self.streams, n, self.X, self.Y))
 
 
 def outside(X: np.ndarray, Y: np.ndarray) -> np.ndarray:

@@ -1,6 +1,6 @@
 """Source hygiene: every module-level import and private helper in the
-library is used, and every name the benchmark's span recorder wraps is
-still live."""
+library is used, the vector overflow-window check has one home, and every
+name the benchmark's span recorder wraps is still live."""
 
 from __future__ import annotations
 
@@ -85,6 +85,21 @@ def test_no_dead_private_helpers():
             for mod, tree in trees.items()
             for name, line in _private_definitions(tree).items() if name not in used}
     assert not dead, f"private helpers nothing in src/ uses: {sorted(dead)}"
+
+
+@pytest.mark.parametrize("name, homes", [
+    ("outside", {"lanes.py"}),
+    ("OVERFLOW_LIMIT", {"core.py", "lanes.py"}),
+], ids=["outside", "OVERFLOW_LIMIT"])
+def test_vector_window_check_has_one_home(name, homes):
+    # lanes leave the exact-arithmetic window only through lanes.Walk; the
+    # scalar path checks the limit in core.eval_map
+    users = set()
+    for path in glob.glob(os.path.join(SRC, "*.py")):
+        with open(path, encoding="utf-8") as fh:
+            if name in _loaded_names(ast.parse(fh.read())):
+                users.add(os.path.basename(path))
+    assert users <= homes, f"{name} used outside {sorted(homes)}: {sorted(users - homes)}"
 
 
 def test_benchmark_spans_reach_discovery_layers():
