@@ -189,6 +189,14 @@ def _image_hits(
         yield keep, ix, iy, j
 
 
+def _fresh(tree: cKDTree, fx: List[np.ndarray], fy: List[np.ndarray], eps: float,
+           assign: float) -> Tuple[np.ndarray, np.ndarray]:
+    """Lattice points of the far images that no cloud point covers."""
+    nx, ny = _lattice_points(_quantize(np.concatenate(fx), np.concatenate(fy), eps), eps)
+    _, j = tree.query(_embed4(nx, ny), k=1, distance_upper_bound=assign)
+    return nx[j == tree.n], ny[j == tree.n]
+
+
 def _saturate(
     xs: np.ndarray, ys: np.ndarray, maps: Sequence[HenonMap], eps: float, box: float,
     assign: float,
@@ -200,24 +208,36 @@ def _saturate(
     set rather than a volumetric fill; points leaving the |coordinate| <= box
     window are discarded.  The flag reports whether coverage closed; the
     cloud stops unclosed at the round limit, or before a round that would
-    carry it past ``_MAX_CLOUD`` points."""
+    carry it past ``_MAX_CLOUD`` points.  Images never change and the cloud
+    only grows, so a round's far images are the last round's still far plus
+    those of the points it added; only these are queried (the dedup sorts,
+    so their order never reaches the cloud).  Within a round the tree is
+    fixed: once the far count exceeds 1e-3 of the most in-window images the
+    round can reach, it cannot close, and once the fresh points of the far
+    images so far (a subset of the round's) outgrow the room, it stops where
+    the whole round would.  That subset is recounted as the far count doubles."""
+    new_x, new_y, kept, far_x, far_y = xs, ys, 0, xs[:0], ys[:0]
     for _ in range(_MAX_SATURATION_ROUNDS):
         tree = cKDTree(_embed4(xs, ys))
-        far_x, far_y, kept = [], [], 0
-        for _, ix, iy, j in _image_hits(tree, xs, ys, maps, assign, box):
+        _, j = tree.query(_embed4(far_x, far_y), k=1, distance_upper_bound=assign)
+        far_x, far_y = [far_x[j == tree.n]], [far_y[j == tree.n]]
+        n_far, counted, room = far_x[0].size, 0, _MAX_CLOUD - xs.size
+        for m, (_, ix, iy, j) in enumerate(_image_hits(tree, new_x, new_y, maps, assign, box)):
             far_x.append(ix[j == tree.n])
             far_y.append(iy[j == tree.n])
-            kept += ix.size
-        fx, fy = np.concatenate(far_x), np.concatenate(far_y)
-        if fx.size <= 1e-3 * max(kept, 1):
+            n_far, kept = n_far + far_x[-1].size, kept + ix.size
+            if n_far > max(room, 2 * counted) and (
+                    n_far > 1e-3 * (kept + (len(maps) - 1 - m) * new_x.size)):
+                counted = n_far
+                if _fresh(tree, far_x, far_y, eps, assign)[0].size > room:
+                    return xs, ys, False
+        far_x, far_y = np.concatenate(far_x), np.concatenate(far_y)
+        if far_x.size <= 1e-3 * max(kept, 1):
             return xs, ys, True
-        nx, ny = _lattice_points(_quantize(fx, fy, eps), eps)
-        _, j = tree.query(_embed4(nx, ny), k=1, distance_upper_bound=assign)
-        fresh = j == tree.n
-        if xs.size + fresh.sum() > _MAX_CLOUD:
+        new_x, new_y = _fresh(tree, [far_x], [far_y], eps, assign)
+        if new_x.size > room:
             return xs, ys, False
-        xs = np.concatenate([xs, nx[fresh]])
-        ys = np.concatenate([ys, ny[fresh]])
+        xs, ys = np.concatenate([xs, new_x]), np.concatenate([ys, new_y])
     return xs, ys, False
 
 

@@ -431,6 +431,11 @@ def _start_cloud(dist, eps):
     return xs, ys, support_sample(dist, SEED), params.R
 
 
+def _two_map():
+    kicked = HenonMap(0.004, 0.1, Poly((1.0, -1.3, 0.003)))
+    return FiniteDist((QUAD_C, kicked), (0.5, 0.5))
+
+
 def test_saturate_stops_at_cloud_cap(monkeypatch):
     # at noise radius 0.1 the cloud keeps growing: 804 start points, 10,813
     # after one round, 28,416 after the round that crosses the cap
@@ -441,6 +446,74 @@ def test_saturate_stops_at_cloud_cap(monkeypatch):
     sx, sy, ok = minsets._saturate(xs, ys, maps, eps, box, 5.0 * eps)
     assert not ok
     assert xs.size < sx.size == sy.size <= SMALL_CAP
+
+
+def _whole_cloud_saturate(xs, ys, maps, eps, box, assign):
+    """Reference: every round maps the whole cloud and tests the cap after
+    the round."""
+    for _ in range(minsets._MAX_SATURATION_ROUNDS):
+        tree = minsets.cKDTree(_embed(xs, ys))
+        far_x, far_y, kept = [], [], 0
+        for f in maps:
+            ix, iy = lanes.image(f, xs, ys)
+            keep = (np.abs(ix) <= box) & (np.abs(iy) <= box)
+            ix, iy = ix[keep], iy[keep]
+            _, j = tree.query(_embed(ix, iy), k=1, distance_upper_bound=assign)
+            far_x.append(ix[j == tree.n])
+            far_y.append(iy[j == tree.n])
+            kept += ix.size
+        fx, fy = np.concatenate(far_x), np.concatenate(far_y)
+        if fx.size <= 1e-3 * max(kept, 1):
+            return xs, ys, True
+        nx, ny = minsets._lattice_points(minsets._quantize(fx, fy, eps), eps)
+        _, j = tree.query(_embed(nx, ny), k=1, distance_upper_bound=assign)
+        fresh = j == tree.n
+        if xs.size + fresh.sum() > minsets._MAX_CLOUD:
+            return xs, ys, False
+        xs = np.concatenate([xs, nx[fresh]])
+        ys = np.concatenate([ys, ny[fresh]])
+    return xs, ys, False
+
+
+@pytest.mark.parametrize("stop", ["closed-two-map", "closed-ball", "cap", "round-limit"])
+def test_saturate_matches_whole_cloud_reference(stop, monkeypatch):
+    if stop == "closed-two-map":
+        dist, eps, want_ok = _two_map(), 0.002, True
+    elif stop == "closed-ball":
+        dist, eps, want_ok = BallNoise(QUAD_C, 0.05), 0.002, True
+    else:
+        # at noise radius 0.1 the cloud keeps growing: 804 start points,
+        # 10,813 after one round
+        dist, eps, want_ok = BallNoise(QUAD_C, 0.1), 0.01, False
+        if stop == "cap":
+            monkeypatch.setattr(minsets, "_MAX_CLOUD", SMALL_CAP)
+        else:
+            monkeypatch.setattr(minsets, "_MAX_SATURATION_ROUNDS", 1)
+    xs, ys, maps, box = _start_cloud(dist, eps)
+    if want_ok:
+        assign = max(5.0 * eps, 2.0 * _reference_link(cKDTree(_embed(xs, ys)), eps))
+    else:
+        assign = 5.0 * eps
+    queried = []
+
+    class CountingKD(cKDTree):
+        def query(self, x, *args, **kwargs):
+            queried.append(len(x))
+            return super().query(x, *args, **kwargs)
+
+    monkeypatch.setattr(minsets, "cKDTree", CountingKD)
+    want = _whole_cloud_saturate(xs, ys, maps, eps, box, assign)
+    reference_queried = sum(queried)
+    queried.clear()
+    got = minsets._saturate(xs, ys, maps, eps, box, assign)
+    assert got[2] is want[2] is want_ok
+    assert got[0].tobytes() == want[0].tobytes() and got[1].tobytes() == want[1].tobytes()
+    if stop == "round-limit":
+        assert want[0].size == 10_813
+    if stop == "cap":
+        # only the added points are mapped, and the round that must cross
+        # the cap stops before querying all its images
+        assert 0 < sum(queried) <= reference_queried // 2
 
 
 def test_unclosed_cloud_gives_no_candidates(monkeypatch):
@@ -467,11 +540,7 @@ def _reference_link(tree, eps):
 
 @pytest.mark.parametrize("kind", ["two-map", "ball"])
 def test_digraph_edges_match_reference(kind):
-    if kind == "ball":
-        dist = BallNoise(QUAD_C, 0.05)
-    else:
-        kicked = HenonMap(0.004, 0.1, Poly((1.0, -1.3, 0.003)))
-        dist = FiniteDist((QUAD_C, kicked), (0.5, 0.5))
+    dist = BallNoise(QUAD_C, 0.05) if kind == "ball" else _two_map()
     eps = 0.002
     xs, ys, maps, box = _start_cloud(dist, eps)
     assign = max(5.0 * eps, 2.0 * _reference_link(cKDTree(_embed(xs, ys)), eps))
