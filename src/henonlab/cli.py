@@ -34,6 +34,7 @@ from .dist import (
     MapDistribution,
     SequenceSeed,
     condition_a_params,
+    family_at,
 )
 from .escape import (
     VERDICT_BOUNDED,
@@ -58,6 +59,7 @@ from .minsets import (
     AmbiguousCapture,
     MinimalSetDescriptor,
     NotMinimal,
+    cluster_eps_floor,
     discover_minimal_sets,
     estimate_TL,
 )
@@ -114,14 +116,18 @@ def _params_field(r: Resolver, dist: MapDistribution) -> FiltrationParams:
     return condition_a_params(dist, rho_margin=rho)
 
 
-def _discovery_fields(r: Resolver) -> Tuple[List[Point], Dict[str, Any]]:
-    """Start grid plus the discover_minimal_sets keywords, within its bounds."""
+def _discovery_fields(r: Resolver, R: float) -> Tuple[List[Point], Dict[str, Any]]:
+    """Start grid plus the discover_minimal_sets keywords, within its bounds
+    for certificate radii up to R."""
     grid = r.points_field()
     knobs = {
         "burn_in": r.int_field("burn_in", 1000, lo=1000),
         "n_record": r.int_field("n_record", 200, lo=2),
-        "cluster_eps": _positive(r, "cluster_eps", r.opt_float_field("cluster_eps", lo=0.0)),
+        "cluster_eps": r.opt_float_field("cluster_eps"),
     }
+    eps, floor = knobs["cluster_eps"], cluster_eps_floor(R)
+    if eps is not None and not eps > floor:
+        raise ConfigError(f"{r.ptr}/cluster_eps", f"must exceed 4 R / 2**62 = {floor:.3g}")
     return grid, knobs
 
 
@@ -149,7 +155,7 @@ def _discovery_block(
     if node is None:
         raise ConfigError(f"{r.ptr}/discovery", "missing required field")
     sub = Resolver(node, f"{r.ptr}/discovery")
-    starts, knobs = _discovery_fields(sub)
+    starts, knobs = _discovery_fields(sub, params.R)
     r.resolved["discovery"] = sub.resolved
     return discover_minimal_sets(dist, params, starts, _phase(seed, 0), **knobs)
 
@@ -267,8 +273,8 @@ def _cmd_minsets(cfg: Any, out: str, seed_override: Optional[int], threads: int)
     r = Resolver(cfg)
     dist = r.dist_field()
     seed = r.seed_field(seed_override)
-    starts, knobs = _discovery_fields(r)
     params = _params_field(r, dist)
+    starts, knobs = _discovery_fields(r, params.R)
     sets = discover_minimal_sets(dist, params, starts, _phase(seed, 0), **knobs)
     finite = [d for d in sets if not d.is_infinity]
     result = {
@@ -417,7 +423,9 @@ def _cmd_bifurcate(cfg: Any, out: str, seed_override: Optional[int], threads: in
     t_grid = r.float_list_field("t_grid", lo=0.0, hi=1.0)
     if len(t_grid) < 2 or any(b <= a for a, b in zip(t_grid, t_grid[1:])):
         raise ConfigError("/t_grid", "expected at least two strictly increasing amplitudes")
-    grid, knobs = _discovery_fields(r)
+    # scan_family certifies each amplitude separately: bound eps by the largest R
+    R = max(condition_a_params(family_at(fam, t)).R for t in t_grid)
+    grid, knobs = _discovery_fields(r, R)
     tl_samples = r.int_field("tl_samples", 200, lo=1)
     tl_max_iter = r.int_field("tl_max_iter", 500, lo=1)
 

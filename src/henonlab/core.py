@@ -75,6 +75,17 @@ class Poly:
     def degree(self) -> int:
         return len(self.coeffs) - 1
 
+    def with_constant(self, c: complex) -> "Poly":
+        """This polynomial with constant term c.  The other coefficients are
+        already valid and the derivative does not involve the constant, so
+        only c is checked."""
+        c = complex(c)
+        _require_finite(c, "polynomial coefficient")
+        out = object.__new__(Poly)
+        object.__setattr__(out, "coeffs", self.coeffs[:-1] + (c,))
+        object.__setattr__(out, "_deriv", self._deriv)  # type: ignore[attr-defined]
+        return out
+
     def __call__(self, y: complex) -> complex:
         acc = 0j
         for c in self.coeffs:

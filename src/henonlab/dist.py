@@ -26,7 +26,7 @@ from typing import List, Tuple, Union
 import numpy as np
 
 from . import rng
-from .core import FiltrationParams, HenonMap, Poly, condition_a_radius, inverse_as_plus
+from .core import FiltrationParams, HenonMap, condition_a_radius, inverse_as_plus
 
 _MAX_BALL_ATTEMPTS = 256
 
@@ -110,8 +110,8 @@ def family_at(fam: NoiseFamily, t: float) -> BallNoise:
 
 
 def _perturbed(base: HenonMap, a: complex, b: complex) -> HenonMap:
-    coeffs = base.poly.coeffs[:-1] + (base.poly.coeffs[-1] + b,)
-    return HenonMap(alpha=base.alpha + a, delta=base.delta, poly=Poly(coeffs))
+    poly = base.poly.with_constant(base.poly.coeffs[-1] + b)
+    return HenonMap(alpha=base.alpha + a, delta=base.delta, poly=poly)
 
 
 def _ball_draw(radius: float, master: int, stream: int, index: int) -> Tuple[complex, complex]:

@@ -26,9 +26,11 @@ Tangents = Tuple[np.ndarray, np.ndarray]
 
 
 def horner(coeffs, y: np.ndarray) -> np.ndarray:
-    """Leading-first polynomial coefficients evaluated at every lane."""
-    acc = np.zeros_like(y)
-    for c in coeffs:
+    """Leading-first polynomial coefficients evaluated at every lane.  Starts
+    at the leading coefficient: a Poly has degree >= 2, so there are always
+    at least two (its derivative included)."""
+    acc = coeffs[0] * y + coeffs[1]
+    for c in coeffs[2:]:
         acc = acc * y + c
     return acc
 

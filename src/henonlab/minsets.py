@@ -123,6 +123,12 @@ class ContractionReport:
 # sample clouds
 
 
+def cluster_eps_floor(R: float) -> float:
+    """cluster_eps must exceed this: cloud points lie in the R-bidisk, and
+    below it their eps/4 lattice index can overflow int64."""
+    return 4.0 * R / 2.0**62
+
+
 def _quantize(xs: np.ndarray, ys: np.ndarray, eps: float) -> np.ndarray:
     """Snap points to the eps/4 lattice; returns unique int64 rows (4 cols)."""
     q = eps / 4.0
@@ -505,8 +511,9 @@ def discover_minimal_sets(
         raise ValueError("grid must be nonempty")
     if burn_in < 1000:
         raise ValueError("burn_in below 1e3")
-    if cluster_eps is not None and not cluster_eps > 0:
-        raise ValueError("cluster_eps must be positive")
+    floor = cluster_eps_floor(params.R)
+    if cluster_eps is not None and not cluster_eps > floor:
+        raise ValueError(f"cluster_eps must exceed 4 R / 2**62 = {floor:.3g}")
     xs0, ys0, _, _ = _record_orbits(dist, params, grid, burn_in, n_record, seed)
     maps = support_sample(dist, seed)
     box = params.R

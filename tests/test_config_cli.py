@@ -7,6 +7,7 @@ import json
 import os
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -284,6 +285,23 @@ def test_cli_library_bounds_exit_2(tmp_path, capsys, cmd, cfg, pointer):
     code = run_cli([cmd, "--config", _write_cfg(tmp_path, cfg), "--out", str(tmp_path)])
     assert code == 2
     assert f"{pointer}:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("cmd, cfg", [
+    ("minsets", CYCLE_CFG),
+    ("bifurcate", dict(FAMILY_CFG, t_grid=[0.0, 1.0])),
+])
+def test_cli_cluster_eps_below_int64_lattice_exit_2(tmp_path, capsys, cmd, cfg):
+    # below 4 R / 2**62 the eps/4 lattice index of a cloud point overflows int64
+    path = _write_cfg(tmp_path, dict(cfg, cluster_eps=1e-300))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = run_cli([cmd, "--config", path, "--out", str(tmp_path / "out")])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert "/cluster_eps:" in err
+    assert "Traceback" not in err
+    assert not (tmp_path / "out" / f"{cmd}.json").exists()
 
 
 def test_cli_green_undecided_point_exit_3(tmp_path, capsys):

@@ -217,3 +217,25 @@ def test_sequence_seed_derive_spells_out_the_sub_seed_rule():
         assert seed.derive(*tags) == SequenceSeed(
             seed.master_seed, rng.derive_stream(seed.stream_id, *tags)
         )
+
+
+def test_ball_sample_map_reuses_the_validated_polynomial():
+    base = HenonMap(0.3, 0.5, Poly((2.0 - 1j, 0.0, -1.3, 0.25j)))
+    dist = BallNoise(base, 0.2)
+    seed = SequenceSeed(17, 4)
+    for i in range(100):
+        f = sample_map(dist, seed, i)
+        fresh = Poly(f.poly.coeffs)
+        assert f.poly.coeffs == fresh.coeffs
+        assert f.poly._deriv == fresh._deriv
+        assert f.poly.coeffs[:-1] == base.poly.coeffs[:-1]
+        assert f.delta == base.delta and f.alpha != base.alpha
+
+
+def test_with_constant_checks_only_the_new_constant():
+    p = Poly((1.0, -1.3, 0.0))
+    assert p.with_constant(0.5j).coeffs == (1.0, -1.3, 0.5j)
+    with pytest.raises(ValueError):
+        p.with_constant(complex(float("nan"), 0.0))
+    with pytest.raises(ValueError):
+        p.with_constant(complex(0.0, float("inf")))

@@ -118,3 +118,37 @@ def test_walk_is_batch_invariant(name):
     retired = np.isnan(whole[-1, 0])
     assert retired.any() and not retired.all()
     assert np.array_equal(whole, halves, equal_nan=True)
+
+
+def _zero_start_horner(coeffs, y):
+    acc = np.zeros_like(y)
+    for c in coeffs:
+        acc = acc * y + c
+    return acc
+
+
+def test_horner_matches_zero_start_reference():
+    rs = np.random.default_rng(11)
+    zeros = [complex(a, b) for a in (0.0, -0.0) for b in (0.0, -0.0)]
+
+    def part(signed_zero):
+        r = rs.random()
+        return rs.normal() if r < 0.6 else (-0.0 if signed_zero and r < 0.8 else 0.0)
+
+    for trial in range(400):
+        d = int(rs.integers(2, 17))
+        # horner multiplies the leading coefficient into y where the reference
+        # first adds it to a zero, so a -0.0 part there could flip the sign of
+        # an exactly-zero result; the other coefficients take signed zeros
+        coeffs = [complex(rs.normal(), part(False))]
+        coeffs += [complex(part(True), part(True)) for _ in range(d)]
+        y = rs.normal(size=24) + 1j * rs.normal(size=24)
+        y[:4] = zeros
+        y[4:8] = [complex(s, z.imag) for s, z in zip((1.5, -0.5, 0.0, -2.0), zeros)]
+        if trial % 2:
+            y = y.real.copy()
+            y[:2] = (0.0, -0.0)
+        got = lanes.horner(tuple(coeffs), y)
+        want = _zero_start_horner(tuple(coeffs), y)
+        assert got.dtype == want.dtype
+        assert np.array_equal(got.view(np.uint64), want.view(np.uint64)), (d, coeffs)

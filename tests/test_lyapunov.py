@@ -1,13 +1,16 @@
 from __future__ import annotations
 
+import json
 import math
+import os
 
 import numpy as np
 import pytest
 
 from conftest import QUAD, QUAD_A, QUAD_C
 from henonlab import rng
-from henonlab.core import condition_a_radius, eval_map, swap
+from henonlab.config import dist_from
+from henonlab.core import HenonMap, Poly, condition_a_radius, eval_map, image, swap
 from henonlab.dist import (
     BallNoise,
     FiniteDist,
@@ -18,8 +21,11 @@ from henonlab.dist import (
 )
 from henonlab.escape import DistSource
 from henonlab.lyapunov import (
+    ESCAPE_FACTOR,
     AllEscaped,
     LyapunovReport,
+    _batch_runs,
+    _renorm_steps,
     backward_lyapunov_statistics,
     lyapunov_statistics,
     max_lyapunov_single,
@@ -184,3 +190,48 @@ def test_report_validation():
         LyapunovReport(math.nan, 100, 10, 0.0, 0.5, (1.0,))
     with pytest.raises(ValueError):
         LyapunovReport(-1.0, 100, 10, -0.1, 0.0, (-1.0,))
+
+
+def test_renorm_steps_on_quad_attracting_preset():
+    # R = 18.2, P' = 2 * 182 + 1.3 = 365.3, |delta| = 0.1: k = floor(690.8 / 8.20)
+    path = os.path.join(os.path.dirname(__file__), "..", "src", "henonlab", "presets",
+                        "quad-attracting.json")
+    with open(path) as fh:
+        dist = dist_from(json.load(fh), "")
+    params = condition_a_params(dist)
+    assert params.R == pytest.approx(18.2)
+    assert _renorm_steps(dist, ESCAPE_FACTOR * params.R) == 84
+    # a ball's offsets enter no Jacobian: its base map alone sets k
+    assert _renorm_steps(BallNoise(QUAD_C, 0.05), ESCAPE_FACTOR * params.R) == 84
+
+
+def test_batched_blocks_match_scalar_runs_with_mid_block_escapes():
+    # degree 16 with a large quadratic term: R = 2e4, so on the 10R bidisk
+    # G/|delta| = 10 * (16 (2e5)^15 + ...) = 5.2e81 and k = floor(690.8 / 188.2)
+    # = 3.  The origin attracts; the second map's constant kicks some sequences
+    # out of its basin.
+    tail = (0.0,) * 12 + (1e4, 0.0)
+    dist = FiniteDist((HenonMap(0.0, 0.1, Poly((1.0,) + tail + (0.0,))),
+                       HenonMap(0.0, 0.1, Poly((1.0,) + tail + (4e-5,)))), (0.5, 0.5))
+    params = condition_a_params(dist)
+    r_big = ESCAPE_FACTOR * params.R
+    k = _renorm_steps(dist, r_big)
+    assert k == 3
+    n, samples, z, seed = 101, 16, (1e-6, 1e-6), SequenceSeed(5, 1)
+    assert n % k
+    vals, escaped = _batch_runs(dist, z, samples, n, seed, r_big)
+    exits = []
+    for i in range(samples):
+        s = rng.derive_stream(seed.stream_id, i)
+        src = DistSource(dist, SequenceSeed(seed.master_seed, s))
+        single = max_lyapunov_single(src, z, n, params, angle_seed=s)
+        assert escaped[i] == (single is None)
+        if single is None:
+            cur, step = z, 0
+            while max(abs(cur[0]), abs(cur[1])) <= r_big:
+                cur, step = image(src[step], cur), step + 1
+            exits.append(step)
+        else:
+            assert abs(vals[i] - single) <= 1e-12 * abs(single)
+    assert 0 < len(exits) < samples
+    assert any(t % k for t in exits)  # some lanes leave in the middle of a block

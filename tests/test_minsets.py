@@ -564,3 +564,11 @@ def test_digraph_edges_match_reference(kind):
         want |= set(zip(labels[hit].tolist(), labels[j[hit]].tolist()))
     assert len(want) > n_nodes > 1
     assert sorted(map(tuple, edges.tolist())) == sorted(want)
+
+
+def test_discovery_refuses_eps_below_int64_lattice(cycle_dist):
+    params = condition_a_params(cycle_dist)
+    floor = minsets.cluster_eps_floor(params.R)
+    assert floor == 4.0 * params.R / 2.0**62
+    with pytest.raises(ValueError, match="cluster_eps"):
+        discover_minimal_sets(cycle_dist, params, [(0.1, 0.1)], SEED, cluster_eps=floor)
