@@ -14,7 +14,7 @@ from typing import List, Optional, Sequence, Tuple
 
 from .core import Point
 from .dist import NoiseFamily, SequenceSeed, condition_a_params, family_at
-from .minsets import MinimalSetDescriptor, discover_minimal_sets, estimate_TL
+from .minsets import MinimalSetDescriptor, discover_minimal_sets, estimate_TL_many
 
 _TAG_FAMILY = 0x46414D01
 _UNRESOLVED_STABLE = 0.01
@@ -72,9 +72,11 @@ def scan_family(
 ) -> FamilyScan:
     """Discover and certify minimal sets at every amplitude of the grid.
 
-    The orbit grid also serves as the probes of pooled capture statistics;
-    a point is mean stable when every finite minimal set is attracting and
-    under 1 percent of the probe mass stays unresolved.
+    The orbit grid also serves as the probes of pooled capture statistics,
+    estimated at each amplitude by one batched walk over all probes
+    (:func:`estimate_TL_many`); a point is mean stable when every finite
+    minimal set is attracting and under 1 percent of the probe mass stays
+    unresolved.
     """
     ts = [float(t) for t in t_grid]
     if len(ts) < 2:
@@ -91,16 +93,11 @@ def scan_family(
             burn_in=burn_in, n_record=n_record, cluster_eps=cluster_eps,
         )
         finite = [d for d in descs if not d.is_infinity]
-        unresolved = 0
-        total = 0
-        for i, z in enumerate(grid):
-            est = estimate_TL(
-                dist, descs, z, tl_samples, tl_max_iter, sub.derive(1, i),
-                params=params, threads=threads,
-            )
-            unresolved += est.unresolved_count
-            total += est.samples
-        mass = unresolved / total if total else 0.0
+        ests = estimate_TL_many(
+            dist, descs, grid, tl_samples, tl_max_iter,
+            [sub.derive(1, i) for i in range(len(grid))], params=params, threads=threads,
+        )
+        mass = sum(e.unresolved_count for e in ests) / (len(grid) * tl_samples)
         attracting = sum(1 for d in finite if d.attracting)
         all_attr = attracting == len(finite)
         points.append(

@@ -61,7 +61,7 @@ from .minsets import (
     NotMinimal,
     cluster_eps_floor,
     discover_minimal_sets,
-    estimate_TL,
+    estimate_TL_many,
 )
 from .transition import (
     CaptureRamp,
@@ -296,12 +296,11 @@ def _cmd_tl(cfg: Any, out: str, seed_override: Optional[int], threads: int) -> i
     probes = r.points_field()
     samples = r.int_field("samples", 1000, lo=1)
     max_iter = r.int_field("max_iter", 1000, lo=1)
-    entries = []
-    for i, z in enumerate(probes):
-        est = estimate_TL(
-            dist, sets, z, samples, max_iter, _phase(seed, 1, i), params, threads=threads
-        )
-        entries.append({"point": jsonify_point(z), **_basin_json(est)})
+    ests = estimate_TL_many(
+        dist, sets, probes, samples, max_iter,
+        [_phase(seed, 1, i) for i in range(len(probes))], params, threads=threads,
+    )
+    entries = [{"point": jsonify_point(z), **_basin_json(est)} for z, est in zip(probes, ests)]
     result = {
         "descriptors": [_jsonify_descriptor(d) for d in sets],
         "points": entries,

@@ -71,7 +71,7 @@ def apply(dist: MapDistribution, drawn, X: np.ndarray, Y: np.ndarray,
         w2 = None if V is None else np.empty_like(V[1])
         for j, f in enumerate(dist.maps):
             m = drawn == j
-            if m.any():
+            if np.count_nonzero(m):
                 nx[m], ny[m] = image(f, X[m], Y[m])
                 if V is not None:
                     w2[m] = _tangent_y(f, Y[m], V[0][m], V[1][m])
@@ -110,7 +110,7 @@ class Walk:
 
     def retire(self, mask: np.ndarray) -> np.ndarray:
         """Drop the masked lanes; their batch indices, in lane order."""
-        if not mask.any():
+        if not np.count_nonzero(mask):
             return self.lane[:0]
         gone = self.lane[mask]
         keep = ~mask

@@ -588,40 +588,92 @@ def _tl_chunk(
     dist: MapDistribution,
     finite: Sequence[MinimalSetDescriptor],
     R: float,
-    z: Point,
+    starts: Tuple[np.ndarray, np.ndarray],
     master: int,
     streams: np.ndarray,
     max_iter: int,
-) -> Tuple[np.ndarray, int, int]:
+    probe: np.ndarray,
+) -> np.ndarray:
+    """Walk lane j from probe[j]'s start point (starts holds every probe's x
+    and y) on its own stream.  Returns each probe's tally: one column per
+    finite descriptor, then INFINITY, then unresolved."""
     m = streams.shape[0]
-    w = lanes.Walk(np.full(m, complex(z[0])), np.full(m, complex(z[1])), streams,
+    n_probes, k = starts[0].size, len(finite)
+    w = lanes.Walk(starts[0][probe], starts[1][probe], streams,
                    cand=np.full(m, -1, dtype=np.int64), run=np.zeros(m, dtype=np.int64))
-    counts = np.zeros(len(finite), dtype=np.int64)
-    inf_count = 0
-    unresolved = 0
+    # a lane stays unresolved (column k + 1) unless it escapes or is captured
+    fate = np.full(m, k + 1, dtype=np.int64)
     for step in range(max_iter + 1):
-        inf_count += w.retire(lanes.in_cone(w.X, w.Y, R)).size
+        fate[w.retire(lanes.in_cone(w.X, w.Y, R))] = k
         if not len(w):
             break
         if finite:
             inside = np.stack([_inside_descriptor(d, w.X, w.Y) for d in finite])
             n_in = inside.sum(axis=0)
-            if (n_in > 1).any():
-                raise AmbiguousCapture("orbit point lies in two capture neighborhoods")
+            ambiguous = np.flatnonzero(n_in > 1)
+            if ambiguous.size:
+                p = int(probe[w.lane[ambiguous[0]]])
+                z = (complex(starts[0][p]), complex(starts[1][p]))
+                raise AmbiguousCapture(
+                    f"orbit of probe {p} from {z} lies in two capture neighborhoods")
             which = np.where(n_in == 1, inside.argmax(axis=0), -1)
         else:
             which = np.full(len(w), -1, dtype=np.int64)
         run = np.where(which < 0, 0, np.where(which == w.carry["cand"], w.carry["run"] + 1, 1))
         w.carry.update(cand=which, run=run)
         done = run >= _CAPTURE_DWELL
-        if done.any():
-            counts += np.bincount(which[done], minlength=len(finite))
-            w.retire(done)
+        if np.count_nonzero(done):
+            fate[w.retire(done)] = which[done]
         if not len(w) or step == max_iter:
             break
-        unresolved += w.step(dist, master, step).size
-    unresolved += len(w)
-    return counts, inf_count, unresolved
+        w.step(dist, master, step)  # lanes that leave the window stay unresolved
+    return np.bincount(probe * (k + 2) + fate, minlength=n_probes * (k + 2)).reshape(n_probes, k + 2)
+
+
+def estimate_TL_many(
+    dist: MapDistribution,
+    minsets: Sequence[MinimalSetDescriptor],
+    probes: Sequence[Point],
+    samples: int,
+    max_iter: int,
+    seeds: Sequence[SequenceSeed],
+    params: Optional[FiltrationParams] = None,
+    threads: int = 1,
+) -> List[BasinEstimate]:
+    """Capture statistics of :func:`estimate_TL` at every probe, probe i on
+    seeds[i], from one walk over probes x samples lanes.
+
+    Lanes are laid out probe-major and run in fixed blocks, which may split a
+    probe.  A lane's draws depend only on (master seed, its stream, step) and
+    every lane operation is elementwise, so each estimate equals the one-probe
+    call bit for bit; hence all seeds must share one master seed.
+    """
+    if samples < 1:
+        raise ValueError("samples must be positive")
+    if len(seeds) != len(probes):
+        raise ValueError("need one seed per probe")
+    if len({s.master_seed for s in seeds}) > 1:
+        raise ValueError("probe seeds must share one master seed")
+    if not probes:
+        return []
+    if params is None:
+        params = condition_a_params(dist)
+    finite = [d for d in minsets if not d.is_infinity]
+    starts = (np.array([complex(z[0]) for z in probes]), np.array([complex(z[1]) for z in probes]))
+    streams = np.concatenate([rng.stream_table(s.stream_id, samples, _TAG_TL) for s in seeds])
+    master = seeds[0].master_seed
+
+    def work(a, b):
+        probe = np.arange(a, b) // samples
+        return _tl_chunk(dist, finite, params.R, starts, master, streams[a:b], max_iter, probe)
+
+    tally = np.sum(lanes.run_blocks(work, streams.size, lanes.WALK_BLOCK, threads), axis=0)
+    ids = [d.id for d in finite] + [INFINITY]
+    return [
+        BasinEstimate(counts={i: int(c) for i, c in zip(ids, row)},
+                      unresolved_count=int(row[-1]), samples=samples)
+        for row in tally
+    ]
 
 
 def estimate_TL(
@@ -638,27 +690,12 @@ def estimate_TL(
 
     An orbit is assigned to a finite descriptor after 20 consecutive points
     inside its capture neighborhood, to INFINITY on entering the escape cone;
-    orbits still undecided after max_iter steps count as unresolved.
+    orbits still undecided after max_iter steps, or that leave the
+    exact-arithmetic window, count as unresolved.  A one-probe call of
+    :func:`estimate_TL_many`; raises AmbiguousCapture when an orbit point
+    lies in two capture neighborhoods.
     """
-    if samples < 1:
-        raise ValueError("samples must be positive")
-    if params is None:
-        params = condition_a_params(dist)
-    finite = [d for d in minsets if not d.is_infinity]
-    streams = rng.stream_table(seed.stream_id, samples, _TAG_TL)
-
-    def work(a, b):
-        return _tl_chunk(dist, finite, params.R, z, seed.master_seed, streams[a:b], max_iter)
-
-    results = lanes.run_blocks(work, samples, lanes.WALK_BLOCK, threads)
-    counts = np.sum([r[0] for r in results], axis=0) if finite else np.zeros(0, np.int64)
-    inf_count = sum(r[1] for r in results)
-    unresolved = sum(r[2] for r in results)
-    tally: Dict[Union[int, str], int] = {
-        d.id: int(c) for d, c in zip(finite, counts)
-    }
-    tally[INFINITY] = int(inf_count)
-    return BasinEstimate(counts=tally, unresolved_count=int(unresolved), samples=samples)
+    return estimate_TL_many(dist, minsets, [z], samples, max_iter, [seed], params, threads)[0]
 
 
 # ---------------------------------------------------------------------------

@@ -19,7 +19,7 @@ import numpy as np
 from . import lanes, rng
 from .core import FiltrationParams, Point, image, in_v_plus
 from .dist import FiniteDist, MapDistribution, SequenceSeed, condition_a_params
-from .minsets import MinimalSetDescriptor, estimate_TL
+from .minsets import MinimalSetDescriptor, estimate_TL, estimate_TL_many
 
 _DEF_BUDGET = 1_000_000
 _DEF_MC = 100_000
@@ -334,11 +334,9 @@ def fit_convergence_rate(
     if params is None:
         params = condition_a_params(dist)
     phi = CaptureRamp(L, ramp_width)
-    targets = []
-    for i, z in enumerate(test_points):
-        est = estimate_TL(dist, minsets, z, tl_samples, tl_max_iter, seed.derive(1, i),
-                          params=params)
-        targets.append(est.probabilities.get(L.id, 0.0))
+    ests = estimate_TL_many(dist, minsets, test_points, tl_samples, tl_max_iter,
+                            [seed.derive(1, i) for i in range(len(test_points))], params=params)
+    targets = [est.probabilities.get(L.id, 0.0) for est in ests]
     errors: List[float] = []
     floors: List[float] = []
     for n in ns:

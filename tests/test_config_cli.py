@@ -372,6 +372,40 @@ def test_cli_threads_do_not_change_bytes(tmp_path):
     assert (a / "tl.json").read_bytes() == (b / "tl.json").read_bytes()
 
 
+def test_cli_tl_probes_match_one_probe_estimates(tmp_path):
+    # tl walks all probes at once; each entry must be the one-probe estimate
+    # on that probe's own phase seed
+    from henonlab import cli
+    from henonlab.minsets import estimate_TL
+
+    cfg = {
+        "noise": {"base": {"alpha": 0.0, "delta": 0.1, "poly": [1.0, -1.3, 0.0]},
+                  "radius": 0.05},
+        "seed": 11,
+        "discovery": {"points": [[[0.1, 0], [0.1, 0]]], "n_record": 100,
+                      "cluster_eps": 0.05},
+        "points": [[[0.3, 0], [0.2, 0]], [[0, 0], [5, 0]], [[0, 0], [0, 0]]],
+        "samples": 150,
+        "max_iter": 40,
+    }
+    path = _write_cfg(tmp_path, cfg)
+    assert run_cli(["tl", "--config", path, "--out", str(tmp_path / "out"), "--threads", "2"]) == 0
+    got = json.loads((tmp_path / "out" / "tl.json").read_text())["result"]["points"]
+
+    r = Resolver(cfg)
+    dist = r.dist_field()
+    seed = r.seed_field()
+    params = cli._params_field(r, dist)
+    sets = cli._discovery_block(r, dist, params, seed)
+    probes = r.points_field()
+    assert len(got) == len(probes) == 3
+    for i, z in enumerate(probes):
+        est = estimate_TL(dist, sets, z, 150, 40, cli._phase(seed, 1, i), params)
+        want = {"point": cli.jsonify_point(z), **cli._basin_json(est)}
+        assert got[i] == json.loads(canonical_json(want)), i
+    assert len({json.dumps(e["counts"], sort_keys=True) for e in got}) == 3
+
+
 def test_cli_selftest_passes(tmp_path, capsys):
     assert run_cli(["selftest", "--out", str(tmp_path)]) == 0
     out = capsys.readouterr().out

@@ -135,3 +135,6 @@ def test_benchmark_spans_reach_discovery_layers():
                  "minsets.kd.builds", "minsets.estimate_TL.calls",
                  "minsets._link_radius.s", "minsets._components.s", "minsets._node_edges.s"):
         assert m[name][0] > 0, name
+    # spans.py counts basin-capture lanes from _tl_chunk's 6th argument, the
+    # lane streams: one estimate of 50 samples must read 50
+    assert m["minsets._tl_chunk.lanes"][0] == 50

@@ -25,6 +25,7 @@ from henonlab.minsets import (
     digraph_period,
     discover_minimal_sets,
     estimate_TL,
+    estimate_TL_many,
 )
 
 from conftest import QUAD_C
@@ -572,3 +573,60 @@ def test_discovery_refuses_eps_below_int64_lattice(cycle_dist):
     assert floor == 4.0 * params.R / 2.0**62
     with pytest.raises(ValueError, match="cluster_eps"):
         discover_minimal_sets(cycle_dist, params, [(0.1, 0.1)], SEED, cluster_eps=floor)
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+def test_tl_many_equals_one_probe_loop(noisy_cycle_dist, noisy_setup, threads):
+    # 3 x 1,500 lanes: the first walker block ends inside the last probe
+    samples = 1500
+    assert 2 * samples < lanes.WALK_BLOCK < 3 * samples
+    params, descs = noisy_setup
+    L = next(d for d in descs if not d.is_infinity)
+    # one probe per fate (escape cone, capture neighbourhood, a first image
+    # outside the window), then probes whose lanes split between fates
+    for probes, max_iter in (([(0.0, 100.0), L.parts_centers[0], (1e102, 0.0)], 100),
+                             ([(0.0, 0.0), (0.3, 0.3), (0.2, -0.1)], 30)):
+        seeds = [SEED.derive(1, i) for i in range(len(probes))]
+        batch = estimate_TL_many(noisy_cycle_dist, descs, probes, samples, max_iter, seeds,
+                                 params, threads=threads)
+        loop = [estimate_TL(noisy_cycle_dist, descs, z, samples, max_iter, s, params)
+                for z, s in zip(probes, seeds)]
+        assert batch == loop
+        if max_iter == 100:
+            assert loop[0].probabilities[INFINITY] == 1.0
+            assert loop[1].probabilities[L.id] == 1.0
+            assert loop[2].unresolved == 1.0
+        else:
+            assert 0 < loop[2].unresolved < 1
+
+
+def test_tl_many_names_the_ambiguous_probe(cycle_dist):
+    params = condition_a_params(cycle_dist)
+    a = MinimalSetDescriptor(
+        id=0, cloud=((0.0, 0.0),), period=1, parts=((0,),), capture_radius=0.5,
+        contraction=0.5, cluster_eps=0.01, parts_centers=((0.0, 0.0),), parts_radii=(0.0,),
+    )
+    b = MinimalSetDescriptor(
+        id=1, cloud=((0.2, 0.0),), period=1, parts=((0,),), capture_radius=0.5,
+        contraction=0.5, cluster_eps=0.01, parts_centers=((0.2, 0.0),), parts_radii=(0.0,),
+    )
+    probes = [(0.0, 100.0), (1e102, 0.0), (0.1, 0.0)]
+    seeds = [SEED.derive(1, i) for i in range(3)]
+    # the first two probes alone resolve without touching either neighbourhood
+    ok = estimate_TL_many(cycle_dist, [a, b], probes[:2], 10, 30, seeds[:2], params)
+    assert [e.probabilities[INFINITY] for e in ok] == [1.0, 0.0]
+    with pytest.raises(AmbiguousCapture, match=r"probe 2 from \(\(0\.1"):
+        estimate_TL_many(cycle_dist, [a, b], probes, 10, 30, seeds, params)
+
+
+def test_tl_many_input_validation(cycle_dist):
+    params = condition_a_params(cycle_dist)
+    z = (0.1, 0.1)
+    with pytest.raises(ValueError, match="master seed"):
+        estimate_TL_many(cycle_dist, [], [z, z], 10, 10,
+                         [SEED, SequenceSeed(SEED.master_seed + 1, 7)], params)
+    with pytest.raises(ValueError, match="one seed per probe"):
+        estimate_TL_many(cycle_dist, [], [z, z], 10, 10, [SEED], params)
+    with pytest.raises(ValueError):
+        estimate_TL_many(cycle_dist, [], [z], 0, 10, [SEED], params)
+    assert estimate_TL_many(cycle_dist, [], [], 10, 10, [], params) == []
