@@ -595,10 +595,10 @@ def _tl_chunk(
     probe: np.ndarray,
 ) -> np.ndarray:
     """Walk lane j from probe[j]'s start point (starts holds every probe's x
-    and y) on its own stream.  Returns each probe's tally: one column per
-    finite descriptor, then INFINITY, then unresolved."""
-    m = streams.shape[0]
-    n_probes, k = starts[0].size, len(finite)
+    and y) on its own stream; probe is non-decreasing.  Returns the tally of
+    probes probe[0]..probe[-1], one row each: one column per finite
+    descriptor, then INFINITY, then unresolved."""
+    m, k = streams.shape[0], len(finite)
     w = lanes.Walk(starts[0][probe], starts[1][probe], streams,
                    cand=np.full(m, -1, dtype=np.int64), run=np.zeros(m, dtype=np.int64))
     # a lane stays unresolved (column k + 1) unless it escapes or is captured
@@ -627,7 +627,8 @@ def _tl_chunk(
         if not len(w) or step == max_iter:
             break
         w.step(dist, master, step)  # lanes that leave the window stay unresolved
-    return np.bincount(probe * (k + 2) + fate, minlength=n_probes * (k + 2)).reshape(n_probes, k + 2)
+    rows = int(probe[-1] - probe[0]) + 1
+    return np.bincount((probe - probe[0]) * (k + 2) + fate, minlength=rows * (k + 2)).reshape(rows, k + 2)
 
 
 def estimate_TL_many(
@@ -644,9 +645,11 @@ def estimate_TL_many(
     seeds[i], from one walk over probes x samples lanes.
 
     Lanes are laid out probe-major and run in fixed blocks, which may split a
-    probe.  A lane's draws depend only on (master seed, its stream, step) and
-    every lane operation is elementwise, so each estimate equals the one-probe
-    call bit for bit; hence all seeds must share one master seed.
+    probe; a block builds its own lanes' streams and tallies only the probes
+    it covers, so a block's memory does not grow with the probe count.  A
+    lane's draws depend only on (master seed, its stream, step) and every
+    lane operation is elementwise, so each estimate equals the one-probe call
+    bit for bit; hence all seeds must share one master seed.
     """
     if samples < 1:
         raise ValueError("samples must be positive")
@@ -660,14 +663,19 @@ def estimate_TL_many(
         params = condition_a_params(dist)
     finite = [d for d in minsets if not d.is_infinity]
     starts = (np.array([complex(z[0]) for z in probes]), np.array([complex(z[1]) for z in probes]))
-    streams = np.concatenate([rng.stream_table(s.stream_id, samples, _TAG_TL) for s in seeds])
+    prefixes = np.array([rng.derive_stream(s.stream_id, _TAG_TL) for s in seeds], dtype=np.uint64)
     master = seeds[0].master_seed
 
     def work(a, b):
-        probe = np.arange(a, b) // samples
-        return _tl_chunk(dist, finite, params.R, starts, master, streams[a:b], max_iter, probe)
+        # lane j is entry j - probe * samples of its probe's stream table
+        j = np.arange(a, b)
+        probe = j // samples
+        streams = rng.stream_entries(prefixes[probe], j - probe * samples)
+        return probe[0], _tl_chunk(dist, finite, params.R, starts, master, streams, max_iter, probe)
 
-    tally = np.sum(lanes.run_blocks(work, streams.size, lanes.WALK_BLOCK, threads), axis=0)
+    tally = np.zeros((len(probes), len(finite) + 2), dtype=np.int64)
+    for p0, part in lanes.run_blocks(work, len(probes) * samples, lanes.WALK_BLOCK, threads):
+        tally[p0:p0 + len(part)] += part
     ids = [d.id for d in finite] + [INFINITY]
     return [
         BasinEstimate(counts={i: int(c) for i, c in zip(ids, row)},

@@ -83,9 +83,14 @@ def word64_array(master_seed: int, stream_ids, index, word=0) -> np.ndarray:
 
 def stream_table(stream_id: int, n: int, *tags: int) -> np.ndarray:
     """Lane stream ids derive_stream(stream_id, *tags, i) for i in range(n)."""
-    prefix = np.uint64(derive_stream(stream_id, *tags))
+    return stream_entries(derive_stream(stream_id, *tags), np.arange(n, dtype=np.uint64))
+
+
+def stream_entries(prefix, index) -> np.ndarray:
+    """Entries index of the stream tables whose prefixes are
+    derive_stream(stream_id, *tags); prefix and index broadcast."""
     with np.errstate(over="ignore"):
-        return _mix64_np(prefix ^ np.arange(n, dtype=np.uint64))
+        return _mix64_np(np.asarray(prefix, dtype=np.uint64) ^ np.asarray(index, dtype=np.uint64))
 
 
 def uniform01_array(master_seed: int, stream_ids, index, word=0) -> np.ndarray:

@@ -619,6 +619,34 @@ def test_tl_many_names_the_ambiguous_probe(cycle_dist):
         estimate_TL_many(cycle_dist, [a, b], probes, 10, 30, seeds, params)
 
 
+def test_tl_many_block_results_do_not_grow_with_probes(cycle_dist, monkeypatch):
+    # many blocks, each covering about WALK_BLOCK / samples probes; probes
+    # alternate between the escape cone and a first image outside the window
+    params = condition_a_params(cycle_dist)
+    samples = 1000
+    chunk = minsets._tl_chunk
+    seen = []
+
+    def spy(*args):
+        tally = chunk(*args)
+        seen.append((args[5].size, tally.shape))
+        return tally
+
+    monkeypatch.setattr(minsets, "_tl_chunk", spy)
+    for n in (12, 48):
+        seen.clear()
+        probes = [[(0.0, 100.0), (1e102, 0.0)][i % 2] for i in range(n)]
+        seeds = [SEED.derive(1, i) for i in range(n)]
+        out = estimate_TL_many(cycle_dist, [], probes, samples, 10, seeds, params, threads=2)
+        assert len(seen) == -(-n * samples // lanes.WALK_BLOCK) > 2
+        assert [e.counts[INFINITY] for e in out] == [samples, 0] * (n // 2)
+        assert [e.unresolved_count for e in out] == [0, samples] * (n // 2)
+        # a block of WALK_BLOCK lanes meets at most WALK_BLOCK // samples + 2
+        # probes, however many there are
+        assert max(m for m, _ in seen) == lanes.WALK_BLOCK
+        assert max(rows for _, (rows, _) in seen) <= lanes.WALK_BLOCK // samples + 2
+
+
 def test_tl_many_input_validation(cycle_dist):
     params = condition_a_params(cycle_dist)
     z = (0.1, 0.1)
