@@ -16,19 +16,12 @@ import math
 import os
 import sys
 from dataclasses import asdict, astuple, fields
-from typing import Any, Dict, List, Optional, Sequence, Tuple, Union
+from typing import Any, Dict, List, Optional, Sequence, Union
 
 import numpy as np
 
 from . import __version__, rng
-from .core import (
-    FiltrationParams,
-    NumericOverflow,
-    Point,
-    eval_inverse,
-    eval_map,
-    in_v_plus,
-)
+from .core import FiltrationParams, NumericOverflow, eval_inverse, eval_map, in_v_plus
 from .dist import (
     FiniteDist,
     MapDistribution,
@@ -73,7 +66,7 @@ from .transition import (
     weight_derivative_TL,
 )
 from .bifurcation import FamilyPoint, locate_bifurcations, monotone_violations, scan_family
-from .config import ConfigError, Resolver, jsonify_point, load_text
+from .config import ConfigError, Field, Resolver, jsonify_point, load_text
 from .output import canonical_json, write_csv, write_json, write_pgm16
 
 _TAG_CLI = 0x434C4900
@@ -101,34 +94,27 @@ def _phase(seed: SequenceSeed, *parts: int) -> SequenceSeed:
     return seed.derive(_TAG_CLI, *parts)
 
 
-def _report(resolved: Dict[str, Any], result: Dict[str, Any]) -> Dict[str, Any]:
-    return {"version": __version__, "config": resolved, "result": result}
+_RHO = {"rho_margin": Field("pos", 1.0)}
 
 
-def _positive(r: Resolver, key: str, value: Optional[float]) -> Optional[float]:
-    if value is not None and not value > 0:
-        raise ConfigError(f"{r.ptr}/{key}", "must be positive")
-    return value
+def _certificate(r: Resolver, dist: MapDistribution) -> FiltrationParams:
+    """Escape certificate at the config's rho_margin; every command that
+    needs one reads rho_margin here."""
+    rho = r.read(_RHO)["rho_margin"]
+    try:
+        return condition_a_params(dist, rho_margin=rho)
+    except ValueError as e:  # a margin so large that R is not finite
+        raise ConfigError(f"{r.ptr}/rho_margin", str(e))
 
 
-def _params_field(r: Resolver, dist: MapDistribution) -> FiltrationParams:
-    rho = _positive(r, "rho_margin", r.float_field("rho_margin", 1.0, lo=0.0))
-    return condition_a_params(dist, rho_margin=rho)
-
-
-def _discovery_fields(r: Resolver, R: float) -> Tuple[List[Point], Dict[str, Any]]:
-    """Start grid plus the discover_minimal_sets keywords, within its bounds
-    for certificate radii up to R."""
-    grid = r.points_field()
-    knobs = {
-        "burn_in": r.int_field("burn_in", 1000, lo=1000),
-        "n_record": r.int_field("n_record", 200, lo=2),
-        "cluster_eps": r.opt_float_field("cluster_eps"),
+def _discovery(R: float) -> Dict[str, Field]:
+    """discover_minimal_sets keywords; cluster_eps must clear the int64
+    lattice floor of every certificate radius up to R."""
+    return {
+        "burn_in": Field("int", 1000, lo=1000),
+        "n_record": Field("int", 200, lo=2),
+        "cluster_eps": Field("pos", None, lo=cluster_eps_floor(R)),
     }
-    eps, floor = knobs["cluster_eps"], cluster_eps_floor(R)
-    if eps is not None and not eps > floor:
-        raise ConfigError(f"{r.ptr}/cluster_eps", f"must exceed 4 R / 2**62 = {floor:.3g}")
-    return grid, knobs
 
 
 def _jsonify_descriptor(d: MinimalSetDescriptor) -> Dict[str, Any]:
@@ -146,28 +132,6 @@ def _jsonify_descriptor(d: MinimalSetDescriptor) -> Dict[str, Any]:
         }
     )
     return out
-
-
-def _discovery_block(
-    r: Resolver, dist: MapDistribution, params: FiltrationParams, seed: SequenceSeed
-) -> List[MinimalSetDescriptor]:
-    node = r.cfg.get("discovery")
-    if node is None:
-        raise ConfigError(f"{r.ptr}/discovery", "missing required field")
-    sub = Resolver(node, f"{r.ptr}/discovery")
-    starts, knobs = _discovery_fields(sub, params.R)
-    r.resolved["discovery"] = sub.resolved
-    return discover_minimal_sets(dist, params, starts, _phase(seed, 0), **knobs)
-
-
-def _target_field(r: Resolver, allow_infinity: bool) -> Union[int, str]:
-    """Finite minimal set index, or INFINITY where that is allowed."""
-    if r.cfg.get("target", 0) == INFINITY:
-        if not allow_infinity:
-            raise ConfigError(f"{r.ptr}/target", "a finite minimal set is required here")
-        r.resolved["target"] = INFINITY
-        return INFINITY
-    return r.int_field("target", 0, lo=0)
 
 
 def _pick_target(minsets: Sequence[MinimalSetDescriptor],
@@ -195,14 +159,20 @@ def _basin_json(est) -> Dict[str, Any]:
 # command handlers
 
 
-def _cmd_render_julia(cfg: Any, out: str, seed_override: Optional[int], threads: int) -> int:
-    r = Resolver(cfg)
+# Each handler reads and checks every field of its config before any work
+# starts, and returns the result that run_cli writes to its report.
+
+
+def _cmd_render_julia(r: Resolver, out: str, seed_override: Optional[int],
+                      threads: int) -> Dict[str, Any]:
     dist = r.dist_field()
     seed = r.seed_field(seed_override)
     spec = r.slice_field()
-    max_iter = r.int_field("max_iter", 500, lo=1)
-    tol = r.float_field("tol", 1e-6, lo=1e-300, hi=1.0)
-    params = _params_field(r, dist)
+    max_iter, tol = r.read({
+        "max_iter": Field("int", 500, lo=1),
+        "tol": Field("float", 1e-6, lo=1e-300, hi=1.0),
+    }).values()
+    params = _certificate(r, dist)
     source = DistSource(dist, _phase(seed, 0))
     raster = raster_slice(source, spec, params, max_iter=max_iter, tol=tol, threads=threads)
 
@@ -213,30 +183,32 @@ def _cmd_render_julia(cfg: Any, out: str, seed_override: Optional[int], threads:
 
     header = canonical_json({"config": r.resolved, "version": __version__})
     write_pgm16(os.path.join(out, "julia.pgm"), pix, comment=f"cfg {header}")
+    with open(os.path.join(out, "julia.pgm"), "rb") as fh:
+        digest = hashlib.sha256(fh.read()).hexdigest()
     counts = {
         "bounded": int((raster.verdict == VERDICT_BOUNDED).sum()),
         "escaped": int((raster.verdict == VERDICT_ESCAPED).sum()),
         "uncertain": int((raster.verdict == VERDICT_UNCERTAIN).sum()),
     }
-    result = {
+    return {
         "pixels": counts,
         "pixel_pitch": spec.pixel_pitch,
         "c_tel": raster.c_tel,
         "R": params.R,
-        "pgm_sha256": hashlib.sha256(open(os.path.join(out, "julia.pgm"), "rb").read()).hexdigest(),
+        "pgm_sha256": digest,
     }
-    write_json(os.path.join(out, "julia.json"), _report(r.resolved, result))
-    return 0
 
 
-def _cmd_green(cfg: Any, out: str, seed_override: Optional[int], threads: int) -> int:
-    r = Resolver(cfg)
+def _cmd_green(r: Resolver, out: str, seed_override: Optional[int],
+               threads: int) -> Dict[str, Any]:
     dist = r.dist_field()
     seed = r.seed_field(seed_override)
     points = r.points_field()
-    max_iter = r.int_field("max_iter", 1000, lo=1)
-    tol = r.float_field("tol", 1e-6, lo=1e-300, hi=1.0)
-    params = _params_field(r, dist)
+    max_iter, tol = r.read({
+        "max_iter": Field("int", 1000, lo=1),
+        "tol": Field("float", 1e-6, lo=1e-300, hi=1.0),
+    }).values()
+    params = _certificate(r, dist)
     source = DistSource(dist, _phase(seed, 0))
     estimates = green_points(source, points, params, tol=tol, max_iter=max_iter, threads=threads)
 
@@ -251,104 +223,105 @@ def _cmd_green(cfg: Any, out: str, seed_override: Optional[int], threads: int) -
         ("index", "x_re", "x_im", "y_re", "y_im", "green", "n_used", "error_bound"),
         rows,
     )
-    write_json(os.path.join(out, "green.json"), _report(r.resolved, {"points": entries}))
-    return 0
+    return {"points": entries}
 
 
-def _cmd_lyapunov(cfg: Any, out: str, seed_override: Optional[int], threads: int) -> int:
-    r = Resolver(cfg)
+def _cmd_lyapunov(r: Resolver, out: str, seed_override: Optional[int],
+                  threads: int) -> Dict[str, Any]:
     dist = r.dist_field()
     seed = r.seed_field(seed_override)
     z = r.point_field("z")
-    samples = r.int_field("samples", 100, lo=10)
-    n = r.int_field("n", 1000, lo=100)
-    direction = r.choice_field("direction", ("forward", "backward"), "forward")
+    # backward orbits step the inverse maps, which only a finite support has
+    directions = ("forward", "backward") if isinstance(dist, FiniteDist) else ("forward",)
+    samples, n, direction = r.read({
+        "samples": Field("int", 100, lo=10),
+        "n": Field("int", 1000, lo=100),
+        "direction": Field("choice", "forward", choices=directions),
+    }).values()
     fn = lyapunov_statistics if direction == "forward" else backward_lyapunov_statistics
-    rep = fn(dist, z, samples, n, _phase(seed, 0))
-    write_json(os.path.join(out, "lyapunov.json"), _report(r.resolved, asdict(rep)))
-    return 0
+    return asdict(fn(dist, z, samples, n, _phase(seed, 0)))
 
 
-def _cmd_minsets(cfg: Any, out: str, seed_override: Optional[int], threads: int) -> int:
-    r = Resolver(cfg)
+def _cmd_minsets(r: Resolver, out: str, seed_override: Optional[int],
+                 threads: int) -> Dict[str, Any]:
     dist = r.dist_field()
     seed = r.seed_field(seed_override)
-    params = _params_field(r, dist)
-    starts, knobs = _discovery_fields(r, params.R)
+    params = _certificate(r, dist)
+    starts = r.points_field()
+    knobs = r.read(_discovery(params.R))
     sets = discover_minimal_sets(dist, params, starts, _phase(seed, 0), **knobs)
     finite = [d for d in sets if not d.is_infinity]
-    result = {
+    return {
         "descriptors": [_jsonify_descriptor(d) for d in sets],
         "finite_count": len(finite),
         "attracting_count": sum(1 for d in finite if d.attracting),
         "R": params.R,
     }
-    write_json(os.path.join(out, "minsets.json"), _report(r.resolved, result))
-    return 0
 
 
-def _cmd_tl(cfg: Any, out: str, seed_override: Optional[int], threads: int) -> int:
-    r = Resolver(cfg)
+def _cmd_tl(r: Resolver, out: str, seed_override: Optional[int],
+            threads: int) -> Dict[str, Any]:
     dist = r.dist_field()
     seed = r.seed_field(seed_override)
-    params = _params_field(r, dist)
-    sets = _discovery_block(r, dist, params, seed)
+    params = _certificate(r, dist)
+    disc = r.sub("discovery")
+    starts = disc.points_field()
+    knobs = disc.read(_discovery(params.R))
     probes = r.points_field()
-    samples = r.int_field("samples", 1000, lo=1)
-    max_iter = r.int_field("max_iter", 1000, lo=1)
+    samples, max_iter = r.read({
+        "samples": Field("int", 1000, lo=1),
+        "max_iter": Field("int", 1000, lo=1),
+    }).values()
+
+    sets = discover_minimal_sets(dist, params, starts, _phase(seed, 0), **knobs)
     ests = estimate_TL_many(
         dist, sets, probes, samples, max_iter,
         [_phase(seed, 1, i) for i in range(len(probes))], params, threads=threads,
     )
     entries = [{"point": jsonify_point(z), **_basin_json(est)} for z, est in zip(probes, ests)]
-    result = {
+    return {
         "descriptors": [_jsonify_descriptor(d) for d in sets],
         "points": entries,
     }
-    write_json(os.path.join(out, "tl.json"), _report(r.resolved, result))
-    return 0
 
 
-def _cmd_mop(cfg: Any, out: str, seed_override: Optional[int], threads: int) -> int:
-    r = Resolver(cfg)
+def _cmd_mop(r: Resolver, out: str, seed_override: Optional[int],
+             threads: int) -> Dict[str, Any]:
     dist = r.dist_field()
     seed = r.seed_field(seed_override)
-    params = _params_field(r, dist)
-    target = _target_field(r, allow_infinity=False)
+    params = _certificate(r, dist)
+    disc = r.sub("discovery")
+    starts = disc.points_field()
+    knobs = disc.read(_discovery(params.R))
     points = r.points_field()
-    powers = r.int_list_field("powers", lo=0)
-    budget = r.int_field("budget", 1_000_000, lo=1)
-    mc_samples = r.int_field(
-        "mc_samples", 20_000, lo=len(dist.maps) if isinstance(dist, FiniteDist) else 1
-    )
-    ramp_width = _positive(r, "ramp_width", r.opt_float_field("ramp_width", lo=0.0))
-    do_fit = r.bool_field("fit", False)
+    target, powers, budget, mc_samples, ramp_width, do_fit = r.read({
+        "target": Field("int", 0, lo=0),
+        "powers": Field("ints", lo=0),
+        "budget": Field("int", 1_000_000, lo=1),
+        # the Monte Carlo first step is stratified: one sample per support map at least
+        "mc_samples": Field("int", 20_000,
+                            lo=len(dist.maps) if isinstance(dist, FiniteDist) else 1),
+        "ramp_width": Field("pos", None),
+        "fit": Field("bool", False),
+    }).values()
     if do_fit:
         if len(set(powers)) < 3:
             raise ConfigError("/powers", "a rate fit needs at least three distinct powers")
-        tl_samples = r.int_field("tl_samples", 1000, lo=1)
-        tl_max_iter = r.int_field("tl_max_iter", 1000, lo=1)
-    sets = _discovery_block(r, dist, params, seed)
-    L = _pick_target(sets, target)
+        tl = r.read({
+            "tl_samples": Field("int", 1000, lo=1),
+            "tl_max_iter": Field("int", 1000, lo=1),
+        })
 
+    sets = discover_minimal_sets(dist, params, starts, _phase(seed, 0), **knobs)
+    L = _pick_target(sets, target)
     result: Dict[str, Any] = {
         "descriptors": [_jsonify_descriptor(d) for d in sets],
         "target_id": L.id,
     }
     if do_fit:
         fit = fit_convergence_rate(
-            dist,
-            sets,
-            L,
-            points,
-            powers,
-            _phase(seed, 1),
-            tl_samples=tl_samples,
-            tl_max_iter=tl_max_iter,
-            ramp_width=ramp_width,
-            budget=budget,
-            mc_samples=mc_samples,
-            params=params,
+            dist, sets, L, points, powers, _phase(seed, 1), **tl,
+            ramp_width=ramp_width, budget=budget, mc_samples=mc_samples, params=params,
         )
         result["fit"] = asdict(fit)
     else:
@@ -364,100 +337,103 @@ def _cmd_mop(cfg: Any, out: str, seed_override: Optional[int], threads: int) -> 
                 row.append({"n": n, **asdict(val)})
             table.append({"point": jsonify_point(z), "powers": row})
         result["values"] = table
-    write_json(os.path.join(out, "mop.json"), _report(r.resolved, result))
-    return 0
+    return result
 
 
-def _cmd_dtl(cfg: Any, out: str, seed_override: Optional[int], threads: int) -> int:
-    r = Resolver(cfg)
+def _cmd_dtl(r: Resolver, out: str, seed_override: Optional[int],
+             threads: int) -> Dict[str, Any]:
     dist = r.dist_field()
-    if not isinstance(dist, FiniteDist):
-        raise ConfigError("/maps", "weight derivatives need a finite-support distribution")
+    if not isinstance(dist, FiniteDist) or len(dist.maps) < 2:
+        raise ConfigError("/maps", "weight derivatives need a finite support of two or more maps")
     seed = r.seed_field(seed_override)
-    params = _params_field(r, dist)
-    target = _target_field(r, allow_infinity=True)
+    params = _certificate(r, dist)
+    disc = r.sub("discovery")
+    starts = disc.points_field()
+    knobs = disc.read(_discovery(params.R))
     z = r.point_field("z")
-    m = len(dist.maps)
-    index = r.int_field("index", lo=0, hi=m - 1)
-    if index == m - 1:
-        raise ConfigError("/index", "the last weight is dependent; vary one of the others")
+    w, m = dist.weights, len(dist.maps)
+    # the last weight is the dependent one: it absorbs every step
+    target, index = r.read({
+        "target": Field("int", 0, lo=0, choices=(INFINITY,)),
+        "index": Field("int", lo=0, hi=m - 2),
+    }).values()
+    f = r.read({
+        "eps_trunc": Field("pos", 1e-3),
+        "max_terms": Field("int", 200, lo=1),
+        "tl_samples": Field("int", 400, lo=1),
+        "tl_max_iter": Field("int", 400, lo=1),
+        "budget": Field("int", 1_000_000, lo=1),
+        "mc_samples": Field("int", 10_000, lo=m),
+        # the largest step that keeps both shifted weights in [0, 1]
+        "h": Field("float", 0.05, lo=1e-12,
+                   hi=min(w[index], w[-1], 1.0 - w[index], 1.0 - w[-1])),
+        "fd_tl_samples": Field("int", 4000, lo=1),
+        "richardson": Field("bool", False),
+    })
 
-    eps_trunc = _positive(r, "eps_trunc", r.float_field("eps_trunc", 1e-3, lo=0.0))
-    max_terms = r.int_field("max_terms", 200, lo=1)
-    tl_samples = r.int_field("tl_samples", 400, lo=1)
-    tl_max_iter = r.int_field("tl_max_iter", 400, lo=1)
-    budget = r.int_field("budget", 1_000_000, lo=1)
-    mc_samples = r.int_field("mc_samples", 10_000, lo=m)
-    h = r.float_field("h", 0.05, lo=1e-12, hi=1.0)
-    fd_tl_samples = r.int_field("fd_tl_samples", 4000, lo=1)
-    richardson = r.bool_field("richardson", False)
-    sets = _discovery_block(r, dist, params, seed)
+    sets = discover_minimal_sets(dist, params, starts, _phase(seed, 0), **knobs)
     L = _pick_target(sets, target)
-
     series = weight_derivative_TL(
         dist, sets, L, z, index, _phase(seed, 1),
-        eps_trunc=eps_trunc, max_terms=max_terms, tl_samples=tl_samples,
-        tl_max_iter=tl_max_iter, budget=budget, mc_samples=mc_samples, params=params,
+        eps_trunc=f["eps_trunc"], max_terms=f["max_terms"], tl_samples=f["tl_samples"],
+        tl_max_iter=f["tl_max_iter"], budget=f["budget"], mc_samples=f["mc_samples"],
+        params=params,
     )
     fd = fd_derivative_TL(
         dist, sets, L, z, index, _phase(seed, 2),
-        h=h, tl_samples=fd_tl_samples, tl_max_iter=tl_max_iter, params=params,
-        richardson=richardson,
+        h=f["h"], tl_samples=f["fd_tl_samples"], tl_max_iter=f["tl_max_iter"], params=params,
+        richardson=f["richardson"],
     )
-    result = {
+    return {
         "descriptors": [_jsonify_descriptor(d) for d in sets],
         "target_id": L.id,
         "series": asdict(series),
         "fd": asdict(fd),
         "gap": abs(series.value - fd.value),
     }
-    write_json(os.path.join(out, "dtl.json"), _report(r.resolved, result))
-    return 0
 
 
-def _cmd_bifurcate(cfg: Any, out: str, seed_override: Optional[int], threads: int) -> int:
-    r = Resolver(cfg)
+def _cmd_bifurcate(r: Resolver, out: str, seed_override: Optional[int],
+                   threads: int) -> Dict[str, Any]:
     fam = r.family_field()
     seed = r.seed_field(seed_override)
-    t_grid = r.float_list_field("t_grid", lo=0.0, hi=1.0)
+    t_grid = r.read({"t_grid": Field("floats", lo=0.0, hi=1.0)})["t_grid"]
     if len(t_grid) < 2 or any(b <= a for a, b in zip(t_grid, t_grid[1:])):
         raise ConfigError("/t_grid", "expected at least two strictly increasing amplitudes")
     # scan_family certifies each amplitude separately: bound eps by the largest R
     R = max(condition_a_params(family_at(fam, t)).R for t in t_grid)
-    grid, knobs = _discovery_fields(r, R)
-    tl_samples = r.int_field("tl_samples", 200, lo=1)
-    tl_max_iter = r.int_field("tl_max_iter", 500, lo=1)
+    grid = r.points_field()
+    knobs = r.read({
+        **_discovery(R),
+        "tl_samples": Field("int", 200, lo=1),
+        "tl_max_iter": Field("int", 500, lo=1),
+    })
 
-    scan = scan_family(
-        fam, t_grid, grid, _phase(seed, 0), **knobs,
-        tl_samples=tl_samples, tl_max_iter=tl_max_iter, threads=threads,
-    )
+    scan = scan_family(fam, t_grid, grid, _phase(seed, 0), **knobs, threads=threads)
     # every FamilyPoint field but the descriptors, in declaration order
     columns = [f.name for f in fields(FamilyPoint) if f.name != "descriptors"]
     rows = [{c: getattr(p, c) for c in columns} for p in scan.points]
-    result = {
-        "points": rows,
-        "intervals": [asdict(iv) for iv in locate_bifurcations(scan)],
-        "monotone_violations": list(monotone_violations(scan)),
-    }
-    write_json(os.path.join(out, "bifurcate.json"), _report(r.resolved, result))
     write_csv(
         os.path.join(out, "bifurcate.csv"),
         columns,
         [[int(v) if isinstance(v, bool) else v for v in row.values()] for row in rows],
     )
-    return 0
+    return {
+        "points": rows,
+        "intervals": [asdict(iv) for iv in locate_bifurcations(scan)],
+        "monotone_violations": list(monotone_violations(scan)),
+    }
 
 
-def _cmd_escape_stats(cfg: Any, out: str, seed_override: Optional[int], threads: int) -> int:
-    r = Resolver(cfg)
+def _cmd_escape_stats(r: Resolver, out: str, seed_override: Optional[int],
+                      threads: int) -> Dict[str, Any]:
     dist = r.dist_field()
     seed = r.seed_field(seed_override)
     points = r.points_field()
-    max_iter = r.int_field("max_iter", 1000, lo=1)
-    params = _params_field(r, dist)
+    max_iter = r.read({"max_iter": Field("int", 1000, lo=1)})["max_iter"]
+    params = _certificate(r, dist)
     res = escape_census(dist, points, params, max_iter, _phase(seed, 0), threads=threads)
-    result = {
+    return {
         "escaped": res.escaped,
         "bounded": res.bounded,
         "uncertain": res.uncertain,
@@ -467,11 +443,10 @@ def _cmd_escape_stats(cfg: Any, out: str, seed_override: Optional[int], threads:
         "uncertain_fraction": res.uncertain_fraction,
         "R": params.R,
     }
-    write_json(os.path.join(out, "escape.json"), _report(r.resolved, result))
-    return 0
 
 
-def _cmd_selftest(cfg: Any, out: str, seed_override: Optional[int], threads: int) -> int:
+def _cmd_selftest(r: Resolver, out: Optional[str], seed_override: Optional[int],
+                  threads: int) -> Dict[str, Any]:
     """Fast invariant checks on canned inputs; exits 0 when all hold."""
     from .core import HenonMap, Poly
 
@@ -516,25 +491,21 @@ def _cmd_selftest(cfg: Any, out: str, seed_override: Optional[int], threads: int
 
     for line in checks:
         print(f"selftest: {line}")
-    if out:
-        write_json(
-            os.path.join(out, "selftest.json"),
-            {"version": __version__, "config": {}, "result": {"checks": checks}},
-        )
-    return 0
+    return {"checks": checks}
 
 
+# command -> (handler, the report run_cli writes from its result)
 _COMMANDS = {
-    "render-julia": _cmd_render_julia,
-    "green": _cmd_green,
-    "lyapunov": _cmd_lyapunov,
-    "minsets": _cmd_minsets,
-    "tl": _cmd_tl,
-    "mop": _cmd_mop,
-    "dtl": _cmd_dtl,
-    "bifurcate": _cmd_bifurcate,
-    "escape-stats": _cmd_escape_stats,
-    "selftest": _cmd_selftest,
+    "render-julia": (_cmd_render_julia, "julia.json"),
+    "green": (_cmd_green, "green.json"),
+    "lyapunov": (_cmd_lyapunov, "lyapunov.json"),
+    "minsets": (_cmd_minsets, "minsets.json"),
+    "tl": (_cmd_tl, "tl.json"),
+    "mop": (_cmd_mop, "mop.json"),
+    "dtl": (_cmd_dtl, "dtl.json"),
+    "bifurcate": (_cmd_bifurcate, "bifurcate.json"),
+    "escape-stats": (_cmd_escape_stats, "escape.json"),
+    "selftest": (_cmd_selftest, "selftest.json"),
 }
 
 
@@ -601,14 +572,20 @@ def run_cli(argv: Sequence[str]) -> int:
             print(f"config error: cannot create output directory: {e}", file=sys.stderr)
             return 2
 
+    handler, report = _COMMANDS[args.command]
     try:
-        return _COMMANDS[args.command](cfg, args.out, args.seed, args.threads)
+        r = Resolver({} if cfg is None else cfg)  # selftest reads no config
+        result = handler(r, args.out, args.seed, args.threads)
     except ConfigError as e:
         print(f"config error: {e}", file=sys.stderr)
         return 2
     except _COMPUTE_ERRORS as e:
         print(f"computation failed: {type(e).__name__}: {e}", file=sys.stderr)
         return 3
+    if args.out is not None:
+        write_json(os.path.join(args.out, report),
+                   {"version": __version__, "config": r.resolved, "result": result})
+    return 0
 
 
 def main() -> None:

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import json
 import math
-from typing import Any, Dict, List, Mapping, Optional, Sequence
+from typing import Any, Dict, List, Mapping, NamedTuple, Optional, Tuple
 
 from .core import HenonMap, Point, Poly
 from .dist import BallNoise, FiniteDist, MapDistribution, NoiseFamily, SequenceSeed
@@ -30,6 +30,8 @@ def load_text(text: str) -> Any:
         return json.loads(text)
     except json.JSONDecodeError as e:
         raise ConfigError("", f"invalid JSON: {e.msg} at line {e.lineno}")
+    except ValueError as e:  # an integer literal past the interpreter's digit limit
+        raise ConfigError("", f"invalid JSON: {e}")
 
 
 def _get(node: Any, key: str, ptr: str) -> Any:
@@ -55,7 +57,10 @@ def as_complex(v: Any, ptr: str) -> complex:
 def as_float(v: Any, ptr: str, lo: float = -math.inf, hi: float = math.inf) -> float:
     if not _is_num(v):
         raise ConfigError(ptr, "expected a number")
-    f = float(v)
+    try:
+        f = float(v)
+    except OverflowError:  # an integer too large for a double
+        f = math.inf
     if not (lo <= f <= hi) or not math.isfinite(f):
         raise ConfigError(ptr, f"must lie in [{lo}, {hi}]")
     return f
@@ -212,16 +217,48 @@ def jsonify_slice(spec: SliceSpec) -> Dict[str, Any]:
     }
 
 
-def seed_from(cfg: Any, ptr: str, override: Optional[int] = None) -> SequenceSeed:
-    """Master seed from the config (required unless overridden on the CLI)."""
-    if override is not None:
-        master = override
-    else:
-        master = as_int(_get(cfg, "seed", ptr), f"{ptr}/seed", lo=0, hi=(1 << 64) - 1)
-    stream = 0
-    if isinstance(cfg, Mapping) and "stream" in cfg:
-        stream = as_int(cfg["stream"], f"{ptr}/stream", lo=0, hi=(1 << 64) - 1)
-    return SequenceSeed(master_seed=master, stream_id=stream)
+REQUIRED: Any = object()  # default of a field the config must give
+_INT_MAX = (1 << 63) - 1
+
+
+class Field(NamedTuple):
+    """One scalar or list field of a config.
+
+    ``kind`` is int, float, pos (a float above ``lo`` and above 0), bool,
+    choice, or ints/floats (a nonempty list of that kind).  Bounds are
+    inclusive, except pos's ``lo``; an int with no upper bound must still
+    fit in int64.  A string in ``choices`` is taken as it is, in place of a
+    value of the kind.  A field whose default is None also takes null.
+    """
+
+    kind: str
+    default: Any = REQUIRED
+    lo: float = -math.inf
+    hi: float = math.inf
+    choices: Tuple[str, ...] = ()
+
+    def check(self, raw: Any, ptr: str) -> Any:
+        if raw is None and self.default is None:
+            return None
+        if isinstance(raw, str) and raw in self.choices:
+            return raw
+        if self.kind in ("ints", "floats"):
+            if not isinstance(raw, list) or not raw:
+                raise ConfigError(ptr, "expected a nonempty list")
+            item = self._replace(kind=self.kind[:-1], default=REQUIRED)
+            return [item.check(v, f"{ptr}/{i}") for i, v in enumerate(raw)]
+        if self.kind == "bool":
+            if not isinstance(raw, bool):
+                raise ConfigError(ptr, "expected true or false")
+            return raw
+        if self.kind == "choice":
+            raise ConfigError(ptr, f"expected one of {', '.join(self.choices)}")
+        if self.kind == "int":
+            return as_int(raw, ptr, self.lo, _INT_MAX if self.hi == math.inf else self.hi)
+        val = as_float(raw, ptr, self.lo, self.hi)
+        if self.kind == "pos" and not val > max(self.lo, 0.0):
+            raise ConfigError(ptr, f"must exceed {max(self.lo, 0.0):.3g}")
+        return val
 
 
 class Resolver:
@@ -234,45 +271,32 @@ class Resolver:
         self.ptr = ptr
         self.resolved: Dict[str, Any] = {}
 
-    def _raw(self, key: str, default: Any, required: bool) -> Any:
-        if key in self.cfg:
-            return self.cfg[key]
-        if required:
-            raise ConfigError(f"{self.ptr}/{key}", "missing required field")
-        return default
+    def read(self, fields: Mapping[str, Field]) -> Dict[str, Any]:
+        """Check every field of the table, then record and return the values
+        in table order."""
+        vals = {}
+        for key, field in fields.items():
+            raw = self.cfg.get(key, field.default)
+            if raw is REQUIRED:
+                raise ConfigError(f"{self.ptr}/{key}", "missing required field")
+            vals[key] = field.check(raw, f"{self.ptr}/{key}")
+        self.resolved.update(vals)
+        return vals
 
-    def int_field(self, key: str, default: Optional[int] = None,
-                  lo: int = 0, hi: int = (1 << 63) - 1) -> int:
-        raw = self._raw(key, default, default is None)
-        val = as_int(raw, f"{self.ptr}/{key}", lo=lo, hi=hi)
-        self.resolved[key] = val
-        return val
-
-    def float_field(self, key: str, default: Optional[float] = None,
-                    lo: float = -math.inf, hi: float = math.inf) -> float:
-        raw = self._raw(key, default, default is None)
-        val = as_float(raw, f"{self.ptr}/{key}", lo=lo, hi=hi)
-        self.resolved[key] = val
-        return val
-
-    def bool_field(self, key: str, default: bool = False) -> bool:
-        raw = self._raw(key, default, False)
-        if not isinstance(raw, bool):
-            raise ConfigError(f"{self.ptr}/{key}", "expected true or false")
-        self.resolved[key] = raw
-        return raw
-
-    def opt_float_field(self, key: str, lo: float = -math.inf,
-                        hi: float = math.inf) -> Optional[float]:
-        if key not in self.cfg or self.cfg[key] is None:
-            self.resolved[key] = None
-            return None
-        return self.float_field(key, lo=lo, hi=hi)
+    def sub(self, key: str) -> "Resolver":
+        """Reader of the required object at ``key``, recorded under that key."""
+        child = Resolver(_get(self.cfg, key, self.ptr), f"{self.ptr}/{key}")
+        self.resolved[key] = child.resolved
+        return child
 
     def seed_field(self, override: Optional[int] = None) -> SequenceSeed:
-        seed = seed_from(self.cfg, self.ptr, override)
+        """Master seed from the config (required unless overridden on the CLI)."""
+        table = {"stream": Field("int", 0, lo=0, hi=(1 << 64) - 1)}
+        if override is None:
+            table["seed"] = Field("int", lo=0, hi=(1 << 64) - 1)
+        vals = self.read(table)
+        seed = SequenceSeed(vals.get("seed", override), vals["stream"])
         self.resolved["seed"] = seed.master_seed
-        self.resolved["stream"] = seed.stream_id
         return seed
 
     def dist_field(self) -> MapDistribution:
@@ -299,27 +323,3 @@ class Resolver:
         pt = point_from(_get(self.cfg, key, self.ptr), f"{self.ptr}/{key}")
         self.resolved[key] = jsonify_point(pt)
         return pt
-
-    def float_list_field(self, key: str, lo: float = -math.inf,
-                         hi: float = math.inf) -> List[float]:
-        raw = self._raw(key, None, True)
-        if not isinstance(raw, list) or not raw:
-            raise ConfigError(f"{self.ptr}/{key}", "expected a nonempty list")
-        vals = [as_float(v, f"{self.ptr}/{key}/{i}", lo=lo, hi=hi) for i, v in enumerate(raw)]
-        self.resolved[key] = vals
-        return vals
-
-    def int_list_field(self, key: str, lo: int = 0, hi: int = (1 << 63) - 1) -> List[int]:
-        raw = self._raw(key, None, True)
-        if not isinstance(raw, list) or not raw:
-            raise ConfigError(f"{self.ptr}/{key}", "expected a nonempty list")
-        vals = [as_int(v, f"{self.ptr}/{key}/{i}", lo=lo, hi=hi) for i, v in enumerate(raw)]
-        self.resolved[key] = vals
-        return vals
-
-    def choice_field(self, key: str, choices: Sequence[str], default: str) -> str:
-        raw = self._raw(key, default, False)
-        if raw not in choices:
-            raise ConfigError(f"{self.ptr}/{key}", f"expected one of {', '.join(choices)}")
-        self.resolved[key] = raw
-        return raw

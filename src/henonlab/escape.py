@@ -509,6 +509,8 @@ class SliceSpec:
             raise ValueError("extent must be positive")
         if not (2 <= self.resolution <= 8192):
             raise ValueError("resolution out of range")
+        if not math.isfinite(self.pixel_pitch):
+            raise ValueError("extent too large: the pixel pitch overflows")
         for name in ("dir1", "dir2"):
             v = getattr(self, name)
             nv = math.hypot(abs(v[0]), abs(v[1]))

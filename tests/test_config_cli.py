@@ -16,6 +16,7 @@ from henonlab import __version__
 from henonlab.cli import run_cli
 from henonlab.config import (
     ConfigError,
+    Field,
     Resolver,
     as_complex,
     dist_from,
@@ -25,7 +26,7 @@ from henonlab.config import (
     points_from,
     slice_from,
 )
-from henonlab.dist import BallNoise, FiniteDist, NoiseFamily
+from henonlab.dist import BallNoise, FiniteDist, NoiseFamily, SequenceSeed, condition_a_params
 from henonlab.output import canonical_json, write_csv, write_json, write_pgm16
 
 PRESET_DIR = os.path.join(os.path.dirname(__file__), "..", "src", "henonlab", "presets")
@@ -88,6 +89,8 @@ def test_complex_forms():
 def test_invalid_json_is_config_error():
     with pytest.raises(ConfigError):
         load_text("{nope")
+    with pytest.raises(ConfigError):
+        load_text('{"seed": ' + "9" * 5000 + "}")  # past the int digit limit
 
 
 def test_equal_weights_default():
@@ -121,8 +124,8 @@ def test_slice_dir_defaults():
 
 def test_resolver_records_defaults():
     r = Resolver({"seed": 3})
-    assert r.int_field("max_iter", 500, lo=1) == 500
-    assert r.float_field("tol", 1e-6, lo=0.0) == 1e-6
+    vals = r.read({"max_iter": Field("int", 500, lo=1), "tol": Field("float", 1e-6, lo=0.0)})
+    assert vals == {"max_iter": 500, "tol": 1e-6}
     r.seed_field()
     assert r.resolved == {"max_iter": 500, "tol": 1e-6, "seed": 3, "stream": 0}
 
@@ -130,9 +133,9 @@ def test_resolver_records_defaults():
 def test_resolver_rejects_wrong_types():
     r = Resolver({"n": 2.5, "flag": "yes"})
     with pytest.raises(ConfigError):
-        r.int_field("n", 1)
+        r.read({"n": Field("int", 1)})
     with pytest.raises(ConfigError):
-        r.bool_field("flag")
+        r.read({"flag": Field("bool", False)})
 
 
 # ---------------------------------------------------------------------------
@@ -304,6 +307,46 @@ def test_cli_cluster_eps_below_int64_lattice_exit_2(tmp_path, capsys, cmd, cfg):
     assert not (tmp_path / "out" / f"{cmd}.json").exists()
 
 
+NOISE_CFG = dict(CYCLE_CFG, noise={"base": CYCLE_CFG["maps"][0], "radius": 0.05})
+del NOISE_CFG["maps"]
+SKEWED_CFG = dict(TWO_MAP_CFG, weights=[0.9, 0.1])
+
+
+@pytest.mark.parametrize("cmd, cfg, pointer", [
+    # the inverse maps of a noise ball have no closed form
+    ("lyapunov", dict(NOISE_CFG, z=CYCLE_CFG["points"][0], direction="backward"), "/direction"),
+    # h pushes a weight out of [0, 1]
+    ("dtl", dict(TWO_MAP_CFG, discovery=CYCLE_CFG, z=CYCLE_CFG["points"][0], index=0, h=1.0),
+     "/h"),
+    ("dtl", dict(SKEWED_CFG, discovery=CYCLE_CFG, z=CYCLE_CFG["points"][0], index=0, h=0.2),
+     "/h"),
+    # the certificate radius overflows
+    ("green", dict(QUAD_CFG, rho_margin=1e308), "/rho_margin"),
+    # 2 * extent overflows, so the pixel grid would be nan
+    ("render-julia", dict(QUAD_CFG, slice={"anchor": [[0, 0], [0, 0]], "extent": 1e308,
+                                           "resolution": 4}), "/slice"),
+    ("tl", dict(CYCLE_CFG, discovery=CYCLE_CFG, samples=0), "/samples"),
+])
+def test_cli_bad_field_exit_2_before_any_work(tmp_path, capsys, monkeypatch, cmd, cfg, pointer):
+    from henonlab import cli
+
+    def started(*args, **kwargs):
+        raise AssertionError("computation started on a config that should be refused")
+
+    for name in ("raster_slice", "green_points", "backward_lyapunov_statistics",
+                 "discover_minimal_sets"):
+        monkeypatch.setattr(cli, name, started)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = run_cli([cmd, "--config", _write_cfg(tmp_path, cfg),
+                        "--out", str(tmp_path / "out")])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert f"config error: {pointer}:" in err
+    assert "Traceback" not in err
+    assert os.listdir(tmp_path / "out") == []
+
+
 def test_cli_green_undecided_point_exit_3(tmp_path, capsys):
     # (3690, 20) maps to (20, 5): outside the bidisk, outside the cone
     cfg = dict(QUAD_CFG, points=[[[0, 0], [3, 0]], [[3690, 0], [20, 0]]], max_iter=1)
@@ -376,7 +419,7 @@ def test_cli_tl_probes_match_one_probe_estimates(tmp_path):
     # tl walks all probes at once; each entry must be the one-probe estimate
     # on that probe's own phase seed
     from henonlab import cli
-    from henonlab.minsets import estimate_TL
+    from henonlab.minsets import discover_minimal_sets, estimate_TL
 
     cfg = {
         "noise": {"base": {"alpha": 0.0, "delta": 0.1, "poly": [1.0, -1.3, 0.0]},
@@ -392,12 +435,18 @@ def test_cli_tl_probes_match_one_probe_estimates(tmp_path):
     assert run_cli(["tl", "--config", path, "--out", str(tmp_path / "out"), "--threads", "2"]) == 0
     got = json.loads((tmp_path / "out" / "tl.json").read_text())["result"]["points"]
 
-    r = Resolver(cfg)
-    dist = r.dist_field()
-    seed = r.seed_field()
-    params = cli._params_field(r, dist)
-    sets = cli._discovery_block(r, dist, params, seed)
-    probes = r.points_field()
+    # rebuild the discovery from the resolved config the report embeds
+    resolved = json.loads((tmp_path / "out" / "tl.json").read_text())["config"]
+    dist = dist_from(resolved, "")
+    seed = SequenceSeed(resolved["seed"], resolved["stream"])
+    params = condition_a_params(dist, resolved["rho_margin"])
+    disc = resolved["discovery"]
+    sets = discover_minimal_sets(
+        dist, params, points_from(disc, "/discovery"), cli._phase(seed, 0),
+        burn_in=disc["burn_in"], n_record=disc["n_record"], cluster_eps=disc["cluster_eps"],
+    )
+    probes = points_from(resolved, "")
+    assert probes == points_from(cfg, "")
     assert len(got) == len(probes) == 3
     for i, z in enumerate(probes):
         est = estimate_TL(dist, sets, z, 150, 40, cli._phase(seed, 1, i), params)

@@ -274,6 +274,8 @@ def test_slice_spec_validation():
         SliceSpec((0.0, 0.0), (1.0, 0.0), (1.0, 0.0), 1.0, 16)  # dependent
     with pytest.raises(ValueError):
         SliceSpec((0.0, 0.0), (1.0, 0.0), (0.0, 1.0), -1.0, 16)
+    with pytest.raises(ValueError):
+        SliceSpec((0.0, 0.0), (1.0, 0.0), (0.0, 1.0), 1e308, 16)  # 2 * extent overflows
     s = SliceSpec((0.0, 0.0), (1.0, 0.0), (0.0, 1.0), 2.0, 32)
     assert s.pixel_pitch == 0.125
 
