@@ -181,10 +181,12 @@ def condition_a_params(dist: MapDistribution, rho_margin: float = 1.0) -> Filtra
 # vectorised per-step draws for walker kernels
 
 def finite_choices_array(
-    dist: FiniteDist, master: int, streams: np.ndarray, index: int
+    dist: FiniteDist, master: int, streams: np.ndarray, index
 ) -> np.ndarray:
-    """Per-walker support indices for step ``index``; matches sample_map."""
-    u = rng.uniform01_array(master, streams, np.uint64(index))
+    """Per-walker support indices for step ``index``; matches sample_map.
+    ``index`` may be an array that broadcasts with ``streams``: one call then
+    draws every (stream, index) cell of the broadcast shape."""
+    u = rng.uniform01_array(master, streams, index)
     cum = dist._cum  # type: ignore[attr-defined]
     j = np.searchsorted(cum, u, side="right")
     return np.minimum(j, len(dist.maps) - 1)
@@ -200,31 +202,41 @@ def _block_attempts(pending: int) -> int:
 
 
 def ball_offsets_array(
-    dist: BallNoise, master: int, streams: np.ndarray, index: int
+    dist: BallNoise, master: int, streams: np.ndarray, index
 ) -> Tuple[np.ndarray, np.ndarray]:
     """Per-walker (alpha, constant-coefficient) offsets for step ``index``.
 
-    Bitwise identical to looping sample_map over the same streams.  Each
-    rejection pass hashes a block of k attempts (4 words each) for every
-    pending lane in one call, and a lane takes the first accepted attempt of
-    its block: the attempt the scalar draw accepts, so k never changes bits.
-    Lanes with none accepted go on to the next block.
+    Bitwise identical to looping sample_map over the same streams.  ``index``
+    may be an array that broadcasts with ``streams``: one call then draws every
+    (stream, index) cell of the broadcast shape, and the rejection below runs
+    over cells as it runs over lanes.  Each rejection pass hashes a block of k
+    attempts (4 words each) for every pending cell in one call, and a cell
+    takes the first accepted attempt of its block: the attempt the scalar
+    draw accepts, so k never changes bits.  Cells with none accepted go on to
+    the next block.
     """
     radius = dist.radius
     r2 = radius * radius
+    index = np.asarray(index, dtype=np.uint64)
+    shape = np.broadcast_shapes(np.shape(streams), index.shape)
+    streams = np.broadcast_to(streams, shape).ravel()
+    per_cell = index.ndim > 0
+    if per_cell:
+        index = np.broadcast_to(index, shape).ravel()
     n = streams.shape[0]
     a = np.zeros(n, dtype=np.complex128)
     b = np.zeros(n, dtype=np.complex128)
     pending = np.arange(n)
-    first = 0  # every pending lane has rejected attempts 0 .. first - 1
+    first = 0  # every pending cell has rejected attempts 0 .. first - 1
     while pending.size:
         if first == _MAX_BALL_ATTEMPTS:
             raise RuntimeError("ball rejection failed to terminate")
         k = min(_block_attempts(pending.size), _MAX_BALL_ATTEMPTS - first)
         words = np.arange(4 * first, 4 * (first + k), dtype=np.uint64)
-        # (4k, p) block, streams along the row, so each lane's prefix is
+        # (4k, p) block, cells along the row, so each cell's prefix is
         # hashed once; row 4j + w holds word w of attempt first + j
-        u = rng.uniform01_array(master, streams[None, pending], np.uint64(index), words[:, None])
+        u = rng.uniform01_array(master, streams[None, pending],
+                                index[None, pending] if per_cell else index, words[:, None])
         c = ((2.0 * u - 1.0) * radius).reshape(k, 4, -1)
         sq = c * c
         ok = sq[:, 0] + sq[:, 1] + sq[:, 2] + sq[:, 3] <= r2
@@ -235,4 +247,4 @@ def ball_offsets_array(
         b[acc] = rows[:, 2] + 1j * rows[:, 3]
         pending = np.delete(pending, hit)
         first += k
-    return a, b
+    return a.reshape(shape), b.reshape(shape)

@@ -519,19 +519,29 @@ class SliceSpec:
         inner = self.dir1[0] * self.dir2[0].conjugate() + self.dir1[1] * self.dir2[1].conjugate()
         if abs(inner) > 1.0 - 1e-9:
             raise ValueError("dir1 and dir2 must be linearly independent")
+        # each coordinate's parts are monotone in the ticks, rounding included,
+        # so the corner pixels bound the grid
+        with np.errstate(over="ignore", invalid="ignore"):
+            corners = self._coords(self._ticks()[[0, -1]])
+        if not all(np.isfinite(c).all() for c in corners):
+            raise ValueError("slice leaves the double range: a pixel coordinate overflows")
 
     @property
     def pixel_pitch(self) -> float:
         return 2.0 * self.extent / self.resolution
 
-    def grid(self) -> Tuple[np.ndarray, np.ndarray]:
-        """Complex coordinate arrays (X, Y), shape (resolution, resolution)."""
-        res = self.resolution
-        ticks = -self.extent + (np.arange(res) + 0.5) * self.pixel_pitch
+    def _ticks(self) -> np.ndarray:
+        return -self.extent + (np.arange(self.resolution) + 0.5) * self.pixel_pitch
+
+    def _coords(self, ticks: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
         S, T = np.meshgrid(ticks, ticks)  # S varies along columns, T along rows
         X = self.anchor[0] + S * self.dir1[0] + T * self.dir2[0]
         Y = self.anchor[1] + S * self.dir1[1] + T * self.dir2[1]
         return X.astype(np.complex128), Y.astype(np.complex128)
+
+    def grid(self) -> Tuple[np.ndarray, np.ndarray]:
+        """Complex coordinate arrays (X, Y), shape (resolution, resolution)."""
+        return self._coords(self._ticks())
 
 
 @dataclass
@@ -577,6 +587,8 @@ def _raster_block(
                 step[new] = n
                 entries = (new, *state)
                 pool = entries if pool is None else tuple(map(np.concatenate, zip(pool, entries)))
+            if n == 0:  # lanes that start outside the window stay uncertain, never stepped
+                w.move(w.X, w.Y)
         if n >= n_refine and pool is not None:
             green[pool[0]] = np.maximum(_log_value(pool[1:], D), _TINY)
             error[pool[0]] = _stage_bound(c_tel, n)

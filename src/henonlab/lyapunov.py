@@ -152,8 +152,8 @@ def _batch_runs(
             if not len(w):
                 break
         c = w.carry
-        w.X, w.Y, w1, w2 = lanes.step(dist, seed.master_seed, w.streams, step, w.X, w.Y,
-                                      (c["V1"], c["V2"]))
+        w.X, w.Y, w1, w2 = lanes.apply(dist, w.draw(dist, seed.master_seed, step), w.X, w.Y,
+                                       (c["V1"], c["V2"]))
         if (step + 1) % block and step + 1 < n:
             c.update(V1=w1, V2=w2)
             continue

@@ -205,7 +205,7 @@ def _fresh(tree: cKDTree, fx: List[np.ndarray], fy: List[np.ndarray], eps: float
 
 def _saturate(
     xs: np.ndarray, ys: np.ndarray, maps: Sequence[HenonMap], eps: float, box: float,
-    assign: float,
+    assign: float, tree: Optional[cKDTree] = None,
 ) -> Tuple[np.ndarray, np.ndarray, bool]:
     """Grow the sample cloud until support images are covered.
 
@@ -221,10 +221,12 @@ def _saturate(
     fixed: once the far count exceeds 1e-3 of the most in-window images the
     round can reach, it cannot close, and once the fresh points of the far
     images so far (a subset of the round's) outgrow the room, it stops where
-    the whole round would.  That subset is recounted as the far count doubles."""
+    the whole round would.  That subset is recounted as the far count doubles.
+    ``tree``, when given, indexes the start cloud and serves round 1."""
     new_x, new_y, kept, far_x, far_y = xs, ys, 0, xs[:0], ys[:0]
-    for _ in range(_MAX_SATURATION_ROUNDS):
-        tree = cKDTree(_embed4(xs, ys))
+    for r in range(_MAX_SATURATION_ROUNDS):
+        if r or tree is None:
+            tree = cKDTree(_embed4(xs, ys))
         _, j = tree.query(_embed4(far_x, far_y), k=1, distance_upper_bound=assign)
         far_x, far_y = [far_x[j == tree.n]], [far_y[j == tree.n]]
         n_far, counted, room = far_x[0].size, 0, _MAX_CLOUD - xs.size
@@ -443,8 +445,9 @@ def _candidates_at(
     xs, ys = _lattice_points(rows, eps)
     # coverage radius tracks the sampling density, not just eps, so finer
     # linking radii do not demand a volumetric fill of noise-blown blobs
-    assign = max(_ASSIGN_FACTOR * eps, 2.0 * _link_radius(cKDTree(_embed4(xs, ys)), eps))
-    xs, ys, ok = _saturate(xs, ys, maps, eps, box, assign)
+    tree = cKDTree(_embed4(xs, ys))
+    assign = max(_ASSIGN_FACTOR * eps, 2.0 * _link_radius(tree, eps))
+    xs, ys, ok = _saturate(xs, ys, maps, eps, box, assign, tree=tree)
     if not ok:
         return []
     labels, edges = _digraph(xs, ys, maps, eps)

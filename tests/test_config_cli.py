@@ -326,6 +326,9 @@ SKEWED_CFG = dict(TWO_MAP_CFG, weights=[0.9, 0.1])
     ("render-julia", dict(QUAD_CFG, slice={"anchor": [[0, 0], [0, 0]], "extent": 1e308,
                                            "resolution": 4}), "/slice"),
     ("tl", dict(CYCLE_CFG, discovery=CYCLE_CFG, samples=0), "/samples"),
+    # the pitch is finite, but the corner pixels' x leaves the double range
+    ("render-julia", dict(QUAD_CFG, slice={"anchor": [[1.7e308, 0], [0, 0]], "extent": 8e307,
+                                           "resolution": 4}), "/slice"),
 ])
 def test_cli_bad_field_exit_2_before_any_work(tmp_path, capsys, monkeypatch, cmd, cfg, pointer):
     from henonlab import cli
@@ -474,6 +477,24 @@ def test_console_entry_point():
     for cmd in ("render-julia", "green", "lyapunov", "minsets", "tl", "mop",
                 "dtl", "bifurcate", "escape-stats", "selftest"):
         assert cmd in proc.stdout
+
+
+def test_cli_render_never_steps_pixels_outside_the_window(tmp_path):
+    # every pixel starts with |x| >= 4e307, far outside the exact window: the
+    # two in the cone keep their step-0 Green value, the rest stay uncertain
+    # and are never stepped, so no overflow warning turns into an error
+    src = os.path.join(os.path.dirname(os.path.abspath(__file__)), "..", "src")
+    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+    cfg = dict(QUAD_CFG, slice={"anchor": [[1e308, 0], [0, 0]], "extent": 8e307,
+                                "resolution": 4})
+    proc = subprocess.run(
+        [sys.executable, "-W", "error", "-m", "henonlab.cli", "render-julia",
+         "--config", _write_cfg(tmp_path, cfg), "--out", str(tmp_path / "out")],
+        capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=path),
+    )
+    assert proc.returncode == 0 and proc.stderr == ""
+    rep = json.loads((tmp_path / "out" / "julia.json").read_text())["result"]
+    assert rep["pixels"] == {"bounded": 0, "escaped": 2, "uncertain": 14}
 
 
 # ---------------------------------------------------------------------------

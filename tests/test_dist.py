@@ -119,6 +119,28 @@ def test_ball_offsets_vectorized_matches_scalar():
             assert second_pass > 0
 
 
+def test_broadcast_index_draws_match_per_step_calls():
+    bn = BallNoise(QUAD_C, 0.25)
+    fd = FiniteDist((QUAD, QUAD_C, QUAD), (0.2, 0.5, 0.3))
+    for lanes in (1, 10, 100, 5000):
+        streams = rng.stream_table(lanes, lanes)
+        steps = np.array([0, 1, 2, 9, 2**40 + 3], dtype=np.uint64)
+        a, b = ball_offsets_array(bn, 11, streams[None, :], steps[:, None])
+        j = finite_choices_array(fd, 11, streams[None, :], steps[:, None])
+        assert a.shape == b.shape == j.shape == (steps.size, lanes)
+        for row, n in enumerate(steps.tolist()):
+            want_a, want_b = ball_offsets_array(bn, 11, streams, n)
+            assert np.array_equal(a[row], want_a) and np.array_equal(b[row], want_b)
+            assert np.array_equal(j[row], finite_choices_array(fd, 11, streams, n))
+    # one index per stream (the transposed layout) draws the same cells
+    streams = rng.stream_table(2, 40)
+    steps = np.arange(40, dtype=np.uint64) * 7
+    a, b = ball_offsets_array(bn, 5, streams, steps)
+    for k in range(40):
+        f = sample_map(bn, SequenceSeed(5, int(streams[k])), int(steps[k]))
+        assert a[k] == f.alpha - QUAD_C.alpha and b[k] == f.poly.coeffs[-1] - QUAD_C.poly.coeffs[-1]
+
+
 @pytest.mark.parametrize("lanes", [5, 300])
 def test_ball_rejection_cap_is_shared(monkeypatch, lanes):
     bn = BallNoise(QUAD_C, 0.25)

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from conftest import CUBIC, QUAD, QUAD_A, QUAD_C
-from henonlab import escape, lanes
+from henonlab import escape, lanes, rng
 from henonlab.core import (
     HenonMap,
     NumericOverflow,
@@ -321,15 +321,46 @@ def test_census_counts_and_determinism(quad_params):
     assert (c.escaped, c.bounded, c.uncertain) == (a.escaped, a.bounded, a.uncertain)
 
 
-def test_census_thread_invariance_across_chunks(ball_cycle_dist):
-    # 9,000 walkers span three walker blocks
+def _per_step_census(dist, pts, R, max_iter, seed):
+    # one walk over every walker, one draw call per step, compacted by hand
+    streams = rng.stream_table(seed.stream_id, len(pts))
+    X = np.array([p[0] for p in pts], dtype=np.complex128)
+    Y = np.array([p[1] for p in pts], dtype=np.complex128)
+    escaped = 0
+    for n in range(max_iter + 1):
+        esc = lanes.in_cone(X, Y, R)
+        escaped += int(esc.sum())
+        streams, X, Y = streams[~esc], X[~esc], Y[~esc]
+        if n == max_iter or not X.size:
+            break
+        X, Y = lanes.apply(dist, lanes.draw(dist, seed.master_seed, streams, n), X, Y)
+        keep = ~lanes.outside(X, Y)
+        streams, X, Y = streams[keep], X[keep], Y[keep]
+    bounded = int(lanes.in_bidisk(X, Y, R).sum())
+    return escaped, bounded, len(pts) - escaped - bounded
+
+
+def test_census_thread_invariance_across_chunks(ball_cycle_dist, monkeypatch):
+    # 9,000 walkers span three walker blocks; each block's tail draws its
+    # steps in blocks wider than one
     assert 2 * lanes.WALK_BLOCK < 9000
+    widths = []
+    draw_steps = lanes.draw_steps
+
+    def spy(live):
+        widths.append(draw_steps(live))
+        return widths[-1]
+
+    monkeypatch.setattr(lanes, "draw_steps", spy)
     params = condition_a_params(ball_cycle_dist)
     pts = [((0.37 * k) % 3.0 - 1.5 + 0j, (0.53 * k) % 3.0 - 1.5 + 0j) for k in range(9000)]
     runs = [escape_census(ball_cycle_dist, pts, params, 40, SequenceSeed(5, 4), threads=t)
             for t in (1, 2)]
     assert runs[0] == runs[1]
     assert runs[0].total == 9000 and runs[0].escaped > 0 and runs[0].bounded > 0
+    assert (runs[0].escaped, runs[0].bounded, runs[0].uncertain) == \
+        _per_step_census(ball_cycle_dist, pts, params.R, 40, SequenceSeed(5, 4))
+    assert min(widths) == 1 and max(widths) > 1
 
 
 def test_census_ball_noise(ball_cycle_dist):

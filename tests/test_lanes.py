@@ -5,9 +5,9 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from conftest import CUBIC, QUAD_C, QUAD_W
+from conftest import CUBIC, QUAD_A, QUAD_C, QUAD_W
 from henonlab import lanes, rng
-from henonlab.core import Region, classify_region, eval_map, in_v_plus, jacobian
+from henonlab.core import HenonMap, Poly, Region, classify_region, eval_map, in_v_plus, jacobian
 from henonlab.dist import BallNoise, FiniteDist, SequenceSeed, sample_map
 
 LANES = 500
@@ -33,7 +33,7 @@ def test_step_matches_scalar_maps(name):
     u = np.random.default_rng(11).uniform(-1.5, 1.5, (6, LANES))
     X, Y = u[0] + 1j * u[1], u[2] + 1j * u[3]
     V1, V2 = u[4] + 0.5j, 0.25 - 1j * u[5]
-    nx, ny, w1, w2 = lanes.step(dist, MASTER, streams, STEP, X, Y, (V1, V2))
+    nx, ny, w1, w2 = lanes.apply(dist, lanes.draw(dist, MASTER, streams, STEP), X, Y, (V1, V2))
 
     ref = np.empty((4, LANES), dtype=np.complex128)
     for k in range(LANES):
@@ -152,3 +152,70 @@ def test_horner_matches_zero_start_reference():
         want = _zero_start_horner(tuple(coeffs), y)
         assert got.dtype == want.dtype
         assert np.array_equal(got.view(np.uint64), want.view(np.uint64)), (d, coeffs)
+
+
+def _cull(n, live):
+    # deterministic retirements, most of them in the middle of a drawn block
+    if live < 2 or n % 9 != 4:
+        return np.zeros(live, dtype=bool)
+    return np.random.default_rng(n).random(live) < 0.25
+
+
+def _same_draw(got, want) -> bool:
+    if want is None:  # a one-map support draws nothing
+        return got is None
+    if isinstance(want, tuple):  # a ball's (alpha, constant) offsets
+        return all(np.array_equal(g, r) for g, r in zip(got, want))
+    return np.array_equal(got, want)
+
+
+# supports that keep lanes near the attracting origin, so walks outlive blocks
+CALM = {
+    "three-map": FiniteDist((QUAD_A, QUAD_W, HenonMap(0.01, 0.5, Poly((1.0, 0.0, 0.01)))),
+                            (0.5, 0.3, 0.2)),
+    "one-map": FiniteDist((QUAD_A,), (1.0,)),
+    "ball": BallNoise(QUAD_A, 0.05),
+}
+
+
+@pytest.mark.parametrize("name", sorted(CALM))
+@pytest.mark.parametrize("n_lanes", [1, 10, 100, 5000])
+def test_walk_draw_blocks_match_per_step_draws(name, n_lanes):
+    dist = CALM[name]
+    steps = 75  # past two 32-step blocks
+    streams = rng.stream_table(13, n_lanes)
+    u = np.random.default_rng(n_lanes).uniform(-0.2, 0.2, (4, n_lanes))
+    X, Y = u[0] + 1j * u[1], u[2] + 1j * u[3]
+    w = lanes.Walk(X, Y, streams)
+    # the reference draws every step on its own and compacts by hand
+    lane, rs, rx, ry = np.arange(n_lanes), streams, X, Y
+    widths = []
+    for n in range(steps):
+        for rule in (lambda: lanes.in_cone(w.X, w.Y, 2.0), lambda: _cull(n, len(w))):
+            mask = rule()
+            w.retire(mask)
+            lane, rs, rx, ry = lane[~mask], rs[~mask], rx[~mask], ry[~mask]
+        if not len(w):
+            break
+        widths.append(lanes.draw_steps(len(w)))
+        want = lanes.draw(dist, MASTER, rs, n)
+        assert _same_draw(w.draw(dist, MASTER, n), want)
+        rx, ry = lanes.apply(dist, want, rx, ry)
+        gone = w.step(dist, MASTER, n)
+        keep = ~lanes.outside(rx, ry)
+        assert np.array_equal(gone, lane[~keep])
+        lane, rs, rx, ry = lane[keep], rs[keep], rx[keep], ry[keep]
+        assert np.array_equal(w.lane, lane) and np.array_equal(w.streams, rs)
+        assert np.array_equal(w.X, rx) and np.array_equal(w.Y, ry)
+    # the walk crossed refills with live lanes, at a block width above 1
+    assert len(widths) == steps and max(widths) > 1
+    assert len(w) > 0 and (n_lanes == 1 or len(w) < n_lanes)
+
+
+def test_walk_draw_refills_on_a_new_distribution_or_an_earlier_step():
+    streams = rng.stream_table(3, 20)
+    w = lanes.Walk(np.zeros(20, dtype=np.complex128), np.zeros(20, dtype=np.complex128), streams)
+    three, ball = DISTS["three-map"], DISTS["ball"]
+    for dist, master, n in ((three, MASTER, 5), (ball, MASTER, 6), (ball, MASTER + 1, 6),
+                            (ball, MASTER + 1, 2), (three, MASTER, 40)):
+        assert _same_draw(w.draw(dist, master, n), lanes.draw(dist, master, streams, n))

@@ -517,6 +517,48 @@ def test_saturate_matches_whole_cloud_reference(stop, monkeypatch):
         assert 0 < sum(queried) <= reference_queried // 2
 
 
+@pytest.mark.parametrize("closes", [True, False])
+def test_saturate_reuses_the_start_tree(closes, monkeypatch):
+    if closes:
+        dist, eps = _two_map(), 0.002
+    else:
+        dist, eps = BallNoise(QUAD_C, 0.1), 0.01
+        monkeypatch.setattr(minsets, "_MAX_SATURATION_ROUNDS", 2)
+    xs, ys, maps, box = _start_cloud(dist, eps)
+    start = cKDTree(_embed(xs, ys))
+    built = []
+
+    class CountingKD(cKDTree):
+        def __init__(self, data, *args, **kwargs):
+            built.append(len(data))
+            super().__init__(data, *args, **kwargs)
+
+    monkeypatch.setattr(minsets, "cKDTree", CountingKD)
+    want = minsets._saturate(xs, ys, maps, eps, box, 5.0 * eps)
+    rebuilt = list(built)
+    built.clear()
+    got = minsets._saturate(xs, ys, maps, eps, box, 5.0 * eps, tree=start)
+    assert got[2] is want[2] is closes
+    assert got[0].tobytes() == want[0].tobytes() and got[1].tobytes() == want[1].tobytes()
+    assert rebuilt[0] == xs.size and built == rebuilt[1:]
+
+
+def test_candidates_build_the_start_tree_once(monkeypatch):
+    dist = _two_map()
+    xs, ys, maps, box = _start_cloud(dist, 0.002)
+    built = []
+
+    class CountingKD(cKDTree):
+        def __init__(self, data, *args, **kwargs):
+            built.append(np.array(data))
+            super().__init__(data, *args, **kwargs)
+
+    monkeypatch.setattr(minsets, "cKDTree", CountingKD)
+    minsets._candidates_at(xs, ys, maps, 0.002, box)
+    assert len(built) >= 2
+    assert sum(np.array_equal(b, built[0]) for b in built[1:-1]) == 0
+
+
 def test_unclosed_cloud_gives_no_candidates(monkeypatch):
     monkeypatch.setattr(minsets, "_MAX_CLOUD", SMALL_CAP)
 
