@@ -220,9 +220,7 @@ def ball_offsets_array(
     index = np.asarray(index, dtype=np.uint64)
     shape = np.broadcast_shapes(np.shape(streams), index.shape)
     streams = np.broadcast_to(streams, shape).ravel()
-    per_cell = index.ndim > 0
-    if per_cell:
-        index = np.broadcast_to(index, shape).ravel()
+    index = np.broadcast_to(index, shape).ravel()
     n = streams.shape[0]
     a = np.zeros(n, dtype=np.complex128)
     b = np.zeros(n, dtype=np.complex128)
@@ -236,7 +234,7 @@ def ball_offsets_array(
         # (4k, p) block, cells along the row, so each cell's prefix is
         # hashed once; row 4j + w holds word w of attempt first + j
         u = rng.uniform01_array(master, streams[None, pending],
-                                index[None, pending] if per_cell else index, words[:, None])
+                                index[None, pending], words[:, None])
         c = ((2.0 * u - 1.0) * radius).reshape(k, 4, -1)
         sq = c * c
         ok = sq[:, 0] + sq[:, 1] + sq[:, 2] + sq[:, 3] <= r2

@@ -755,14 +755,14 @@ def _census_chunk(
     R: float,
     max_iter: int,
 ) -> Tuple[int, int, int]:
-    w = lanes.Walk(xs, ys, streams)
+    w = lanes.Walk(xs, ys, streams, dist, master)
     escaped = 0
     for n in range(max_iter + 1):
         escaped += w.retire(lanes.in_cone(w.X, w.Y, R)).size
         if n == max_iter or not len(w):
             break
         # lanes leaving the window are tallied as uncertain below
-        w.step(dist, master, n)
+        w.step(n)
     bounded = int(lanes.in_bidisk(w.X, w.Y, R).sum())
     uncertain = xs.size - escaped - bounded
     return escaped, bounded, uncertain

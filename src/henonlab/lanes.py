@@ -118,20 +118,26 @@ def _each(drawn, fn):
 class Walk:
     """The live lanes of a batch: positions X, Y, draw streams (None for a
     batch that shares one map sequence), each lane's index in the starting
-    batch (``lane``) and per-lane ``carry`` arrays.  Retiring compacts them
-    all in lane order, along with the block of steps drawn ahead.  Arrays are
-    rebound, never written in place, so a caller may keep a reference to any
-    of them."""
+    batch (``lane``) and per-lane ``carry`` arrays.  A walk that draws its
+    steps is bound to one distribution and master seed.  Retiring compacts
+    the lanes in lane order, along with the steps drawn ahead and not yet
+    taken.  Arrays are rebound, never written in place, so a caller may keep
+    a reference to any of them."""
 
     def __init__(self, X: np.ndarray, Y: np.ndarray, streams: Optional[np.ndarray] = None,
+                 dist: Optional[MapDistribution] = None, master: int = 0,
                  **carry: np.ndarray):
         self.X = X
         self.Y = Y
         self.streams = streams
+        self.dist = dist
+        self.master = master
         self.lane = np.arange(X.size)
         self.carry: Dict[str, np.ndarray] = carry
-        # (dist, master, first step, width, width x lanes draws): the drawn block
+        # (first step, steps, steps x lanes draws): the drawn block, whose
+        # rows before step _next have been taken
         self._block: Optional[tuple] = None
+        self._next = 0
 
     def __len__(self) -> int:
         return self.lane.size
@@ -147,8 +153,11 @@ class Walk:
             self.streams = self.streams[keep]
         self.carry = {k: v[keep] for k, v in self.carry.items()}
         if self._block is not None:
-            *head, drawn = self._block
-            self._block = (*head, _each(drawn, lambda d: d[:, keep]))
+            # taken rows are dropped, not compacted; a used-up block goes
+            first, width, drawn = self._block
+            used = self._next - first
+            self._block = None if used >= width else (
+                self._next, width - used, _each(drawn, lambda d: d[used:, keep]))
         return gone
 
     def move(self, X: np.ndarray, Y: np.ndarray) -> np.ndarray:
@@ -157,26 +166,29 @@ class Walk:
         self.X, self.Y = X, Y
         return self.retire(outside(X, Y))
 
-    def draw(self, dist: MapDistribution, master: int, n: int):
+    def draw(self, n: int):
         """Step n's draw for every live lane (see :func:`draw`), read from the
         drawn block; outside it, a refill draws steps n .. n + T - 1 of every
         live lane in one call, T = draw_steps(len(self)).  Every cell is the
         per-step draw's, so neither T nor the refill points change bits."""
+        dist = self.dist
         if isinstance(dist, FiniteDist) and len(dist.maps) == 1:
             return None
         blk = self._block
-        if blk is None or blk[0] is not dist or blk[1] != master or not 0 <= n - blk[2] < blk[3]:
+        if blk is None or not 0 <= n - blk[0] < blk[1]:
             width = draw_steps(len(self))
-            # steps along the rows, so each step reads a contiguous row; a
-            # one-step block keeps the scalar-index draw
+            # steps along the rows, so each step reads a contiguous row; the
+            # streams are given in the block's shape, so the call's streams
+            # argument counts its (lane, step) cells
             cells = np.broadcast_to(self.streams, (width, len(self)))
-            steps = np.arange(n, n + width, dtype=np.uint64)[:, None] if width > 1 else n
-            blk = self._block = (dist, master, n, width, draw(dist, master, cells, steps))
-        return _each(blk[4], lambda d: d[n - blk[2]])
+            steps = np.arange(n, n + width, dtype=np.uint64)[:, None]
+            blk = self._block = (n, width, draw(dist, self.master, cells, steps))
+        self._next = n + 1
+        return _each(blk[2], lambda d: d[n - blk[0]])
 
-    def step(self, dist: MapDistribution, master: int, n: int) -> np.ndarray:
+    def step(self, n: int) -> np.ndarray:
         """Take step n on every lane (see :meth:`move`)."""
-        return self.move(*apply(dist, self.draw(dist, master, n), self.X, self.Y))
+        return self.move(*apply(self.dist, self.draw(n), self.X, self.Y))
 
 
 def outside(X: np.ndarray, Y: np.ndarray) -> np.ndarray:

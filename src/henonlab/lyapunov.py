@@ -143,7 +143,7 @@ def _batch_runs(
     acc = np.zeros(samples)
     escaped = np.zeros(samples, dtype=bool)
     block = _renorm_steps(dist, r_big)
-    w = lanes.Walk(X, Y, streams, V1=V1, V2=V2, part=np.zeros(samples))
+    w = lanes.Walk(X, Y, streams, dist, seed.master_seed, V1=V1, V2=V2, part=np.zeros(samples))
     # no window check per step: a lane leaves the 10R bidisk, and retires, first
     for step in range(n):
         out = np.maximum(np.abs(w.X), np.abs(w.Y)) > r_big
@@ -152,8 +152,7 @@ def _batch_runs(
             if not len(w):
                 break
         c = w.carry
-        w.X, w.Y, w1, w2 = lanes.apply(dist, w.draw(dist, seed.master_seed, step), w.X, w.Y,
-                                       (c["V1"], c["V2"]))
+        w.X, w.Y, w1, w2 = lanes.apply(dist, w.draw(step), w.X, w.Y, (c["V1"], c["V2"]))
         if (step + 1) % block and step + 1 < n:
             c.update(V1=w1, V2=w2)
             continue

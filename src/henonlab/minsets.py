@@ -399,7 +399,7 @@ def _record_orbits(
     streams = rng.stream_table(seed.stream_id, len(grid))
     X = np.array([p[0] for p in grid], dtype=np.complex128)
     Y = np.array([p[1] for p in grid], dtype=np.complex128)
-    w = lanes.Walk(X, Y, streams)
+    w = lanes.Walk(X, Y, streams, dist, seed.master_seed)
     escaped = 0
     rec_x: List[np.ndarray] = []
     rec_y: List[np.ndarray] = []
@@ -407,7 +407,7 @@ def _record_orbits(
         escaped += w.retire(lanes.in_cone(w.X, w.Y, R)).size
         if not len(w):
             break
-        w.step(dist, seed.master_seed, step)
+        w.step(step)
         if step >= burn_in - 1:
             rec_x.append(w.X)
             rec_y.append(w.Y)
@@ -602,7 +602,7 @@ def _tl_chunk(
     probes probe[0]..probe[-1], one row each: one column per finite
     descriptor, then INFINITY, then unresolved."""
     m, k = streams.shape[0], len(finite)
-    w = lanes.Walk(starts[0][probe], starts[1][probe], streams,
+    w = lanes.Walk(starts[0][probe], starts[1][probe], streams, dist, master,
                    cand=np.full(m, -1, dtype=np.int64), run=np.zeros(m, dtype=np.int64))
     # a lane stays unresolved (column k + 1) unless it escapes or is captured
     fate = np.full(m, k + 1, dtype=np.int64)
@@ -629,7 +629,7 @@ def _tl_chunk(
             fate[w.retire(done)] = which[done]
         if not len(w) or step == max_iter:
             break
-        w.step(dist, master, step)  # lanes that leave the window stay unresolved
+        w.step(step)  # lanes that leave the window stay unresolved
     rows = int(probe[-1] - probe[0]) + 1
     return np.bincount((probe - probe[0]) * (k + 2) + fate, minlength=rows * (k + 2)).reshape(rows, k + 2)
 
@@ -746,7 +746,7 @@ def _pair_tracking(
     d0 = np.hypot(
         np.abs(starts_x[0::2] - starts_x[1::2]), np.abs(starts_y[0::2] - starts_y[1::2])
     )
-    w = lanes.Walk(starts_x, starts_y, streams)
+    w = lanes.Walk(starts_x, starts_y, streams, dist, seed.master_seed)
     blown = np.zeros(pairs, dtype=bool)
     # per-pair distance and step count frozen at first passage below 1e-13,
     # before the paired orbits collapse onto the same float orbit
@@ -761,7 +761,7 @@ def _pair_tracking(
         w.retire(blown[w.lane // 2])
         if not len(w):
             break
-        blown[w.step(dist, seed.master_seed, step) // 2] = True
+        blown[w.step(step) // 2] = True
         w.retire(blown[w.lane // 2])
         # frozen pairs keep walking: a later escape still blows them
         pair = w.lane[0::2] // 2

@@ -86,9 +86,9 @@ def test_walk_step_retires_exactly_the_lanes_leaving_the_window():
     dist = DISTS["one-map"]
     Y = np.array([0.3, 9e49, 2e50, 0.0, 1e60, 0.0]) + 0j
     X = np.array([0.0, 0.0, 0.0, 0.5, 0.0, -1e102]) + 0j
-    w = lanes.Walk(X, Y, np.arange(6, dtype=np.uint64))
+    w = lanes.Walk(X, Y, np.arange(6, dtype=np.uint64), dist, MASTER)
     want_x, want_y = lanes.image(dist.maps[0], X, Y)
-    assert list(w.step(dist, MASTER, 0)) == [2, 4, 5]
+    assert list(w.step(0)) == [2, 4, 5]
     assert list(w.lane) == [0, 1, 3]
     assert not lanes.outside(w.X, w.Y).any()
     assert np.array_equal(w.X, want_x[[0, 1, 3]]) and np.array_equal(w.Y, want_y[[0, 1, 3]])
@@ -96,11 +96,11 @@ def test_walk_step_retires_exactly_the_lanes_leaving_the_window():
 
 def _walk_positions(dist, streams, X, Y, steps):
     # every lane's position after each step, NaN once it has retired
-    w = lanes.Walk(X, Y, streams)
+    w = lanes.Walk(X, Y, streams, dist, MASTER)
     out = np.full((steps, 2, X.size), np.nan, dtype=np.complex128)
     for n in range(steps):
         w.retire(lanes.in_cone(w.X, w.Y, 2.0))
-        w.step(dist, MASTER, n)
+        w.step(n)
         out[n, :, w.lane] = np.stack([w.X, w.Y], axis=1)
     return out
 
@@ -186,7 +186,7 @@ def test_walk_draw_blocks_match_per_step_draws(name, n_lanes):
     streams = rng.stream_table(13, n_lanes)
     u = np.random.default_rng(n_lanes).uniform(-0.2, 0.2, (4, n_lanes))
     X, Y = u[0] + 1j * u[1], u[2] + 1j * u[3]
-    w = lanes.Walk(X, Y, streams)
+    w = lanes.Walk(X, Y, streams, dist, MASTER)
     # the reference draws every step on its own and compacts by hand
     lane, rs, rx, ry = np.arange(n_lanes), streams, X, Y
     widths = []
@@ -199,9 +199,9 @@ def test_walk_draw_blocks_match_per_step_draws(name, n_lanes):
             break
         widths.append(lanes.draw_steps(len(w)))
         want = lanes.draw(dist, MASTER, rs, n)
-        assert _same_draw(w.draw(dist, MASTER, n), want)
+        assert _same_draw(w.draw(n), want)
         rx, ry = lanes.apply(dist, want, rx, ry)
-        gone = w.step(dist, MASTER, n)
+        gone = w.step(n)
         keep = ~lanes.outside(rx, ry)
         assert np.array_equal(gone, lane[~keep])
         lane, rs, rx, ry = lane[keep], rs[keep], rx[keep], ry[keep]
@@ -212,10 +212,21 @@ def test_walk_draw_blocks_match_per_step_draws(name, n_lanes):
     assert len(w) > 0 and (n_lanes == 1 or len(w) < n_lanes)
 
 
-def test_walk_draw_refills_on_a_new_distribution_or_an_earlier_step():
+@pytest.mark.parametrize("name", ["three-map", "ball"])
+def test_walk_draw_refills_outside_its_block(name):
+    dist = DISTS[name]
     streams = rng.stream_table(3, 20)
-    w = lanes.Walk(np.zeros(20, dtype=np.complex128), np.zeros(20, dtype=np.complex128), streams)
-    three, ball = DISTS["three-map"], DISTS["ball"]
-    for dist, master, n in ((three, MASTER, 5), (ball, MASTER, 6), (ball, MASTER + 1, 6),
-                            (ball, MASTER + 1, 2), (three, MASTER, 40)):
-        assert _same_draw(w.draw(dist, master, n), lanes.draw(dist, master, streams, n))
+    w = lanes.Walk(np.zeros(20, dtype=np.complex128), np.zeros(20, dtype=np.complex128), streams,
+                   dist, MASTER)
+    # an earlier step, a jump past the block and a retire in the middle of one
+    for n in (5, 6, 2, 40, 41):
+        if n == 41:
+            w.retire(np.arange(len(w)) % 3 == 0)
+        assert _same_draw(w.draw(n), lanes.draw(dist, MASTER, w.streams, n))
+    # a one-step block is used up by its step, so a retire drops it whole
+    z = np.zeros(5000, dtype=np.complex128)
+    big = lanes.Walk(z, z, rng.stream_table(3, 5000), dist, MASTER)
+    big.draw(0)
+    big.retire(np.arange(5000) % 2 == 0)
+    assert big._block is None
+    assert _same_draw(big.draw(1), lanes.draw(dist, MASTER, big.streams, 1))
