@@ -16,12 +16,13 @@ import math
 import os
 import sys
 from dataclasses import asdict, astuple, fields
-from typing import Any, Dict, List, Optional, Sequence, Union
+from typing import Any, Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
 from . import __version__, rng
-from .core import FiltrationParams, NumericOverflow, eval_inverse, eval_map, in_v_plus
+from .core import (FiltrationParams, HenonMap, NumericOverflow, Poly, eval_inverse, eval_map,
+                   in_v_plus)
 from .dist import (
     FiniteDist,
     MapDistribution,
@@ -66,7 +67,7 @@ from .transition import (
     weight_derivative_TL,
 )
 from .bifurcation import FamilyPoint, locate_bifurcations, monotone_violations, scan_family
-from .config import ConfigError, Field, Resolver, jsonify_point, load_text
+from .config import ConfigError, Field, Resolver, checked, load_text
 from .output import canonical_json, write_csv, write_json, write_pgm16
 
 _TAG_CLI = 0x434C4900
@@ -94,17 +95,16 @@ def _phase(seed: SequenceSeed, *parts: int) -> SequenceSeed:
     return seed.derive(_TAG_CLI, *parts)
 
 
-_RHO = {"rho_margin": Field("pos", 1.0)}
-
-
-def _certificate(r: Resolver, dist: MapDistribution) -> FiltrationParams:
-    """Escape certificate at the config's rho_margin; every command that
-    needs one reads rho_margin here."""
-    rho = r.read(_RHO)["rho_margin"]
-    try:
-        return condition_a_params(dist, rho_margin=rho)
-    except ValueError as e:  # a margin so large that R is not finite
-        raise ConfigError(f"{r.ptr}/rho_margin", str(e))
+def _system(r: Resolver,
+            seed_override: Optional[int]) -> Tuple[MapDistribution, SequenceSeed, FiltrationParams]:
+    """The random system, its master seed and its escape certificate at the
+    config's rho_margin; every command that needs a certificate reads
+    rho_margin here.  The support's own certificate was checked where it
+    was read, so only a margin that alone makes R overflow is refused."""
+    dist = r.dist()
+    seed = r.seed_field(seed_override)
+    rho = r.read({"rho_margin": Field("pos", 1.0)})["rho_margin"]
+    return dist, seed, checked(f"{r.ptr}/rho_margin", condition_a_params, dist, rho_margin=rho)
 
 
 def _discovery(R: float) -> Dict[str, Field]:
@@ -117,7 +117,7 @@ def _discovery(R: float) -> Dict[str, Field]:
     }
 
 
-def _jsonify_descriptor(d: MinimalSetDescriptor) -> Dict[str, Any]:
+def _descriptor_json(d: MinimalSetDescriptor) -> Dict[str, Any]:
     out: Dict[str, Any] = {"id": d.id, "period": d.period}
     if d.is_infinity:
         return out
@@ -126,7 +126,7 @@ def _jsonify_descriptor(d: MinimalSetDescriptor) -> Dict[str, Any]:
             "capture_radius": d.capture_radius,
             "contraction": d.contraction,
             "cluster_eps": d.cluster_eps,
-            "parts_centers": [jsonify_point(p) for p in d.parts_centers],
+            "parts_centers": d.parts_centers,
             "parts_radii": list(d.parts_radii),
             "cloud_size": len(d.cloud),
         }
@@ -165,14 +165,12 @@ def _basin_json(est) -> Dict[str, Any]:
 
 def _cmd_render_julia(r: Resolver, out: str, seed_override: Optional[int],
                       threads: int) -> Dict[str, Any]:
-    dist = r.dist_field()
-    seed = r.seed_field(seed_override)
-    spec = r.slice_field()
+    dist, seed, params = _system(r, seed_override)
+    spec = r.sub("slice").slice_spec()
     max_iter, tol = r.read({
         "max_iter": Field("int", 500, lo=1),
         "tol": Field("float", 1e-6, lo=1e-300, hi=1.0),
     }).values()
-    params = _certificate(r, dist)
     source = DistSource(dist, _phase(seed, 0))
     raster = raster_slice(source, spec, params, max_iter=max_iter, tol=tol, threads=threads)
 
@@ -201,39 +199,32 @@ def _cmd_render_julia(r: Resolver, out: str, seed_override: Optional[int],
 
 def _cmd_green(r: Resolver, out: str, seed_override: Optional[int],
                threads: int) -> Dict[str, Any]:
-    dist = r.dist_field()
-    seed = r.seed_field(seed_override)
-    points = r.points_field()
+    dist, seed, params = _system(r, seed_override)
+    points = r.points()
     max_iter, tol = r.read({
         "max_iter": Field("int", 1000, lo=1),
         "tol": Field("float", 1e-6, lo=1e-300, hi=1.0),
     }).values()
-    params = _certificate(r, dist)
     source = DistSource(dist, _phase(seed, 0))
     estimates = green_points(source, points, params, tol=tol, max_iter=max_iter, threads=threads)
 
-    entries = []
-    rows = []
-    for i, (z, est) in enumerate(zip(points, estimates)):
-        entries.append({"point": jsonify_point(z), **asdict(est)})
-        x, y = complex(z[0]), complex(z[1])
-        rows.append((i, x.real, x.imag, y.real, y.imag, *astuple(est)))
     write_csv(
         os.path.join(out, "green.csv"),
         ("index", "x_re", "x_im", "y_re", "y_im", "green", "n_used", "error_bound"),
-        rows,
+        [(i, x.real, x.imag, y.real, y.imag, *astuple(est))
+         for i, ((x, y), est) in enumerate(zip(points, estimates))],
     )
-    return {"points": entries}
+    return {"points": [{"point": z, **asdict(est)} for z, est in zip(points, estimates)]}
 
 
 def _cmd_lyapunov(r: Resolver, out: str, seed_override: Optional[int],
                   threads: int) -> Dict[str, Any]:
-    dist = r.dist_field()
+    dist = r.dist()
     seed = r.seed_field(seed_override)
-    z = r.point_field("z")
     # backward orbits step the inverse maps, which only a finite support has
     directions = ("forward", "backward") if isinstance(dist, FiniteDist) else ("forward",)
-    samples, n, direction = r.read({
+    z, samples, n, direction = r.read({
+        "z": Field("point"),
         "samples": Field("int", 100, lo=10),
         "n": Field("int", 1000, lo=100),
         "direction": Field("choice", "forward", choices=directions),
@@ -244,15 +235,13 @@ def _cmd_lyapunov(r: Resolver, out: str, seed_override: Optional[int],
 
 def _cmd_minsets(r: Resolver, out: str, seed_override: Optional[int],
                  threads: int) -> Dict[str, Any]:
-    dist = r.dist_field()
-    seed = r.seed_field(seed_override)
-    params = _certificate(r, dist)
-    starts = r.points_field()
+    dist, seed, params = _system(r, seed_override)
+    starts = r.points()
     knobs = r.read(_discovery(params.R))
     sets = discover_minimal_sets(dist, params, starts, _phase(seed, 0), **knobs)
     finite = [d for d in sets if not d.is_infinity]
     return {
-        "descriptors": [_jsonify_descriptor(d) for d in sets],
+        "descriptors": [_descriptor_json(d) for d in sets],
         "finite_count": len(finite),
         "attracting_count": sum(1 for d in finite if d.attracting),
         "R": params.R,
@@ -261,13 +250,11 @@ def _cmd_minsets(r: Resolver, out: str, seed_override: Optional[int],
 
 def _cmd_tl(r: Resolver, out: str, seed_override: Optional[int],
             threads: int) -> Dict[str, Any]:
-    dist = r.dist_field()
-    seed = r.seed_field(seed_override)
-    params = _certificate(r, dist)
+    dist, seed, params = _system(r, seed_override)
     disc = r.sub("discovery")
-    starts = disc.points_field()
+    starts = disc.points()
     knobs = disc.read(_discovery(params.R))
-    probes = r.points_field()
+    probes = r.points()
     samples, max_iter = r.read({
         "samples": Field("int", 1000, lo=1),
         "max_iter": Field("int", 1000, lo=1),
@@ -278,22 +265,20 @@ def _cmd_tl(r: Resolver, out: str, seed_override: Optional[int],
         dist, sets, probes, samples, max_iter,
         [_phase(seed, 1, i) for i in range(len(probes))], params, threads=threads,
     )
-    entries = [{"point": jsonify_point(z), **_basin_json(est)} for z, est in zip(probes, ests)]
+    entries = [{"point": z, **_basin_json(est)} for z, est in zip(probes, ests)]
     return {
-        "descriptors": [_jsonify_descriptor(d) for d in sets],
+        "descriptors": [_descriptor_json(d) for d in sets],
         "points": entries,
     }
 
 
 def _cmd_mop(r: Resolver, out: str, seed_override: Optional[int],
              threads: int) -> Dict[str, Any]:
-    dist = r.dist_field()
-    seed = r.seed_field(seed_override)
-    params = _certificate(r, dist)
+    dist, seed, params = _system(r, seed_override)
     disc = r.sub("discovery")
-    starts = disc.points_field()
+    starts = disc.points()
     knobs = disc.read(_discovery(params.R))
-    points = r.points_field()
+    points = r.points()
     target, powers, budget, mc_samples, ramp_width, do_fit = r.read({
         "target": Field("int", 0, lo=0),
         "powers": Field("ints", lo=0),
@@ -315,7 +300,7 @@ def _cmd_mop(r: Resolver, out: str, seed_override: Optional[int],
     sets = discover_minimal_sets(dist, params, starts, _phase(seed, 0), **knobs)
     L = _pick_target(sets, target)
     result: Dict[str, Any] = {
-        "descriptors": [_jsonify_descriptor(d) for d in sets],
+        "descriptors": [_descriptor_json(d) for d in sets],
         "target_id": L.id,
     }
     if do_fit:
@@ -335,25 +320,23 @@ def _cmd_mop(r: Resolver, out: str, seed_override: Optional[int],
                     seed=_phase(seed, 2, i, k),
                 )
                 row.append({"n": n, **asdict(val)})
-            table.append({"point": jsonify_point(z), "powers": row})
+            table.append({"point": z, "powers": row})
         result["values"] = table
     return result
 
 
 def _cmd_dtl(r: Resolver, out: str, seed_override: Optional[int],
              threads: int) -> Dict[str, Any]:
-    dist = r.dist_field()
+    dist, seed, params = _system(r, seed_override)
     if not isinstance(dist, FiniteDist) or len(dist.maps) < 2:
         raise ConfigError("/maps", "weight derivatives need a finite support of two or more maps")
-    seed = r.seed_field(seed_override)
-    params = _certificate(r, dist)
     disc = r.sub("discovery")
-    starts = disc.points_field()
+    starts = disc.points()
     knobs = disc.read(_discovery(params.R))
-    z = r.point_field("z")
     w, m = dist.weights, len(dist.maps)
     # the last weight is the dependent one: it absorbs every step
-    target, index = r.read({
+    z, target, index = r.read({
+        "z": Field("point"),
         "target": Field("int", 0, lo=0, choices=(INFINITY,)),
         "index": Field("int", lo=0, hi=m - 2),
     }).values()
@@ -385,7 +368,7 @@ def _cmd_dtl(r: Resolver, out: str, seed_override: Optional[int],
         richardson=f["richardson"],
     )
     return {
-        "descriptors": [_jsonify_descriptor(d) for d in sets],
+        "descriptors": [_descriptor_json(d) for d in sets],
         "target_id": L.id,
         "series": asdict(series),
         "fd": asdict(fd),
@@ -395,14 +378,14 @@ def _cmd_dtl(r: Resolver, out: str, seed_override: Optional[int],
 
 def _cmd_bifurcate(r: Resolver, out: str, seed_override: Optional[int],
                    threads: int) -> Dict[str, Any]:
-    fam = r.family_field()
+    fam = r.sub("family").family()
     seed = r.seed_field(seed_override)
     t_grid = r.read({"t_grid": Field("floats", lo=0.0, hi=1.0)})["t_grid"]
     if len(t_grid) < 2 or any(b <= a for a, b in zip(t_grid, t_grid[1:])):
         raise ConfigError("/t_grid", "expected at least two strictly increasing amplitudes")
     # scan_family certifies each amplitude separately: bound eps by the largest R
     R = max(condition_a_params(family_at(fam, t)).R for t in t_grid)
-    grid = r.points_field()
+    grid = r.points()
     knobs = r.read({
         **_discovery(R),
         "tl_samples": Field("int", 200, lo=1),
@@ -427,11 +410,9 @@ def _cmd_bifurcate(r: Resolver, out: str, seed_override: Optional[int],
 
 def _cmd_escape_stats(r: Resolver, out: str, seed_override: Optional[int],
                       threads: int) -> Dict[str, Any]:
-    dist = r.dist_field()
-    seed = r.seed_field(seed_override)
-    points = r.points_field()
+    dist, seed, params = _system(r, seed_override)
+    points = r.points()
     max_iter = r.read({"max_iter": Field("int", 1000, lo=1)})["max_iter"]
-    params = _certificate(r, dist)
     res = escape_census(dist, points, params, max_iter, _phase(seed, 0), threads=threads)
     return {
         "escaped": res.escaped,
@@ -448,8 +429,6 @@ def _cmd_escape_stats(r: Resolver, out: str, seed_override: Optional[int],
 def _cmd_selftest(r: Resolver, out: Optional[str], seed_override: Optional[int],
                   threads: int) -> Dict[str, Any]:
     """Fast invariant checks on canned inputs; exits 0 when all hold."""
-    from .core import HenonMap, Poly
-
     checks: List[str] = []
     f = HenonMap(alpha=0.2 + 0.1j, delta=0.3, poly=Poly((1.0, -0.4, 0.5, 0.1)))
     worst = 0.0

@@ -1,20 +1,30 @@
 """JSON experiment configuration: parsing, validation, default resolution.
 
 Every validation error carries the JSON pointer of the offending field so
-the CLI can report "/maps/0/delta" style locations.  The Resolver records
-each value it hands out, defaults included, producing the fully resolved
-config that output files embed.
+the CLI can report "/maps/0/delta" style locations.  Every value is read
+through a ``Field`` table by ``Resolver.read``, which records it, defaults
+included, producing the fully resolved config that output files embed.
 """
 
 from __future__ import annotations
 
 import json
 import math
-from typing import Any, Dict, List, Mapping, NamedTuple, Optional, Tuple
+from typing import Any, Callable, Dict, List, Mapping, NamedTuple, Optional, Tuple, TypeVar
 
 from .core import HenonMap, Point, Poly
-from .dist import BallNoise, FiniteDist, MapDistribution, NoiseFamily, SequenceSeed
-from .escape import SliceSpec
+from .dist import (
+    BallNoise,
+    FiniteDist,
+    MapDistribution,
+    NoiseFamily,
+    SequenceSeed,
+    condition_a_params,
+    family_at,
+)
+from .escape import SLICE_RESOLUTION, SliceSpec
+
+T = TypeVar("T")
 
 
 class ConfigError(ValueError):
@@ -34,6 +44,15 @@ def load_text(text: str) -> Any:
         raise ConfigError("", f"invalid JSON: {e}")
 
 
+def checked(ptr: str, make: Callable[..., T], *args: Any, **kwargs: Any) -> T:
+    """make(*args, **kwargs), with its ValueError refused at ptr: the library's
+    own rules, cross-field ones included, stay in its constructors."""
+    try:
+        return make(*args, **kwargs)
+    except ValueError as e:
+        raise ConfigError(ptr, str(e))
+
+
 def _get(node: Any, key: str, ptr: str) -> Any:
     if not isinstance(node, Mapping):
         raise ConfigError(ptr, "expected an object")
@@ -47,11 +66,10 @@ def _is_num(v: Any) -> bool:
 
 
 def as_complex(v: Any, ptr: str) -> complex:
-    if _is_num(v):
-        return complex(v)
-    if isinstance(v, list) and len(v) == 2 and all(_is_num(c) for c in v):
-        return complex(v[0], v[1])
-    raise ConfigError(ptr, "expected a number or an [re, im] pair")
+    pair = v if isinstance(v, list) and len(v) == 2 else [v, 0.0]
+    if not all(_is_num(c) for c in pair):
+        raise ConfigError(ptr, "expected a number or an [re, im] pair")
+    return complex(*(as_float(c, ptr) for c in pair))
 
 
 def as_float(v: Any, ptr: str, lo: float = -math.inf, hi: float = math.inf) -> float:
@@ -74,161 +92,21 @@ def as_int(v: Any, ptr: str, lo: int = 0, hi: int = (1 << 63) - 1) -> int:
     return v
 
 
-def jsonify_complex(c: complex) -> List[float]:
-    return [float(c.real), float(c.imag)]
-
-
-def jsonify_point(z: Point) -> List[List[float]]:
-    return [jsonify_complex(complex(z[0])), jsonify_complex(complex(z[1]))]
-
-
-# ---------------------------------------------------------------------------
-# dynamical objects
-
-
-def map_from(node: Any, ptr: str) -> HenonMap:
-    alpha = as_complex(_get(node, "alpha", ptr), f"{ptr}/alpha")
-    delta = as_complex(_get(node, "delta", ptr), f"{ptr}/delta")
-    raw = _get(node, "poly", ptr)
-    if not isinstance(raw, list) or len(raw) < 3:
-        raise ConfigError(f"{ptr}/poly", "expected at least 3 coefficients, leading first")
-    coeffs = tuple(as_complex(c, f"{ptr}/poly/{i}") for i, c in enumerate(raw))
-    try:
-        return HenonMap(alpha=alpha, delta=delta, poly=Poly(coeffs))
-    except ValueError as e:
-        raise ConfigError(ptr, str(e))
-
-
-def jsonify_map(f: HenonMap) -> Dict[str, Any]:
-    return {
-        "alpha": jsonify_complex(complex(f.alpha)),
-        "delta": jsonify_complex(complex(f.delta)),
-        "poly": [jsonify_complex(complex(c)) for c in f.poly.coeffs],
-    }
-
-
-def dist_from(node: Any, ptr: str) -> MapDistribution:
-    if not isinstance(node, Mapping):
-        raise ConfigError(ptr, "expected an object")
-    if "noise" in node:
-        nn = node["noise"]
-        nptr = f"{ptr}/noise"
-        base = map_from(_get(nn, "base", nptr), f"{nptr}/base")
-        radius = as_float(_get(nn, "radius", nptr), f"{nptr}/radius")
-        try:
-            return BallNoise(base, radius)
-        except ValueError as e:
-            raise ConfigError(f"{nptr}/radius", str(e))
-    if "maps" in node:
-        raw = node["maps"]
-        if not isinstance(raw, list) or not raw:
-            raise ConfigError(f"{ptr}/maps", "expected a nonempty list of maps")
-        maps = tuple(map_from(m, f"{ptr}/maps/{i}") for i, m in enumerate(raw))
-        if "weights" in node:
-            wraw = node["weights"]
-            if not isinstance(wraw, list) or len(wraw) != len(maps):
-                raise ConfigError(f"{ptr}/weights", "expected one weight per map")
-            weights = tuple(
-                as_float(w, f"{ptr}/weights/{i}") for i, w in enumerate(wraw)
-            )
-        else:
-            weights = tuple(1.0 / len(maps) for _ in maps)
-        try:
-            return FiniteDist(maps=maps, weights=weights)
-        except ValueError as e:
-            raise ConfigError(f"{ptr}/weights", str(e))
-    raise ConfigError(ptr, "expected either a maps list or a noise block")
-
-
-def jsonify_dist(dist: MapDistribution) -> Dict[str, Any]:
-    if isinstance(dist, FiniteDist):
-        return {
-            "maps": [jsonify_map(f) for f in dist.maps],
-            "weights": [float(w) for w in dist.weights],
-        }
-    return {"noise": {"base": jsonify_map(dist.base), "radius": float(dist.radius)}}
-
-
-def family_from(node: Any, ptr: str) -> NoiseFamily:
-    base = map_from(_get(node, "base", ptr), f"{ptr}/base")
-    v = as_float(_get(node, "v", ptr), f"{ptr}/v")
-    u = as_float(_get(node, "u", ptr), f"{ptr}/u")
-    try:
-        return NoiseFamily(base=base, v=v, u=u)
-    except ValueError as e:
-        raise ConfigError(ptr, str(e))
-
-
-def jsonify_family(fam: NoiseFamily) -> Dict[str, Any]:
-    return {"base": jsonify_map(fam.base), "v": float(fam.v), "u": float(fam.u)}
-
-
-def point_from(v: Any, ptr: str) -> Point:
-    if not isinstance(v, list) or len(v) != 2:
-        raise ConfigError(ptr, "expected an [x, y] pair")
-    return (as_complex(v[0], f"{ptr}/0"), as_complex(v[1], f"{ptr}/1"))
-
-
-def points_from(node: Any, ptr: str) -> List[Point]:
-    """Probe points, either explicit or as a real rectangular lattice."""
-    if not isinstance(node, Mapping):
-        raise ConfigError(ptr, "expected an object")
-    if "points" in node:
-        raw = node["points"]
-        if not isinstance(raw, list) or not raw:
-            raise ConfigError(f"{ptr}/points", "expected a nonempty list")
-        return [point_from(p, f"{ptr}/points/{i}") for i, p in enumerate(raw)]
-    if "grid" in node:
-        g = node["grid"]
-        gp = f"{ptr}/grid"
-        x0 = as_float(_get(g, "x_min", gp), f"{gp}/x_min")
-        x1 = as_float(_get(g, "x_max", gp), f"{gp}/x_max")
-        y0 = as_float(_get(g, "y_min", gp), f"{gp}/y_min")
-        y1 = as_float(_get(g, "y_max", gp), f"{gp}/y_max")
-        nx = as_int(_get(g, "nx", gp), f"{gp}/nx", lo=1, hi=4096)
-        ny = as_int(_get(g, "ny", gp), f"{gp}/ny", lo=1, hi=4096)
-        if x1 < x0 or y1 < y0:
-            raise ConfigError(gp, "empty ranges")
-        xs = [x0 + (x1 - x0) * (i + 0.5) / nx for i in range(nx)]
-        ys = [y0 + (y1 - y0) * (j + 0.5) / ny for j in range(ny)]
-        return [(complex(x), complex(y)) for y in ys for x in xs]
-    raise ConfigError(ptr, "expected either points or grid")
-
-
-def slice_from(node: Any, ptr: str) -> SliceSpec:
-    anchor = point_from(_get(node, "anchor", ptr), f"{ptr}/anchor")
-    dir1 = point_from(node.get("dir1", [[1.0, 0.0], [0.0, 0.0]]), f"{ptr}/dir1")
-    dir2 = point_from(node.get("dir2", [[0.0, 0.0], [1.0, 0.0]]), f"{ptr}/dir2")
-    extent = as_float(_get(node, "extent", ptr), f"{ptr}/extent")
-    resolution = as_int(_get(node, "resolution", ptr), f"{ptr}/resolution")
-    try:
-        return SliceSpec(anchor=anchor, dir1=dir1, dir2=dir2, extent=extent, resolution=resolution)
-    except ValueError as e:
-        raise ConfigError(ptr, str(e))
-
-
-def jsonify_slice(spec: SliceSpec) -> Dict[str, Any]:
-    return {
-        "anchor": jsonify_point(spec.anchor),
-        "dir1": jsonify_point(spec.dir1),
-        "dir2": jsonify_point(spec.dir2),
-        "extent": float(spec.extent),
-        "resolution": int(spec.resolution),
-    }
-
-
 REQUIRED: Any = object()  # default of a field the config must give
 _INT_MAX = (1 << 63) - 1
+LIST_ITEM = {"ints": "int", "floats": "float", "complexes": "complex", "points": "point"}
 
 
 class Field(NamedTuple):
-    """One scalar or list field of a config.
+    """One field of a config.
 
     ``kind`` is int, float, pos (a float above ``lo`` and above 0), bool,
-    choice, or ints/floats (a nonempty list of that kind).  Bounds are
-    inclusive, except pos's ``lo``; an int with no upper bound must still
-    fit in int64.  A string in ``choices`` is taken as it is, in place of a
-    value of the kind.  A field whose default is None also takes null.
+    choice, complex (a finite number or [re, im] pair), point (an [x, y]
+    pair of complex), or one of the list kinds in LIST_ITEM (a nonempty
+    list of that kind, each item within the bounds).  Bounds are inclusive,
+    except pos's ``lo``; an int with no upper bound must still fit in int64.
+    A string in ``choices`` is taken as it is, in place of a value of the
+    kind.  A field whose default is None also takes null.
     """
 
     kind: str
@@ -242,11 +120,17 @@ class Field(NamedTuple):
             return None
         if isinstance(raw, str) and raw in self.choices:
             return raw
-        if self.kind in ("ints", "floats"):
+        if self.kind in LIST_ITEM:
             if not isinstance(raw, list) or not raw:
                 raise ConfigError(ptr, "expected a nonempty list")
-            item = self._replace(kind=self.kind[:-1], default=REQUIRED)
+            item = self._replace(kind=LIST_ITEM[self.kind], default=REQUIRED)
             return [item.check(v, f"{ptr}/{i}") for i, v in enumerate(raw)]
+        if self.kind == "point":
+            if not isinstance(raw, list) or len(raw) != 2:
+                raise ConfigError(ptr, "expected an [x, y] pair")
+            return (as_complex(raw[0], f"{ptr}/0"), as_complex(raw[1], f"{ptr}/1"))
+        if self.kind == "complex":
+            return as_complex(raw, ptr)
         if self.kind == "bool":
             if not isinstance(raw, bool):
                 raise ConfigError(ptr, "expected true or false")
@@ -261,8 +145,25 @@ class Field(NamedTuple):
         return val
 
 
+_MAP = {"alpha": Field("complex"), "delta": Field("complex"), "poly": Field("complexes")}
+_GRID = {
+    **{k: Field("float") for k in ("x_min", "x_max", "y_min", "y_max")},
+    "nx": Field("int", lo=1, hi=4096),
+    "ny": Field("int", lo=1, hi=4096),
+}
+_SLICE = {
+    "anchor": Field("point"),
+    "dir1": Field("point", [[1.0, 0.0], [0.0, 0.0]]),
+    "dir2": Field("point", [[0.0, 0.0], [1.0, 0.0]]),
+    "extent": Field("pos"),
+    "resolution": Field("int", lo=SLICE_RESOLUTION[0], hi=SLICE_RESOLUTION[1]),
+}
+
+
 class Resolver:
-    """Field reader that records everything it resolves, defaults included."""
+    """Field reader that records everything it resolves, defaults included.
+    A complex value is recorded as complex and a point as a tuple; the JSON
+    writer turns both into [re, im] lists."""
 
     def __init__(self, cfg: Any, ptr: str = ""):
         if not isinstance(cfg, Mapping):
@@ -289,6 +190,16 @@ class Resolver:
         self.resolved[key] = child.resolved
         return child
 
+    def subs(self, key: str) -> List["Resolver"]:
+        """Readers of the required nonempty list of objects at ``key``,
+        recorded as a list under that key."""
+        raw = _get(self.cfg, key, self.ptr)
+        if not isinstance(raw, list) or not raw:
+            raise ConfigError(f"{self.ptr}/{key}", "expected a nonempty list of objects")
+        kids = [Resolver(v, f"{self.ptr}/{key}/{i}") for i, v in enumerate(raw)]
+        self.resolved[key] = [k.resolved for k in kids]
+        return kids
+
     def seed_field(self, override: Optional[int] = None) -> SequenceSeed:
         """Master seed from the config (required unless overridden on the CLI)."""
         table = {"stream": Field("int", 0, lo=0, hi=(1 << 64) - 1)}
@@ -299,27 +210,76 @@ class Resolver:
         self.resolved["seed"] = seed.master_seed
         return seed
 
-    def dist_field(self) -> MapDistribution:
-        dist = dist_from(self.cfg, self.ptr)
-        self.resolved.update(jsonify_dist(dist))
+    def henon_map(self) -> HenonMap:
+        """This object as a map f(x, y) = (y + alpha, p(y) - delta x)."""
+        alpha, delta, coeffs = self.read(_MAP).values()
+        poly = checked(f"{self.ptr}/poly", Poly, tuple(coeffs))
+        return checked(self.ptr, HenonMap, alpha=alpha, delta=delta, poly=poly)
+
+    def dist(self) -> MapDistribution:
+        """The driving distribution: a noise ball (``noise``) or a weighted
+        finite support (``maps``, ``weights``; 1/m each by default, recorded
+        as given).  Its escape certificate at the default margin must be
+        finite, so a support whose radius overflows is refused here."""
+        if "noise" in self.cfg:
+            noise = self.sub("noise")
+            base = noise.sub("base").henon_map()
+            dist: MapDistribution = BallNoise(base, noise.read({"radius": Field("pos")})["radius"])
+        else:
+            maps = tuple(m.henon_map() for m in self.subs("maps"))
+            weights = self.read({"weights": Field("floats", [1.0 / len(maps)] * len(maps))})
+            dist = checked(f"{self.ptr}/weights", FiniteDist, maps, tuple(weights["weights"]))
+        support = "noise" if isinstance(dist, BallNoise) else "maps"
+        checked(f"{self.ptr}/{support}", condition_a_params, dist)
         return dist
 
-    def family_field(self) -> NoiseFamily:
-        fam = family_from(_get(self.cfg, "family", self.ptr), f"{self.ptr}/family")
-        self.resolved["family"] = jsonify_family(fam)
+    def family(self) -> NoiseFamily:
+        """This object as a noise family (base, v, u).  The certificate radius
+        grows with the ball's, so it is checked at t = 1, the largest."""
+        base = self.sub("base").henon_map()
+        fam = checked(self.ptr, NoiseFamily, base=base,
+                      **self.read({"v": Field("float"), "u": Field("float")}))
+        checked(self.ptr, condition_a_params, family_at(fam, 1.0))
         return fam
 
-    def points_field(self) -> List[Point]:
-        pts = points_from(self.cfg, self.ptr)
-        self.resolved["points"] = [jsonify_point(p) for p in pts]
+    def points(self) -> List[Point]:
+        """Probe points, either explicit or as a real rectangular lattice of
+        cell centres, x fastest; a lattice is recorded as its points."""
+        if "points" in self.cfg or "grid" not in self.cfg:
+            return self.read({"points": Field("points")})["points"]
+        gp = f"{self.ptr}/grid"
+        g = Resolver(self.cfg["grid"], gp).read(_GRID)
+        if g["x_max"] < g["x_min"] or g["y_max"] < g["y_min"]:
+            raise ConfigError(gp, "empty ranges")
+        xs = [g["x_min"] + (g["x_max"] - g["x_min"]) * (i + 0.5) / g["nx"] for i in range(g["nx"])]
+        ys = [g["y_min"] + (g["y_max"] - g["y_min"]) * (j + 0.5) / g["ny"] for j in range(g["ny"])]
+        pts = self.resolved["points"] = [(complex(x), complex(y)) for y in ys for x in xs]
         return pts
 
-    def slice_field(self) -> SliceSpec:
-        spec = slice_from(_get(self.cfg, "slice", self.ptr), f"{self.ptr}/slice")
-        self.resolved["slice"] = jsonify_slice(spec)
-        return spec
+    def slice_spec(self) -> SliceSpec:
+        """This object as a raster slice; dir1 and dir2 default to the x and
+        y axes."""
+        return checked(self.ptr, SliceSpec, **self.read(_SLICE))
 
-    def point_field(self, key: str) -> Point:
-        pt = point_from(_get(self.cfg, key, self.ptr), f"{self.ptr}/{key}")
-        self.resolved[key] = jsonify_point(pt)
-        return pt
+
+# entry points for callers holding a parsed config node
+
+
+def map_from(node: Any, ptr: str) -> HenonMap:
+    return Resolver(node, ptr).henon_map()
+
+
+def dist_from(node: Any, ptr: str) -> MapDistribution:
+    return Resolver(node, ptr).dist()
+
+
+def family_from(node: Any, ptr: str) -> NoiseFamily:
+    return Resolver(node, ptr).family()
+
+
+def points_from(node: Any, ptr: str) -> List[Point]:
+    return Resolver(node, ptr).points()
+
+
+def slice_from(node: Any, ptr: str) -> SliceSpec:
+    return Resolver(node, ptr).slice_spec()

@@ -50,6 +50,8 @@ VERDICT_BOUNDED = 0
 VERDICT_ESCAPED = 1
 VERDICT_UNCERTAIN = 2
 
+SLICE_RESOLUTION = (2, 8192)  # pixels per side a SliceSpec takes, inclusive
+
 
 class OrbitStatus(Enum):
     ESCAPED = "escaped"
@@ -507,7 +509,7 @@ class SliceSpec:
     def __post_init__(self) -> None:
         if not (self.extent > 0 and math.isfinite(self.extent)):
             raise ValueError("extent must be positive")
-        if not (2 <= self.resolution <= 8192):
+        if not (SLICE_RESOLUTION[0] <= self.resolution <= SLICE_RESOLUTION[1]):
             raise ValueError("resolution out of range")
         if not math.isfinite(self.pixel_pitch):
             raise ValueError("extent too large: the pixel pitch overflows")
@@ -759,6 +761,8 @@ def _census_chunk(
     escaped = 0
     for n in range(max_iter + 1):
         escaped += w.retire(lanes.in_cone(w.X, w.Y, R)).size
+        if n == 0:  # lanes that start outside the window are never stepped
+            w.move(w.X, w.Y)
         if n == max_iter or not len(w):
             break
         # lanes leaving the window are tallied as uncertain below

@@ -405,6 +405,8 @@ def _record_orbits(
     rec_y: List[np.ndarray] = []
     for step in range(burn_in + n_record):
         escaped += w.retire(lanes.in_cone(w.X, w.Y, R)).size
+        if step == 0:  # walkers that start outside the window are never stepped
+            w.move(w.X, w.Y)
         if not len(w):
             break
         w.step(step)
@@ -608,6 +610,8 @@ def _tl_chunk(
     fate = np.full(m, k + 1, dtype=np.int64)
     for step in range(max_iter + 1):
         fate[w.retire(lanes.in_cone(w.X, w.Y, R))] = k
+        if step == 0:  # lanes that start outside the window stay unresolved, never stepped
+            w.move(w.X, w.Y)
         if not len(w):
             break
         if finite:

@@ -310,6 +310,9 @@ def test_cli_cluster_eps_below_int64_lattice_exit_2(tmp_path, capsys, cmd, cfg):
 NOISE_CFG = dict(CYCLE_CFG, noise={"base": CYCLE_CFG["maps"][0], "radius": 0.05})
 del NOISE_CFG["maps"]
 SKEWED_CFG = dict(TWO_MAP_CFG, weights=[0.9, 0.1])
+FAR_MAP = dict(CYCLE_CFG["maps"][0], alpha=1e308)  # 2 |alpha| overflows the certificate
+GRID = {"x_min": 0.0, "x_max": 0.2, "y_min": 0.0, "y_max": 0.2, "nx": 2, "ny": 2}
+SLICE = {"anchor": [[0, 0], [0, 0]], "extent": 2.0, "resolution": 4}
 
 
 @pytest.mark.parametrize("cmd, cfg, pointer", [
@@ -329,6 +332,22 @@ SKEWED_CFG = dict(TWO_MAP_CFG, weights=[0.9, 0.1])
     # the pitch is finite, but the corner pixels' x leaves the double range
     ("render-julia", dict(QUAD_CFG, slice={"anchor": [[1.7e308, 0], [0, 0]], "extent": 8e307,
                                            "resolution": 4}), "/slice"),
+    # the support's own certificate radius overflows
+    ("lyapunov", dict(NOISE_CFG, z=CYCLE_CFG["points"][0],
+                      noise=dict(NOISE_CFG["noise"], radius=1e308)), "/noise"),
+    ("lyapunov", dict(QUAD_CFG, z=CYCLE_CFG["points"][0], maps=[FAR_MAP]), "/maps"),
+    ("bifurcate", dict(FAMILY_CFG, t_grid=[0.0, 1.0],
+                       family=dict(FAMILY_CFG["family"], v=1e300, u=1e308)), "/family"),
+    ("minsets", dict(CYCLE_CFG, maps=[FAR_MAP]), "/maps"),
+    # cross-field rules of the library's constructors
+    ("green", dict(QUAD_CFG, weights=[0.5]), "/weights"),
+    ("escape-stats", {"maps": CYCLE_CFG["maps"], "seed": 7,
+                      "grid": dict(GRID, x_min=1.0, x_max=0.5)}, "/grid"),
+    ("bifurcate", dict(FAMILY_CFG, t_grid=[0.0, 1.0], family=dict(FAMILY_CFG["family"], v=0.9)),
+     "/family"),
+    ("render-julia", dict(QUAD_CFG, slice=dict(SLICE, dir1=[[2, 0], [0, 0]])), "/slice"),
+    ("render-julia", dict(QUAD_CFG, slice=dict(SLICE, dir2=[[1, 0], [0, 0]])), "/slice"),
+    ("green", dict(QUAD_CFG, maps=[dict(QUAD_CFG["maps"][0], delta=0)]), "/maps/0"),
 ])
 def test_cli_bad_field_exit_2_before_any_work(tmp_path, capsys, monkeypatch, cmd, cfg, pointer):
     from henonlab import cli
@@ -336,8 +355,9 @@ def test_cli_bad_field_exit_2_before_any_work(tmp_path, capsys, monkeypatch, cmd
     def started(*args, **kwargs):
         raise AssertionError("computation started on a config that should be refused")
 
-    for name in ("raster_slice", "green_points", "backward_lyapunov_statistics",
-                 "discover_minimal_sets"):
+    for name in ("raster_slice", "green_points", "lyapunov_statistics",
+                 "backward_lyapunov_statistics", "discover_minimal_sets", "escape_census",
+                 "scan_family"):
         monkeypatch.setattr(cli, name, started)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
@@ -382,6 +402,21 @@ def test_render_rerun_from_resolved_config(tmp_path):
                     "--out", str(b)]) == 0
     assert (a / "julia.pgm").read_bytes() == (b / "julia.pgm").read_bytes()
     assert (a / "julia.json").read_bytes() == (b / "julia.json").read_bytes()
+
+
+def test_escape_stats_rerun_from_resolved_config(tmp_path):
+    # [0.7, 0.2, 0.1] does not sum to 1.0 in floating point; the report embeds
+    # the weights as given, so a re-run embeds the same ones
+    cfg = dict(TWO_MAP_CFG, maps=TWO_MAP_CFG["maps"] + [CYCLE_CFG["maps"][0]],
+               weights=[0.7, 0.2, 0.1], max_iter=50)
+    a = tmp_path / "a"
+    b = tmp_path / "b"
+    assert run_cli(["escape-stats", "--config", _write_cfg(tmp_path, cfg), "--out", str(a)]) == 0
+    resolved = json.loads((a / "escape.json").read_text())["config"]
+    assert resolved["weights"] == [0.7, 0.2, 0.1]
+    assert run_cli(["escape-stats", "--config", _write_cfg(tmp_path, resolved, "r2.json"),
+                    "--out", str(b)]) == 0
+    assert (a / "escape.json").read_bytes() == (b / "escape.json").read_bytes()
 
 
 def test_render_report_matches_artifact(tmp_path):
@@ -453,7 +488,7 @@ def test_cli_tl_probes_match_one_probe_estimates(tmp_path):
     assert len(got) == len(probes) == 3
     for i, z in enumerate(probes):
         est = estimate_TL(dist, sets, z, 150, 40, cli._phase(seed, 1, i), params)
-        want = {"point": cli.jsonify_point(z), **cli._basin_json(est)}
+        want = {"point": z, **cli._basin_json(est)}
         assert got[i] == json.loads(canonical_json(want)), i
     assert len({json.dumps(e["counts"], sort_keys=True) for e in got}) == 3
 
@@ -466,13 +501,16 @@ def test_cli_selftest_passes(tmp_path, capsys):
     assert rep["version"] == __version__
 
 
-def test_console_entry_point():
+def _python(*args):
+    """A fresh interpreter on the source tree, run with args."""
     src = os.path.join(os.path.dirname(os.path.abspath(__file__)), "..", "src")
     path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
-    proc = subprocess.run(
-        [sys.executable, "-m", "henonlab.cli", "--help"],
-        capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=path),
-    )
+    return subprocess.run([sys.executable, *args], capture_output=True, text=True,
+                          env=dict(os.environ, PYTHONPATH=path))
+
+
+def test_console_entry_point():
+    proc = _python("-m", "henonlab.cli", "--help")
     assert proc.returncode == 0
     for cmd in ("render-julia", "green", "lyapunov", "minsets", "tl", "mop",
                 "dtl", "bifurcate", "escape-stats", "selftest"):
@@ -483,18 +521,36 @@ def test_cli_render_never_steps_pixels_outside_the_window(tmp_path):
     # every pixel starts with |x| >= 4e307, far outside the exact window: the
     # two in the cone keep their step-0 Green value, the rest stay uncertain
     # and are never stepped, so no overflow warning turns into an error
-    src = os.path.join(os.path.dirname(os.path.abspath(__file__)), "..", "src")
-    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
     cfg = dict(QUAD_CFG, slice={"anchor": [[1e308, 0], [0, 0]], "extent": 8e307,
                                 "resolution": 4})
-    proc = subprocess.run(
-        [sys.executable, "-W", "error", "-m", "henonlab.cli", "render-julia",
-         "--config", _write_cfg(tmp_path, cfg), "--out", str(tmp_path / "out")],
-        capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=path),
-    )
+    proc = _python("-W", "error", "-m", "henonlab.cli", "render-julia",
+                   "--config", _write_cfg(tmp_path, cfg), "--out", str(tmp_path / "out"))
     assert proc.returncode == 0 and proc.stderr == ""
     rep = json.loads((tmp_path / "out" / "julia.json").read_text())["result"]
     assert rep["pixels"] == {"bounded": 0, "escaped": 2, "uncertain": 14}
+
+
+@pytest.mark.parametrize("cmd, report", [
+    ("escape-stats", "escape.json"), ("minsets", "minsets.json"), ("tl", "tl.json"),
+])
+def test_cli_walkers_never_step_starts_outside_the_window(tmp_path, cmd, report):
+    # the first start is outside the exact window and not in the cone: it is
+    # never stepped, so no overflow warning turns into an error; the second
+    # starts in the cone and still counts as escaped
+    far = [[[1e308, 0], [0, 0]], [[0, 0], [1e308, 0]]]
+    cfg = {"maps": [{"alpha": 0.0, "delta": 2.0, "poly": [1.0, 0.0, 0.0]}], "seed": 7,
+           "points": far, "discovery": {"points": far}, "samples": 20, "max_iter": 50}
+    proc = _python("-W", "error", "-m", "henonlab.cli", cmd,
+                   "--config", _write_cfg(tmp_path, cfg), "--out", str(tmp_path / "out"))
+    assert proc.returncode == 0 and proc.stderr == ""
+    rep = json.loads((tmp_path / "out" / report).read_text())["result"]
+    if cmd == "escape-stats":
+        assert (rep["escaped"], rep["bounded"], rep["uncertain"]) == (1, 0, 1)
+    elif cmd == "minsets":
+        assert rep["finite_count"] == 0
+    else:
+        assert [(p["unresolved"], p["probabilities"]) for p in rep["points"]] == \
+            [(1.0, {"infinity": 0.0}), (0.0, {"infinity": 1.0})]
 
 
 # ---------------------------------------------------------------------------
