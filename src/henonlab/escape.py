@@ -10,6 +10,24 @@ The rescaled escape-rate limit is estimated with a certified truncation
 error: successive normalized stages differ by at most C_tel / deg(n), with
 C_tel a closed-form constant of the support, so the tail after n steps is
 bounded by C_tel * 2^(1-n).
+
+The raster's lanes share one map sequence, and in a dissipative system its
+bounded lanes gather onto a few orbits.  A raster block therefore ends them
+through certified contraction tubes: at marks 32, 64, 128, ... below the
+cap it walks a few reference lanes to the cap and grows a polydisk about
+each reference's float orbit, per coordinate,
+
+    rx' = ry + sx,   ry' = sum_k |p^(k)(zy)| / k! ry^k + |delta| rx + sy.
+
+The difference of two orbits of f(x, y) = (y + a, p(y) - delta x) obeys
+this recursion exactly without sx, sy (Taylor expansion of p about the
+reference), and sx, sy bound the rounding of one float step of the lane
+and of the reference, so every float orbit inside the tube at a mark stays
+inside it.  Taylor coefficients are bounded with their own rounding, and
+every sum is rounded outward.  A tube is accepted only if it stays in the
+open bidisk through the cap; its lanes then never enter the cone or leave
+the window and end in the bidisk, so retiring them as bounded with step
+max_iter, Green 0 and error 0 gives exactly what stepping them would.
 """
 
 from __future__ import annotations
@@ -577,11 +595,13 @@ def _raster_block(
     # global step count, reaches tol at n_refine
     pool = None
     D = 1.0
+    tubes = _TubeExit(maps, max_iter, R)
+    bounded = []  # lanes a tube retired, as bounded
 
     n_total = max(max_iter, n_refine)
     for n in range(n_total + 1):
         if len(w) and n <= max_iter:
-            esc = lanes.in_cone(w.X, w.Y, R)
+            esc = w.in_cone(R)
             if esc.any():
                 state = _log_entry(w.X[esc], w.Y[esc], D)
                 new = w.retire(esc)
@@ -591,6 +611,8 @@ def _raster_block(
                 pool = entries if pool is None else tuple(map(np.concatenate, zip(pool, entries)))
             if n == 0:  # lanes that start outside the window stay uncertain, never stepped
                 w.move(w.X, w.Y)
+            if n in tubes.marks and len(w):
+                bounded.append(w.retire(tubes.exit(n, w)))
         if n >= n_refine and pool is not None:
             green[pool[0]] = np.maximum(_log_value(pool[1:], D), _TINY)
             error[pool[0]] = _stage_bound(c_tel, n)
@@ -604,11 +626,188 @@ def _raster_block(
         if pool is not None:
             pool = (pool[0], *_log_step(f, pool[1:], D))
 
-    bnd = w.lane[lanes.in_bidisk(w.X, w.Y, R)]
+    bnd = np.concatenate([*bounded, w.lane[w.in_bidisk(R)]])
     verdict[bnd] = VERDICT_BOUNDED
     green[bnd] = 0.0
     error[bnd] = 0.0
     return verdict, step, green, error
+
+
+# ---------------------------------------------------------------------------
+# certified contraction tubes
+
+
+_U = 2.0 ** -53  # unit roundoff of a double
+# outward rounding: it exceeds the relative rounding error of every sum of
+# nonnegative terms below, at any degree up to core.MAX_DEGREE
+_PAD = 1.0 + 2.0 ** -40
+_TUBE_START = 32  # first tube mark; each later one doubles it
+_TUBE_REFS = 4  # reference lanes per search
+_TUBE_CELLS = 10  # log2 of the reference cells per R along each real coordinate
+
+
+class _TubeExit:
+    """Certified-tube exits of one raster block, at marks 32, 64, 128, ...
+    below max_iter.
+
+    Tubes live in the open bidisk of radius min(R, window), so a lane that
+    one holds never enters the cone, never leaves the window and ends in
+    the bidisk.  ``held`` maps each mark to the (zx, zy, rx, ry) of every
+    tube found so far, at that mark."""
+
+    def __init__(self, maps: List[HenonMap], max_iter: int, R: float):
+        self.maps = maps
+        self.max_iter = max_iter
+        self.R = lanes.window_radius(R)
+        self.marks = []
+        n = _TUBE_START
+        while n < max_iter:
+            self.marks.append(n)
+            n *= 2
+        self.held: dict = {}
+        self.searching = True
+
+    def exit(self, n: int, w: lanes.Walk) -> np.ndarray:
+        """Live lanes of w inside a tube at mark n.
+
+        The tubes held at n are tried first.  A search for new ones among
+        the remaining lanes in the bidisk walks _TUBE_REFS reference lanes
+        to max_iter.  So it only runs while more lanes than that remain, and
+        only while searches find tubes: a block whose lanes do not contract,
+        as under a volume-preserving map, pays for one search."""
+        inside = _in_tubes(self.held.pop(n, ()), w.X, w.Y)
+        cand = ~inside & w.in_bidisk(self.R)
+        if self.searching and np.count_nonzero(cand) > _TUBE_REFS:
+            later = [m for m in self.marks if m >= n]
+            found = _find_tubes(self.maps, n, self.max_iter, w.X[cand], w.Y[cand], self.R, later)
+            self.searching = bool(found)
+            for tube in found:
+                for m, t in zip(later, tube):
+                    self.held.setdefault(m, []).append(t)
+            inside |= _in_tubes(self.held.pop(n, ()), w.X, w.Y)
+        return inside
+
+
+def _in_tubes(tubes, X: np.ndarray, Y: np.ndarray) -> np.ndarray:
+    inside = np.zeros(X.size, dtype=bool)
+    for zx, zy, rx, ry in tubes:
+        inside |= (np.abs(X - zx) * _PAD <= rx) & (np.abs(Y - zy) * _PAD <= ry)
+    return inside
+
+
+def _tube_refs(X: np.ndarray, Y: np.ndarray, R: float) -> np.ndarray:
+    """Indices of the first lane in each of the _TUBE_REFS most populated
+    cells, of side R / 2^_TUBE_CELLS, among lanes X, Y inside the bidisk."""
+    cells = 1 << _TUBE_CELLS
+    key = np.zeros(X.size, dtype=np.int64)
+    for v in (X.real, X.imag, Y.real, Y.imag):
+        # coordinates in (-R, R) fall in [0, 2 cells]
+        key = key * (4 * cells) + ((v + R) * (cells / R)).astype(np.int64)
+    _, first, count = np.unique(key, return_index=True, return_counts=True)
+    return np.sort(first[np.argsort(-count, kind="stable")[:_TUBE_REFS]])
+
+
+def _taylor(coeffs: Sequence, z) -> list:
+    """Taylor coefficients p(z), p'(z), p''(z)/2!, ... of the leading-first
+    coefficients at z, by repeated synthetic division."""
+    b = list(coeffs)
+    out = []
+    for k in range(len(b) - 1, 0, -1):
+        for i in range(1, k + 1):
+            b[i] = b[i] + z * b[i - 1]
+        out.append(b[k])
+    return out + [b[0]]
+
+
+def _find_tubes(maps: List[HenonMap], n0: int, max_iter: int, X: np.ndarray, Y: np.ndarray,
+                R: float, marks: List[int]) -> List[list]:
+    """Tubes certified from step n0 to max_iter about reference lanes taken
+    from the lanes X, Y (at step n0, inside the bidisk): for each, its
+    centre and radii (zx, zy, rx, ry) at every step of marks (n0 first).
+
+    A tube is a polydisk of radii (rx, ry) about the reference's float orbit
+    z.  Under f(x, y) = (y + a, p(y) - delta x) a float orbit within (rx, ry)
+    of z at step m is within
+
+        rx' = ry + sx,   ry' = sum_k |p^(k)(zy)| / k! ry^k + |delta| rx + sy
+
+    at step m + 1, where sx, sy bound the rounding of one float step of
+    both orbits.  The tube is accepted when max(|zx| + rx, |zy| + ry) < R at
+    every step through max_iter: each orbit inside it then stays in the
+    open bidisk, so it never enters the cone or leaves the window, and ends
+    bounded.  Each reference takes the largest accepted start radius among
+    R / 2^j, j = 1 .. _TUBE_CELLS: down to the side of its cell, which no
+    narrower tube could hold."""
+    refs = _tube_refs(X, Y, R)
+    steps = max_iter - n0
+    ms = maps[n0:max_iter]
+    zx, zy = X[refs], Y[refs]
+    hx = np.full((steps + 1, refs.size), np.nan, dtype=np.complex128)
+    hy = hx.copy()
+    with np.errstate(all="ignore"):  # references that escape overflow; their tubes fail
+        for i, f in enumerate(ms):
+            hx[i], hy[i] = zx, zy
+            # every 32 steps: give up once every reference has left
+            if i % 32 == 0 and not lanes.in_bidisk(zx, zy, R).any():
+                return []
+            zx, zy = lanes.image(f, zx, zy)
+        hx[steps], hy[steps] = zx, zy
+    ax, ay = np.abs(hx), np.abs(hy)
+
+    # step m's coefficients, left-padded to one degree d.  In float, with
+    # E = 8 (d + 1) u (at least twice the error constant of depth-d complex
+    # Horner):
+    # - a computed Taylor coefficient of p at zy is within E times that of
+    #   the polynomial with coefficients |c_j| at |zy|;
+    # - one step of an orbit in the bidisk rounds by at most E (R + |a|) in
+    #   x and E (sum_j |c_j| R^(d-j) + |delta| R) in y, twice that for the
+    #   lane's and the reference's orbits together.
+    d = max(f.degree for f in ms)
+    C = np.array([(0j,) * (d - f.degree) + f.poly.coeffs for f in ms])
+    A = np.abs(C)
+    E = 8 * (d + 1) * _U
+    dl = np.array([abs(f.delta) for f in ms])
+    with np.errstate(all="ignore"):  # escaped references and a huge R overflow
+        t = _taylor(C.T[..., None], hy[:-1])[1:]
+        tb = _taylor(A.T[..., None], ay[:-1])[1:]
+        bound = [np.broadcast_to(np.abs(u) + E * v, ay[:-1].shape) for u, v in zip(t, tb)]
+        sx = (2 * E * (R + np.array([abs(f.alpha) for f in ms]))).tolist()
+        sy = (2 * E * (A @ R ** np.arange(d, -1, -1.0) + dl * R)).tolist()
+    dl = dl.tolist()
+
+    at = [m - n0 for m in marks]
+    keep = set(at)
+    coef = np.stack(bound[::-1], axis=-1).transpose(1, 0, 2).tolist()
+    tubes = []
+    for k, args in enumerate(zip(ax.T.tolist(), ay.T.tolist(), coef)):
+        # widest first: a tube too wide for the contraction fails within a
+        # few steps, so at most one trial per reference runs to max_iter
+        for r0 in R * 0.5 ** np.arange(1, _TUBE_CELLS + 1):
+            radii = _tube_radii(r0, *args, dl, sx, sy, R, keep)
+            if radii is not None:
+                tubes.append([(hx[i, k], hy[i, k], *r) for i, r in zip(at, radii)])
+                break
+    return tubes
+
+
+def _tube_radii(r0: float, ax: list, ay: list, coef: list, dl: list, sx: list, sy: list,
+                R: float, at: set) -> Optional[List[Tuple[float, float]]]:
+    """Radii (rx, ry) at the step indices in ``at`` of the tube that starts
+    at radius r0 about an orbit of magnitudes ax, ay; coef[i] holds step i's
+    Taylor bounds, highest order first.  None if it leaves the bidisk."""
+    rx = ry = r0
+    out = []
+    for i in range(len(ax)):
+        if not ((ax[i] + rx) * _PAD < R and (ay[i] + ry) * _PAD < R):  # NaN fails too
+            return None
+        if i in at:
+            out.append((rx, ry))
+        if i < len(coef):
+            acc = 0.0
+            for b in coef[i]:
+                acc = (acc + b) * ry
+            rx, ry = (ry + sx[i]) * _PAD, (acc + dl[i] * rx + sy[i]) * _PAD
+    return out
 
 
 _BLOCK_LANES = 1 << 15  # fixed, so results never depend on the thread count
@@ -760,14 +959,14 @@ def _census_chunk(
     w = lanes.Walk(xs, ys, streams, dist, master)
     escaped = 0
     for n in range(max_iter + 1):
-        escaped += w.retire(lanes.in_cone(w.X, w.Y, R)).size
+        escaped += w.retire(w.in_cone(R)).size
         if n == 0:  # lanes that start outside the window are never stepped
             w.move(w.X, w.Y)
         if n == max_iter or not len(w):
             break
         # lanes leaving the window are tallied as uncertain below
         w.step(n)
-    bounded = int(lanes.in_bidisk(w.X, w.Y, R).sum())
+    bounded = int(np.count_nonzero(w.in_bidisk(R)))
     uncertain = xs.size - escaped - bounded
     return escaped, bounded, uncertain
 

@@ -32,10 +32,15 @@ Tangents = Tuple[np.ndarray, np.ndarray]
 def horner(coeffs, y: np.ndarray) -> np.ndarray:
     """Leading-first polynomial coefficients evaluated at every lane.  Starts
     at the leading coefficient: a Poly has degree >= 2, so there are always
-    at least two (its derivative included)."""
-    acc = coeffs[0] * y + coeffs[1]
+    at least two (its derivative included).  The accumulator is a fresh
+    array, so the later steps update it in place, with the same bits as
+    ``acc * y + c``: at 32k lanes a temporary per operation costs several
+    times the arithmetic."""
+    acc = coeffs[0] * y
+    acc += coeffs[1]
     for c in coeffs[2:]:
-        acc = acc * y + c
+        acc *= y
+        acc += c
     return acc
 
 
@@ -121,8 +126,10 @@ class Walk:
     batch (``lane``) and per-lane ``carry`` arrays.  A walk that draws its
     steps is bound to one distribution and master seed.  Retiring compacts
     the lanes in lane order, along with the steps drawn ahead and not yet
-    taken.  Arrays are rebound, never written in place, so a caller may keep
-    a reference to any of them."""
+    taken.  :meth:`in_cone` and :meth:`in_bidisk` reuse the |X|, |Y| that
+    the last :meth:`move` took for its window check.  Arrays are rebound,
+    never written in place, so a caller may keep a reference to any of
+    them."""
 
     def __init__(self, X: np.ndarray, Y: np.ndarray, streams: Optional[np.ndarray] = None,
                  dist: Optional[MapDistribution] = None, master: int = 0,
@@ -138,6 +145,10 @@ class Walk:
         # rows before step _next have been taken
         self._block: Optional[tuple] = None
         self._next = 0
+        # (X, Y, |X|, |Y|): magnitudes taken by the last move, so that the
+        # window check after a step and the cone check before the next one
+        # share them; stale once X or Y is rebound other than by a retire
+        self._mag: Optional[tuple] = None
 
     def __len__(self) -> int:
         return self.lane.size
@@ -148,7 +159,9 @@ class Walk:
             return self.lane[:0]
         gone = self.lane[mask]
         keep = ~mask
+        mag = self._taken()
         self.X, self.Y, self.lane = self.X[keep], self.Y[keep], self.lane[keep]
+        self._mag = None if mag is None else (self.X, self.Y, mag[0][keep], mag[1][keep])
         if self.streams is not None:
             self.streams = self.streams[keep]
         self.carry = {k: v[keep] for k, v in self.carry.items()}
@@ -164,7 +177,27 @@ class Walk:
         """Rebind the lanes to their images X, Y, then retire the lanes that
         left the exact-arithmetic window; returns their batch indices."""
         self.X, self.Y = X, Y
-        return self.retire(outside(X, Y))
+        return self.retire(_outside(*self._magnitudes()))
+
+    def _taken(self) -> Optional[tuple]:
+        # (|X|, |Y|) if already taken of the current X, Y, else None
+        m = self._mag
+        return m[2:] if m is not None and m[0] is self.X and m[1] is self.Y else None
+
+    def _magnitudes(self) -> tuple:
+        mag = self._taken()
+        if mag is None:
+            mag = (np.abs(self.X), np.abs(self.Y))
+            self._mag = (self.X, self.Y, *mag)
+        return mag
+
+    def in_cone(self, R: float) -> np.ndarray:
+        """:func:`in_cone` of the live lanes."""
+        return _in_cone(*self._magnitudes(), R)
+
+    def in_bidisk(self, R: float) -> np.ndarray:
+        """:func:`in_bidisk` of the live lanes."""
+        return _in_bidisk(*self._magnitudes(), R)
 
     def draw(self, n: int):
         """Step n's draw for every live lane (see :func:`draw`), read from the
@@ -193,17 +226,37 @@ class Walk:
 
 def outside(X: np.ndarray, Y: np.ndarray) -> np.ndarray:
     """Lanes that left the exact-arithmetic window, non-finite ones included."""
-    return ~((np.abs(X) <= OVERFLOW_LIMIT) & (np.abs(Y) <= OVERFLOW_LIMIT))
+    return _outside(np.abs(X), np.abs(Y))
 
 
 def in_cone(X: np.ndarray, Y: np.ndarray, R: float) -> np.ndarray:
     """Lanes inside the vertical escape cone |y| > max(R, |x|)."""
-    return np.abs(Y) > np.maximum(R, np.abs(X))
+    return _in_cone(np.abs(X), np.abs(Y), R)
 
 
 def in_bidisk(X: np.ndarray, Y: np.ndarray, R: float) -> np.ndarray:
     """Lanes inside the open central bidisk max(|x|, |y|) < R."""
-    return np.maximum(np.abs(X), np.abs(Y)) < R
+    return _in_bidisk(np.abs(X), np.abs(Y), R)
+
+
+def window_radius(R: float) -> float:
+    """min(R, the window's bound): lanes in the open bidisk of this radius
+    are inside the window as well."""
+    return min(R, OVERFLOW_LIMIT)
+
+
+# the three tests above on magnitudes (|X|, |Y|) already taken
+
+def _outside(ax: np.ndarray, ay: np.ndarray) -> np.ndarray:
+    return ~((ax <= OVERFLOW_LIMIT) & (ay <= OVERFLOW_LIMIT))
+
+
+def _in_cone(ax: np.ndarray, ay: np.ndarray, R: float) -> np.ndarray:
+    return ay > np.maximum(R, ax)
+
+
+def _in_bidisk(ax: np.ndarray, ay: np.ndarray, R: float) -> np.ndarray:
+    return np.maximum(ax, ay) < R
 
 
 WALK_BLOCK = 4096  # fixed, so results never depend on the thread count

@@ -404,7 +404,7 @@ def _record_orbits(
     rec_x: List[np.ndarray] = []
     rec_y: List[np.ndarray] = []
     for step in range(burn_in + n_record):
-        escaped += w.retire(lanes.in_cone(w.X, w.Y, R)).size
+        escaped += w.retire(w.in_cone(R)).size
         if step == 0:  # walkers that start outside the window are never stepped
             w.move(w.X, w.Y)
         if not len(w):
@@ -609,7 +609,7 @@ def _tl_chunk(
     # a lane stays unresolved (column k + 1) unless it escapes or is captured
     fate = np.full(m, k + 1, dtype=np.int64)
     for step in range(max_iter + 1):
-        fate[w.retire(lanes.in_cone(w.X, w.Y, R))] = k
+        fate[w.retire(w.in_cone(R))] = k
         if step == 0:  # lanes that start outside the window stay unresolved, never stepped
             w.move(w.X, w.Y)
         if not len(w):
@@ -761,7 +761,7 @@ def _pair_tracking(
     for step in range(n_steps):
         # a pair is blown, and retires, when either lane enters the cone or
         # leaves the window
-        blown[w.lane[lanes.in_cone(w.X, w.Y, R)] // 2] = True
+        blown[w.lane[w.in_cone(R)] // 2] = True
         w.retire(blown[w.lane // 2])
         if not len(w):
             break

@@ -18,7 +18,6 @@ must resolve to itself.
 from __future__ import annotations
 
 import contextlib
-import functools
 import io
 import json
 import math
@@ -49,9 +48,7 @@ def _stub(*args, **kwargs):
     raise Reached
 
 
-# the stubs, and one argument parser for every run: building it takes most
-# of a stubbed run's time, and parsing leaves it as it was
-PATCHES = dict({n: _stub for n in STUBBED}, _build_parser=functools.lru_cache(cli._build_parser))
+PATCHES = {n: _stub for n in STUBBED}
 
 
 def _map(c):

@@ -1,6 +1,9 @@
 from __future__ import annotations
 
+import json
 import math
+import os
+from decimal import Decimal, localcontext
 
 import numpy as np
 import pytest
@@ -16,7 +19,8 @@ from henonlab.core import (
     inverse_as_plus,
     swap,
 )
-from henonlab.dist import BallNoise, FiniteDist, SequenceSeed, condition_a_params
+from henonlab.config import dist_from, family_from
+from henonlab.dist import BallNoise, FiniteDist, SequenceSeed, condition_a_params, family_at
 from henonlab.escape import (
     VERDICT_BOUNDED,
     VERDICT_ESCAPED,
@@ -369,3 +373,164 @@ def test_census_ball_noise(ball_cycle_dist):
     cen = escape_census(ball_cycle_dist, pts, params, 200, SequenceSeed(5, 2))
     assert cen.total == 200
     assert cen.bounded > 0
+
+
+# ---------------------------------------------------------------------------
+# certified contraction tubes
+
+PRESET_DIR = os.path.join(os.path.dirname(__file__), "..", "src", "henonlab", "presets")
+
+
+def _preset(name):
+    with open(os.path.join(PRESET_DIR, name)) as fh:
+        return json.load(fh)
+
+
+def _fuzzed_attracting(k):
+    # the quad-attracting preset's map and slice, the anchor moved by up to 0.01
+    cfg = _preset("quad-attracting.json")
+    dx, dy = np.random.default_rng(k).uniform(-0.01, 0.01, 2)
+    spec = SliceSpec((complex(dx), complex(dy)), (1.0, 0.0), (0.0, 1.0), 2.5, 96)
+    dist = dist_from(cfg, "")
+    return (dist, SequenceSeed(cfg["seed"], k)), spec, condition_a_params(dist), 300
+
+
+def _family_noise_t0():
+    ball = family_at(family_from(_preset("family-noise.json")["family"], "/family"), 0.0)
+    spec = SliceSpec((0.0, 0.0), (1.0, 0.0), (0.0, 1.0), 2.5, 96)
+    return (ball, SequenceSeed(41, 1)), spec, condition_a_params(ball), 600
+
+
+def _across_blocks():
+    spec = SliceSpec((0.01, -0.02), (1.0, 0.0), (0.0, 1.0), 2.5, 192)
+    assert spec.resolution ** 2 > escape._BLOCK_LANES
+    return QUAD_C, spec, condition_a_radius([QUAD_C]), 200
+
+
+def _quad_volume():
+    cfg = _preset("quad-volume.json")
+    vol = dist_from(cfg, "")
+    spec = SliceSpec((0.0, 0.0), (1.0, 0.0), (0.0, 1.0), 2.5, 64)
+    return (vol, SequenceSeed(41, 1)), spec, condition_a_params(vol), 400
+
+
+TUBE_CASES = {
+    "attracting-fuzzed-1": lambda: _fuzzed_attracting(1),
+    "attracting-fuzzed-2": lambda: _fuzzed_attracting(2),
+    "family-noise-t0": _family_noise_t0,
+    "across-blocks": _across_blocks,
+    "quad-volume": _quad_volume,
+}
+
+
+@pytest.mark.parametrize("case", sorted(TUBE_CASES))
+def test_tube_exit_keeps_raster_bytes(case, monkeypatch):
+    # every slice straddles the Julia set; the tubes may only end bounded
+    # lanes early, never change what the raster says about any pixel
+    source, spec, params, max_iter = TUBE_CASES[case]()
+    retired = []
+    tube_exit = escape._TubeExit.exit
+
+    def spy(self, n, w):
+        mask = tube_exit(self, n, w)
+        retired.append(int(mask.sum()))
+        return mask
+
+    monkeypatch.setattr(escape._TubeExit, "exit", spy)
+    runs = [raster_slice(source, spec, params, max_iter=max_iter, threads=t) for t in (1, 2)]
+    monkeypatch.setattr(escape, "_find_tubes", lambda *args: [])
+    plain = [raster_slice(source, spec, params, max_iter=max_iter, threads=t) for t in (1, 2)]
+    for r in runs[1:] + plain:
+        for name in ("verdict", "step", "green", "error"):
+            assert np.array_equal(getattr(runs[0], name), getattr(r, name), equal_nan=True)
+    bounded = int((runs[0].verdict == VERDICT_BOUNDED).sum())
+    escaped = int((runs[0].verdict == VERDICT_ESCAPED).sum())
+    assert bounded > 0 and escaped > 0
+    if case == "quad-volume":
+        # volume preserving: no tube contracts, so the block runs as without them
+        assert sum(retired) == 0
+    else:  # dissipative: the tubes take most bounded lanes
+        assert sum(retired) > bounded  # summed over both thread counts
+
+
+def _tube_every_step(source, z, steps):
+    # the tube _find_tubes accepts about the one lane z, with its centre and
+    # radii at every step
+    src = as_source(source)
+    maps = [src[i] for i in range(steps)]
+    R = condition_a_radius([QUAD_C]).R
+    X, Y = np.array([z[0]], dtype=complex), np.array([z[1]], dtype=complex)
+    (tube,) = escape._find_tubes(maps, 0, steps, X, Y, R, list(range(steps + 1)))
+    return maps, tube
+
+
+TUBE_SOURCES = {
+    "one-map": QUAD_C,
+    "ball": (BallNoise(QUAD_C, 0.05), SequenceSeed(7, 3)),
+}
+# the critical point y = 0.65 of y^2 - 1.3 y, where the quadratic term of
+# the radius recursion is all of its growth in y
+TUBE_START = (0.3 + 0j, 0.65 + 0j)
+
+
+@pytest.mark.parametrize("name", sorted(TUBE_SOURCES))
+def test_tube_radii_hold_sampled_lanes(name):
+    maps, tube = _tube_every_step(TUBE_SOURCES[name], TUBE_START, 120)
+    zx, zy, rx, ry = tube[0]
+    assert rx >= 0.01  # a tube wide enough for the quadratic term to matter
+    # lanes on the rim of the start polydisk in every pair of 24 phases, and
+    # inside it
+    ph = np.exp(2j * np.pi * np.arange(24) / 24)
+    a, b = np.meshgrid(ph, ph)
+    inner = np.random.default_rng(3).uniform(0, 1, (2, a.size))
+    X = zx + rx * (1 - 1e-12) * np.concatenate([a.ravel(), inner[0] * a.ravel()])
+    Y = zy + ry * (1 - 1e-12) * np.concatenate([b.ravel(), inner[1] * b.ravel()])
+    worst = 0.0
+    for m, f in enumerate(maps):
+        zx, zy, rx, ry = tube[m]
+        gap = max(np.abs(X - zx).max() / rx, np.abs(Y - zy).max() / ry)
+        assert gap <= 1.0, (m, gap)
+        worst = max(worst, gap if m else 0.0)
+        X, Y = lanes.image(f, X, Y)
+    assert worst > 0.5  # some lane came near the rim after the start
+
+
+def _exact_orbit(maps, z):
+    # the orbit of z in 60-digit decimal arithmetic, as (re, im) pairs
+    def num(c):
+        return (Decimal(c.real), Decimal(c.imag))
+
+    def mul(p, q):
+        return (p[0] * q[0] - p[1] * q[1], p[0] * q[1] + p[1] * q[0])
+
+    def add(p, q):
+        return (p[0] + q[0], p[1] + q[1])
+
+    with localcontext() as ctx:
+        ctx.prec = 60
+        x, y = num(z[0]), num(z[1])
+        out = [(x, y)]
+        for f in maps:
+            acc = num(f.poly.coeffs[0])
+            for c in f.poly.coeffs[1:]:
+                acc = add(mul(acc, y), num(c))
+            x, y = add(y, num(f.alpha)), add(acc, mul(num(-f.delta), x))
+            out.append((x, y))
+    return out
+
+
+@pytest.mark.parametrize("name", sorted(TUBE_SOURCES))
+def test_tube_radii_hold_the_exact_orbit(name):
+    # the reference lane's float orbit and its exact orbit part by rounding
+    # alone; the tube must still cover that after its start radius has
+    # contracted far below it
+    maps, tube = _tube_every_step(TUBE_SOURCES[name], TUBE_START, 200)
+    exact = _exact_orbit(maps, TUBE_START)
+    apart = 0.0
+    for (zx, zy, rx, ry), (x, y) in zip(tube, exact):
+        dx = float(((x[0] - Decimal(zx.real)) ** 2 + (x[1] - Decimal(zx.imag)) ** 2).sqrt())
+        dy = float(((y[0] - Decimal(zy.real)) ** 2 + (y[1] - Decimal(zy.imag)) ** 2).sqrt())
+        assert dx <= rx and dy <= ry, (dx, rx, dy, ry)
+        apart = max(apart, dy)
+    # 200 steps contract the start radius by far more than 1e-16 / 1e-2
+    assert apart > 0 and tube[0][3] > 1e-2

@@ -94,6 +94,22 @@ def test_walk_step_retires_exactly_the_lanes_leaving_the_window():
     assert np.array_equal(w.X, want_x[[0, 1, 3]]) and np.array_equal(w.Y, want_y[[0, 1, 3]])
 
 
+def test_walk_masks_follow_rebound_positions():
+    # the cone and bidisk masks reuse the magnitudes a move took, and take
+    # them afresh once the positions are rebound directly
+    X = np.array([0.0, 3.0, 0.5]) + 0j
+    Y = np.array([5.0, 0.0, 0.5]) + 0j
+    w = lanes.Walk(X, Y)
+    assert list(w.in_cone(2.0)) == [True, False, False]
+    w.move(Y, X)
+    assert list(w.in_cone(2.0)) == [False, True, False]
+    w.retire(np.array([False, True, False]))
+    assert list(w.in_bidisk(2.0)) == [False, True]
+    w.X, w.Y = w.Y, w.X
+    assert list(w.in_cone(2.0)) == [True, False]
+    assert list(w.in_bidisk(2.0)) == list(lanes.in_bidisk(w.X, w.Y, 2.0)) == [False, True]
+
+
 def _walk_positions(dist, streams, X, Y, steps):
     # every lane's position after each step, NaN once it has retired
     w = lanes.Walk(X, Y, streams, dist, MASTER)
@@ -152,6 +168,23 @@ def test_horner_matches_zero_start_reference():
         want = _zero_start_horner(tuple(coeffs), y)
         assert got.dtype == want.dtype
         assert np.array_equal(got.view(np.uint64), want.view(np.uint64)), (d, coeffs)
+
+
+@pytest.mark.parametrize("coeffs", [QUAD_C.poly.coeffs, CUBIC.poly.coeffs, QUAD_C.poly._deriv],
+                         ids=["quad", "cubic", "derivative"])
+def test_horner_in_place_matches_out_of_place_formula(coeffs):
+    # a raster block's lane count, where the accumulator is updated in place
+    rs = np.random.default_rng(29)
+    y = rs.normal(size=1 << 15) + 1j * rs.normal(size=1 << 15)
+    y[:8] = [0.0, -0.0, 1e-300, -1e300, 1e155j, np.inf, np.nan, complex(-0.0, 0.0)]
+    before = y.copy()
+    with np.errstate(all="ignore"):  # the inf, nan and huge lanes
+        want = coeffs[0] * y + coeffs[1]
+        for c in coeffs[2:]:
+            want = want * y + c
+        got = lanes.horner(coeffs, y)
+    assert got.view(np.uint64).tobytes() == want.view(np.uint64).tobytes()
+    assert y.view(np.uint64).tobytes() == before.view(np.uint64).tobytes()
 
 
 def _cull(n, live):
