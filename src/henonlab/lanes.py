@@ -26,7 +26,6 @@ from .core import OVERFLOW_LIMIT, HenonMap
 from .dist import FiniteDist, MapDistribution, ball_offsets_array, finite_choices_array
 
 T = TypeVar("T")
-Tangents = Tuple[np.ndarray, np.ndarray]
 
 
 def horner(coeffs, y: np.ndarray) -> np.ndarray:
@@ -49,12 +48,6 @@ def image(f: HenonMap, X: np.ndarray, Y: np.ndarray) -> Tuple[np.ndarray, np.nda
     return Y + f.alpha, horner(f.poly.coeffs, Y) - f.delta * X
 
 
-def _tangent_y(f: HenonMap, Y: np.ndarray, V1: np.ndarray, V2: np.ndarray) -> np.ndarray:
-    # second row of the differential [[0, 1], [-delta, p'(y)]]; the first row
-    # maps V to V2, and a ball's offsets enter neither
-    return -f.delta * V1 + horner(f.poly._deriv, Y) * V2  # type: ignore[attr-defined]
-
-
 def draw(dist: MapDistribution, master: int, streams: np.ndarray, n):
     """Per-lane draw for step n: support indices for a finite support,
     (alpha, constant) offsets for a noise ball, None for a one-map support
@@ -67,31 +60,35 @@ def draw(dist: MapDistribution, master: int, streams: np.ndarray, n):
     return ball_offsets_array(dist, master, streams, n)
 
 
-def apply(dist: MapDistribution, drawn, X: np.ndarray, Y: np.ndarray,
-          V: Optional[Tangents] = None) -> tuple:
-    """Lane images (X', Y') under the drawn maps; with tangent vectors
-    V = (V1, V2) the images (X', Y', W1, W2) of both."""
+def apply(dist: MapDistribution, drawn, X: np.ndarray, Y: np.ndarray) -> tuple:
+    """Lane images (X', Y') under the drawn maps."""
     if drawn is None:
-        f = dist.maps[0]
-        nx, ny = image(f, X, Y)
-        w2 = None if V is None else _tangent_y(f, Y, *V)
-    elif isinstance(dist, FiniteDist):
+        return image(dist.maps[0], X, Y)
+    if isinstance(dist, FiniteDist):
         nx = np.empty_like(X)
         ny = np.empty_like(Y)
-        w2 = None if V is None else np.empty_like(V[1])
         for j, f in enumerate(dist.maps):
             m = drawn == j
             if np.count_nonzero(m):
                 nx[m], ny[m] = image(f, X[m], Y[m])
-                if V is not None:
-                    w2[m] = _tangent_y(f, Y[m], V[0][m], V[1][m])
-    else:
-        a, b = drawn
-        base = dist.base
-        nx = Y + base.alpha + a
-        ny = horner(base.poly.coeffs, Y) + b - base.delta * X
-        w2 = None if V is None else _tangent_y(base, Y, *V)
-    return (nx, ny) if V is None else (nx, ny, V[1], w2)
+        return nx, ny
+    a, b = drawn
+    base = dist.base
+    return Y + base.alpha + a, horner(base.poly.coeffs, Y) + b - base.delta * X
+
+
+def jacobian_rows(dist: MapDistribution, drawn, Y: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """Second rows (-delta, p'(y)) of the drawn maps' differentials
+    [[0, 1], [-delta, p'(y)]] at every lane, for drawn and Y of any one
+    shape.  A ball's offsets enter no differential: its drawn is not read."""
+    if isinstance(dist, FiniteDist) and drawn is not None:
+        c, d = np.empty_like(Y), np.empty_like(Y)
+        for j, f in enumerate(dist.maps):
+            m = drawn == j
+            c[m], d[m] = -f.delta, horner(f.poly._deriv, Y[m])  # type: ignore[attr-defined]
+        return c, d
+    f = dist.maps[0] if isinstance(dist, FiniteDist) else dist.base
+    return np.full_like(Y, -f.delta), horner(f.poly._deriv, Y)  # type: ignore[attr-defined]
 
 
 _BLOCK_CELLS = 4096  # (lane, step) cells drawn per refill, at most

@@ -3,6 +3,8 @@ from __future__ import annotations
 import json
 import math
 import os
+import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -205,14 +207,18 @@ def test_renorm_steps_on_quad_attracting_preset():
     assert _renorm_steps(BallNoise(QUAD_C, 0.05), ESCAPE_FACTOR * params.R) == 84
 
 
+def _kicked_pair() -> FiniteDist:
+    tail = (0.0,) * 12 + (1e4, 0.0)
+    return FiniteDist((HenonMap(0.0, 0.1, Poly((1.0,) + tail + (0.0,))),
+                       HenonMap(0.0, 0.1, Poly((1.0,) + tail + (4e-5,)))), (0.5, 0.5))
+
+
 def test_batched_blocks_match_scalar_runs_with_mid_block_escapes():
     # degree 16 with a large quadratic term: R = 2e4, so on the 10R bidisk
     # G/|delta| = 10 * (16 (2e5)^15 + ...) = 5.2e81 and k = floor(690.8 / 188.2)
     # = 3.  The origin attracts; the second map's constant kicks some sequences
     # out of its basin.
-    tail = (0.0,) * 12 + (1e4, 0.0)
-    dist = FiniteDist((HenonMap(0.0, 0.1, Poly((1.0,) + tail + (0.0,))),
-                       HenonMap(0.0, 0.1, Poly((1.0,) + tail + (4e-5,)))), (0.5, 0.5))
+    dist = _kicked_pair()
     params = condition_a_params(dist)
     r_big = ESCAPE_FACTOR * params.R
     k = _renorm_steps(dist, r_big)
@@ -235,3 +241,48 @@ def test_batched_blocks_match_scalar_runs_with_mid_block_escapes():
             assert abs(vals[i] - single) <= 1e-12 * abs(single)
     assert 0 < len(exits) < samples
     assert any(t % k for t in exits)  # some lanes leave in the middle of a block
+
+
+def test_lanes_that_leave_mid_block_raise_no_warning():
+    # the lanes that leave keep stepping to the block's end, through overflow
+    dist = _kicked_pair()
+    r_big = ESCAPE_FACTOR * condition_a_params(dist).R
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        _, escaped = _batch_runs(dist, (1e-6, 1e-6), 16, 101, SequenceSeed(5, 1), r_big)
+    assert 0 < escaped.sum() < 16
+
+
+@pytest.mark.parametrize("z", [CYCLE_POINT, (0.0, 30.0)], ids=["stays", "leaves"])
+def test_one_map_orbit_matches_the_map_drawn_twice(z):
+    # the shared scalar orbit against the same map as a drawing support's lanes
+    one = FiniteDist((QUAD_C,), (1.0,))
+    twice = FiniteDist((QUAD_C, QUAD_C), (0.5, 0.5))
+    r_big = ESCAPE_FACTOR * condition_a_params(one).R
+    seed = SequenceSeed(8, 2)
+    v1, e1 = _batch_runs(one, z, 12, 3000, seed, r_big)
+    v2, e2 = _batch_runs(twice, z, 12, 3000, seed, r_big)
+    assert list(e1) == list(e2)
+    assert e1.all() == (z != CYCLE_POINT)
+    assert np.all(np.abs(v1 - v2) <= 1e-13 * np.abs(v2))
+
+
+def test_one_map_orbit_that_leaves_reports_all_escaped():
+    with pytest.raises(AllEscaped) as info:
+        lyapunov_statistics(FiniteDist((QUAD,), (1.0,)), (0.0, 500.0), 10, 100, SequenceSeed(3, 1))
+    assert info.value.report.escaped_fraction == 1.0
+
+
+def test_one_map_orbit_memory_does_not_grow_with_n():
+    # holding the orbit's 400,000 y-values alone would take 6.4 MB
+    dist = FiniteDist((QUAD_C,), (1.0,))
+    r_big = ESCAPE_FACTOR * condition_a_params(dist).R
+    tracemalloc.start()
+    try:
+        vals, escaped = _batch_runs(dist, CYCLE_POINT, 10, 400_000, SequenceSeed(2, 7), r_big)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert not escaped.any()
+    assert abs(vals.mean() - ORACLE) < 1e-3
+    assert peak < 2_000_000
