@@ -167,6 +167,16 @@ def eval_inverse(f: HenonMap, z: Point) -> Point:
     return _check_window(((f.poly(w) - y) / f.delta, w))
 
 
+def map_table(maps: Sequence[HenonMap]) -> np.ndarray:
+    """One column per map, rows alpha, p's coefficients, delta, p''s
+    coefficients (leading-first, left-padded with zeros to the top degree d:
+    2d + 3 rows).  Horner over a padded column keeps its bits."""
+    d = max(f.degree for f in maps)
+    return np.array([(f.alpha, *(0j,) * (d - f.degree), *f.poly.coeffs, f.delta,
+                      *(0j,) * (d - f.degree), *f.poly._deriv)  # type: ignore[attr-defined]
+                     for f in maps], dtype=np.complex128).T.copy()
+
+
 def jacobian(f: HenonMap, z: Point) -> np.ndarray:
     """Differential [[0, 1], [-delta, p'(y)]]; determinant is delta everywhere."""
     _, y = z

@@ -26,7 +26,7 @@ from typing import List, Tuple, Union
 import numpy as np
 
 from . import rng
-from .core import FiltrationParams, HenonMap, condition_a_radius, inverse_as_plus
+from .core import FiltrationParams, HenonMap, condition_a_radius, inverse_as_plus, map_table
 
 _MAX_BALL_ATTEMPTS = 256
 
@@ -75,6 +75,8 @@ class FiniteDist:
         cum = np.cumsum(np.asarray(weights, dtype=np.float64))
         cum[-1] = 1.0  # guard the last bin against rounding
         object.__setattr__(self, "_cum", cum)
+        # the lane step gathers each lane's map from it (lanes.apply)
+        object.__setattr__(self, "_table", map_table(maps))
 
 
 @dataclass(frozen=True)

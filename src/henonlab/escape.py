@@ -51,6 +51,7 @@ from .core import (
     eval_map,
     in_v_plus,
     inverse_as_plus,
+    map_table,
     norm,
 )
 from .dist import (
@@ -754,25 +755,25 @@ def _find_tubes(maps: List[HenonMap], n0: int, max_iter: int, X: np.ndarray, Y: 
         hx[steps], hy[steps] = zx, zy
     ax, ay = np.abs(hx), np.abs(hy)
 
-    # step m's coefficients, left-padded to one degree d.  In float, with
-    # E = 8 (d + 1) u (at least twice the error constant of depth-d complex
-    # Horner):
+    # step m's map is column m of map_table(ms), padded to degree d.  In
+    # float, with E = 8 (d + 1) u (at least twice the error constant of
+    # depth-d complex Horner):
     # - a computed Taylor coefficient of p at zy is within E times that of
     #   the polynomial with coefficients |c_j| at |zy|;
     # - one step of an orbit in the bidisk rounds by at most E (R + |a|) in
     #   x and E (sum_j |c_j| R^(d-j) + |delta| R) in y, twice that for the
     #   lane's and the reference's orbits together.
-    d = max(f.degree for f in ms)
-    C = np.array([(0j,) * (d - f.degree) + f.poly.coeffs for f in ms])
-    A = np.abs(C)
+    T = map_table(ms)
+    d = len(T) // 2 - 1
+    C = T[1:d + 2]
+    A, dl = np.abs(C), np.abs(T[d + 2])
     E = 8 * (d + 1) * _U
-    dl = np.array([abs(f.delta) for f in ms])
     with np.errstate(all="ignore"):  # escaped references and a huge R overflow
-        t = _taylor(C.T[..., None], hy[:-1])[1:]
-        tb = _taylor(A.T[..., None], ay[:-1])[1:]
+        t = _taylor(C[..., None], hy[:-1])[1:]
+        tb = _taylor(A[..., None], ay[:-1])[1:]
         bound = [np.broadcast_to(np.abs(u) + E * v, ay[:-1].shape) for u, v in zip(t, tb)]
-        sx = (2 * E * (R + np.array([abs(f.alpha) for f in ms]))).tolist()
-        sy = (2 * E * (A @ R ** np.arange(d, -1, -1.0) + dl * R)).tolist()
+        sx = (2 * E * (R + np.abs(T[0]))).tolist()
+        sy = (2 * E * (A.T @ R ** np.arange(d, -1, -1.0) + dl * R)).tolist()
     dl = dl.tolist()
 
     at = [m - n0 for m in marks]

@@ -6,13 +6,15 @@ does not depend on how the lanes are batched, compacted or split across
 threads, nor on the order in which the (lane, step) cells are hashed.  Every
 vectorised walker in the library draws and steps through this module, checks
 the exact-arithmetic window, the escape cone and the central bidisk here and
-runs its fixed blocks on the pool here.  A :class:`Walk` holds a batch's live
-lanes, with per-lane streams or under one shared sequence: it moves them,
-retires lanes (those that leave the window among them) and compacts the
-survivors with their carry arrays and their drawn future steps.  A walk draws
-its steps in time blocks: a refill at step n hashes steps n .. n + T - 1 of
-every live lane in one call, T from :func:`draw_steps`, so a walk over few
-lanes pays a draw call's fixed cost once per block rather than once per step.
+runs its fixed blocks on the pool here.  A finite support, one map or many,
+steps every lane by one formula on its map's column of the support's table.  A
+:class:`Walk` holds a batch's live lanes, with per-lane streams or under one
+shared sequence: it moves them, retires lanes (those that leave the window
+among them) and compacts the survivors with their carry arrays and their drawn
+future steps.  A walk draws its steps in time blocks: a refill at step n
+hashes steps n .. n + T - 1 of every live lane in one call, T from
+:func:`draw_steps`, so a walk over few lanes pays a draw call's fixed cost
+once per block rather than once per step.
 """
 
 from __future__ import annotations
@@ -54,24 +56,18 @@ def draw(dist: MapDistribution, master: int, streams: np.ndarray, n):
     (whose draw is constant, so nothing is hashed).  n may be an array that
     broadcasts with streams, which draws every (stream, step) cell at once."""
     if isinstance(dist, FiniteDist):
-        if len(dist.maps) == 1:
-            return None
-        return finite_choices_array(dist, master, streams, n)
+        return None if len(dist.maps) == 1 else finite_choices_array(dist, master, streams, n)
     return ball_offsets_array(dist, master, streams, n)
 
 
 def apply(dist: MapDistribution, drawn, X: np.ndarray, Y: np.ndarray) -> tuple:
-    """Lane images (X', Y') under the drawn maps."""
-    if drawn is None:
-        return image(dist.maps[0], X, Y)
+    """Lane images (X', Y') under the drawn maps: on a finite support, by one
+    formula on each lane's column of the support's table (core.map_table;
+    map 0's when nothing is drawn), alpha through delta."""
     if isinstance(dist, FiniteDist):
-        nx = np.empty_like(X)
-        ny = np.empty_like(Y)
-        for j, f in enumerate(dist.maps):
-            m = drawn == j
-            if np.count_nonzero(m):
-                nx[m], ny[m] = image(f, X[m], Y[m])
-        return nx, ny
+        table = dist._table  # type: ignore[attr-defined]
+        t = table[:len(table) // 2 + 2, 0 if drawn is None else drawn]
+        return Y + t[0], horner(t[1:-1], Y) - t[-1] * X
     a, b = drawn
     base = dist.base
     return Y + base.alpha + a, horner(base.poly.coeffs, Y) + b - base.delta * X
@@ -80,14 +76,13 @@ def apply(dist: MapDistribution, drawn, X: np.ndarray, Y: np.ndarray) -> tuple:
 def jacobian_rows(dist: MapDistribution, drawn, Y: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
     """Second rows (-delta, p'(y)) of the drawn maps' differentials
     [[0, 1], [-delta, p'(y)]] at every lane, for drawn and Y of any one
-    shape.  A ball's offsets enter no differential: its drawn is not read."""
-    if isinstance(dist, FiniteDist) and drawn is not None:
-        c, d = np.empty_like(Y), np.empty_like(Y)
-        for j, f in enumerate(dist.maps):
-            m = drawn == j
-            c[m], d[m] = -f.delta, horner(f.poly._deriv, Y[m])  # type: ignore[attr-defined]
-        return c, d
-    f = dist.maps[0] if isinstance(dist, FiniteDist) else dist.base
+    shape (a finite support's table from delta on).  A ball's offsets enter
+    no differential: its drawn is not read."""
+    if isinstance(dist, FiniteDist):
+        table = dist._table  # type: ignore[attr-defined]
+        t = table[len(table) // 2 + 1:, 0 if drawn is None else drawn]
+        return np.full_like(Y, -t[0]), horner(t[1:], Y)
+    f = dist.base
     return np.full_like(Y, -f.delta), horner(f.poly._deriv, Y)  # type: ignore[attr-defined]
 
 

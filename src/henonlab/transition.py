@@ -2,10 +2,14 @@
 
 M phi(z) = E_h phi(h(z)) averages an observable over one random step.  Powers
 M^n are evaluated exactly by expanding the weighted path tree while the path
-count m^n fits a budget, and by stratified Monte Carlo past it.  On top of
-the operator sit the capture-ramp observable, geometric convergence-rate
-fits toward basin probabilities, and two independent estimators for the
-derivative of a basin probability in the support weights.
+count m^n fits a budget, and by stratified Monte Carlo past it, both stepping
+their paths through :class:`lanes.Walk`.  A path or sample that starts outside
+the exact-arithmetic window, or leaves it, retires and contributes 0, the
+value far out of both observables below (the capture ramp, and zeta, a
+difference of basin probabilities that agree there).  On top of the operator
+sit the capture-ramp observable, geometric convergence-rate fits toward basin
+probabilities, and two independent estimators for the derivative of a basin
+probability in the support weights.
 """
 
 from __future__ import annotations
@@ -101,16 +105,13 @@ class CaptureRamp:
         self.width = float(width) if width is not None else L.capture_radius / 2.0
         if self.width <= 0:
             raise ValueError("ramp width must be positive")
-        self._cx = np.array([c[0] for c in L.parts_centers])
-        self._cy = np.array([c[1] for c in L.parts_centers])
-        self._r = np.array(L.parts_radii)
 
     def array(self, X: np.ndarray, Y: np.ndarray) -> np.ndarray:
         d = np.full(X.shape, np.inf)
-        for cx, cy, r in zip(self._cx, self._cy, self._r):
+        for (cx, cy), r in zip(self.L.parts_centers, self.L.parts_radii):
             d = np.minimum(d, np.hypot(np.abs(X - cx), np.abs(Y - cy)) - r)
-        t = (d - self.L.capture_radius) / self.width
-        t = np.clip(np.nan_to_num(t, nan=1.0, posinf=1.0), 0.0, 1.0)
+        # clipped before dividing: far and non-finite points read 0, no overflow
+        t = np.fmax(np.fmin(d - self.L.capture_radius, self.width), 0.0) / self.width
         return 1.0 - t * t * (3.0 - 2.0 * t)
 
     def __call__(self, z: Point) -> float:
@@ -141,20 +142,17 @@ def apply_M(
 
 
 def _tree_power(dist: FiniteDist, phi, z: Point, n: int) -> float:
-    X = np.array([z[0]], dtype=np.complex128)
-    Y = np.array([z[1]], dtype=np.complex128)
-    W = np.array([1.0])
+    # one level per step: every path's image under map 0, then map 1, ...
+    m = len(dist.maps)
+    w = lanes.Walk(np.array([z[0]], dtype=np.complex128), np.array([z[1]], dtype=np.complex128),
+                   W=np.ones(1))
+    w.move(w.X, w.Y)
     for _ in range(n):
-        nx, ny, nw = [], [], []
-        for w, f in zip(dist.weights, dist.maps):
-            ix, iy = lanes.image(f, X, Y)
-            nx.append(ix)
-            ny.append(iy)
-            nw.append(W * w)
-        X = np.concatenate(nx)
-        Y = np.concatenate(ny)
-        W = np.concatenate(nw)
-    return float(np.sum(W * _phi_array(phi, X, Y)))
+        k = len(w)
+        w = lanes.Walk(np.tile(w.X, m), np.tile(w.Y, m),
+                       W=np.tile(w.carry["W"], m) * np.repeat(dist.weights, k))
+        w.move(*lanes.apply(dist, np.repeat(np.arange(m), k), w.X, w.Y))
+    return float(np.sum(w.carry["W"] * _phi_array(phi, w.X, w.Y)))
 
 
 def _stratified_counts(weights: Sequence[float], total: int) -> np.ndarray:
@@ -177,32 +175,28 @@ def _mc_power(
     dist: MapDistribution, phi, z: Point, n: int, samples: int, seed: SequenceSeed
 ) -> OperatorValue:
     streams = rng.stream_table(seed.stream_id, samples, _TAG_MOP)
-    X = np.full(samples, complex(z[0]))
-    Y = np.full(samples, complex(z[1]))
-    strata: Optional[np.ndarray] = None
-    if isinstance(dist, FiniteDist):
+    w = lanes.Walk(np.full(samples, complex(z[0])), np.full(samples, complex(z[1])),
+                   streams, dist, seed.master_seed)
+    w.move(w.X, w.Y)
+    finite = isinstance(dist, FiniteDist)
+    if finite:
         counts = _stratified_counts(dist.weights, samples)
         strata = np.repeat(np.arange(len(dist.maps)), counts)
-    for step in range(n):
-        if step == 0 and strata is not None:
-            drawn = strata
-        else:
-            drawn = lanes.draw(dist, seed.master_seed, streams, step)
-        X, Y = lanes.apply(dist, drawn, X, Y)
-    vals = _phi_array(phi, X, Y)
-    if strata is None:
+        w.move(*lanes.apply(dist, strata[w.lane], w.X, w.Y))
+    for step in range(int(finite), n):
+        w.step(step)
+    vals = np.zeros(samples)
+    vals[w.lane] = _phi_array(phi, w.X, w.Y)
+    if not finite:
         se = float(np.std(vals, ddof=1) / math.sqrt(samples)) if samples > 1 else math.inf
         return OperatorValue(value=float(vals.mean()), se=se, exact=False)
     # stratified estimator: sum_j w_j mean_j, se^2 = sum_j w_j^2 var_j / n_j;
     # a one-sample stratum has no variance estimate, so se is inf
     val = 0.0
     var = 0.0
-    pos = 0
-    for w, c in zip(dist.weights, counts):
-        sl = vals[pos:pos + int(c)]
-        pos += int(c)
-        val += w * float(sl.mean())
-        var += w * w * float(sl.var(ddof=1)) / int(c) if c > 1 else math.inf
+    for p, sl in zip(dist.weights, np.split(vals, np.cumsum(counts)[:-1])):
+        val += p * float(sl.mean())
+        var += p * p * float(sl.var(ddof=1)) / sl.size if sl.size > 1 else math.inf
     return OperatorValue(value=val, se=math.sqrt(var), exact=False)
 
 
@@ -458,12 +452,9 @@ def fd_derivative_TL(
         return FiniteDist(maps=dist.maps, weights=tuple(w))
 
     def central(step: float) -> float:
-        plus = estimate_TL(
-            shifted(step), minsets, z, tl_samples, tl_max_iter, seed, params=params
-        ).probabilities.get(L.id, 0.0)
-        minus = estimate_TL(
-            shifted(-step), minsets, z, tl_samples, tl_max_iter, seed, params=params
-        ).probabilities.get(L.id, 0.0)
+        plus, minus = (estimate_TL(shifted(s), minsets, z, tl_samples, tl_max_iter, seed,
+                                   params=params).probabilities.get(L.id, 0.0)
+                       for s in (step, -step))
         return (plus - minus) / (2.0 * step)
 
     d1 = central(h)

@@ -553,6 +553,26 @@ def test_cli_walkers_never_step_starts_outside_the_window(tmp_path, cmd, report)
             [(1.0, {"infinity": 0.0}), (0.0, {"infinity": 1.0})]
 
 
+@pytest.mark.parametrize("budget", [None, 1], ids=["tree", "monte-carlo"])
+def test_cli_mop_paths_outside_the_window_contribute_zero(tmp_path, budget):
+    # the far point starts outside the exact window: its paths retire and
+    # read 0 at every power, with no overflow warning (an error here); a
+    # one-map support stays on the path tree at any budget, so the Monte
+    # Carlo run gives the same map twice
+    with open(os.path.join(PRESET_DIR, "quad-attracting.json"), encoding="utf-8") as fh:
+        cfg = json.load(fh)
+    cfg.update(points=[[[1e308, 0], [0, 0]], [0.3, 0.65]], powers=[0, 1, 3], ramp_width=2.0)
+    if budget is not None:
+        cfg.update(budget=budget, maps=cfg["maps"] * 2, weights=[0.5, 0.5])
+    proc = _python("-W", "error", "-m", "henonlab.cli", "mop",
+                   "--config", _write_cfg(tmp_path, cfg), "--out", str(tmp_path / "out"))
+    assert proc.returncode == 0 and proc.stderr == ""
+    far, near = json.loads((tmp_path / "out" / "mop.json").read_text())["result"]["values"]
+    assert [r["value"] for r in far["powers"]] == [0.0, 0.0, 0.0]
+    assert all(r["value"] > 0.5 for r in near["powers"])
+    assert [r["exact"] for r in far["powers"]] == [True] + [budget is None] * 2
+
+
 # ---------------------------------------------------------------------------
 # shipped presets parse into the objects they claim
 

@@ -102,6 +102,23 @@ def test_vector_window_check_has_one_home(name, homes):
     assert users <= homes, f"{name} used outside {sorted(homes)}: {sorted(users - homes)}"
 
 
+def test_lane_draws_only_through_walks():
+    # a walker draws its steps through lanes.Walk (time-blocked, bound to its
+    # distribution); only lanes.py calls the per-step lanes.draw
+    users = set()
+    for path in glob.glob(os.path.join(SRC, "*.py")):
+        with open(path, encoding="utf-8") as fh:
+            tree = ast.parse(fh.read())
+        for n in ast.walk(tree):
+            if (isinstance(n, ast.Attribute) and n.attr == "draw"
+                    and isinstance(n.value, ast.Name) and n.value.id == "lanes"):
+                users.add(os.path.basename(path))
+            elif (isinstance(n, ast.ImportFrom) and (n.module or "").endswith("lanes")
+                    and any(a.name == "draw" for a in n.names)):
+                users.add(os.path.basename(path))
+    assert not users - {"lanes.py"}, f"lanes.draw used in {sorted(users)}"
+
+
 def test_benchmark_spans_reach_discovery_layers():
     # perfbench/spans.py wraps module-level names of the library; a renamed
     # or reshaped name must fail here rather than in a traced benchmark run

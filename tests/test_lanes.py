@@ -46,6 +46,40 @@ def test_step_matches_scalar_maps(name):
         assert _close(got, want)
 
 
+FINITE = {
+    "three-map": DISTS["three-map"],  # degrees 2, 2 and 3
+    "two-map": FiniteDist((QUAD_A, QUAD_C), (0.4, 0.6)),
+    "one-map": DISTS["one-map"],
+}
+
+
+def _per_map(dist, drawn, X, Y):
+    # the step and the differential's second row map by map, each over the
+    # lanes that drew it
+    nx, ny, c, d = (np.empty_like(X) for _ in range(4))
+    for j, f in enumerate(dist.maps):
+        m = drawn == j
+        nx[m], ny[m] = lanes.image(f, X[m], Y[m])
+        c[m], d[m] = -f.delta, lanes.horner(f.poly._deriv, Y[m])
+    return nx, ny, c, d
+
+
+@pytest.mark.parametrize("scale", [1.0, 1e33])
+@pytest.mark.parametrize("name", sorted(FINITE))
+def test_gathered_step_matches_per_map_formula_bitwise(name, scale):
+    dist = FINITE[name]
+    u = np.random.default_rng(12).uniform(-1.5, 1.5, (4, LANES)) * scale
+    X, Y = u[0] + 1j * u[1], u[2] + 1j * u[3]
+    drawn = lanes.draw(dist, MASTER, rng.stream_table(4, LANES), STEP)
+    zeros = np.zeros(LANES, dtype=np.intp)
+    # a one-map support draws nothing, and the path tree hands it map 0
+    cases = [(drawn, drawn)] if drawn is not None else [(None, zeros), (zeros, zeros)]
+    for given, per_lane in cases:
+        got = (*lanes.apply(dist, given, X, Y), *lanes.jacobian_rows(dist, given, Y))
+        for g, want in zip(got, _per_map(dist, per_lane, X, Y)):
+            assert g.tobytes() == want.tobytes()
+
+
 def test_one_map_support_draws_nothing():
     streams = np.arange(8, dtype=np.uint64)
     assert lanes.draw(DISTS["one-map"], MASTER, streams, STEP) is None

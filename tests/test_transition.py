@@ -9,6 +9,7 @@ import warnings
 import numpy as np
 import pytest
 
+from henonlab import lanes, rng
 from henonlab.core import HenonMap, Poly, eval_map
 from henonlab.dist import BallNoise, FiniteDist, SequenceSeed, condition_a_params
 from henonlab.minsets import INFINITY, MinimalSetDescriptor, discover_minimal_sets, estimate_TL
@@ -16,8 +17,11 @@ from henonlab.transition import (
     CaptureRamp,
     OperatorValue,
     RateUnresolved,
+    _TAG_MOP,
     SeriesStall,
+    _mc_power,
     _stratified_counts,
+    _tree_power,
     apply_M,
     fd_derivative_TL,
     fit_convergence_rate,
@@ -105,6 +109,53 @@ def test_stratified_mc_matches_tree():
     mc = iterate_M(PAIR, phi_test, Z0, 6, budget=1, samples=20_000, seed=SEED)
     assert not mc.exact and mc.se > 0
     assert abs(mc.value - exact) <= 4.0 * mc.se + 1e-9
+
+
+def test_tree_power_matches_the_concatenating_loop():
+    # the path tree as one map-major array per level, each level concatenated
+    # from the images under every map: the walk must keep its bits
+    X = np.array([Z0[0]], dtype=np.complex128)
+    Y = np.array([Z0[1]], dtype=np.complex128)
+    W = np.array([1.0])
+    for _ in range(6):
+        parts = [(*lanes.image(f, X, Y), W * w) for w, f in zip(PAIR.weights, PAIR.maps)]
+        X, Y, W = (np.concatenate(p) for p in zip(*parts))
+    want = float(np.sum(W * np.array([phi_test(z) for z in zip(X, Y)])))
+    assert _tree_power(PAIR, phi_test, Z0, 6) == want
+
+
+@pytest.mark.parametrize("dist", [PAIR, BallNoise(QUAD_A, 0.05)], ids=["pair", "ball"])
+def test_mc_power_matches_the_per_step_draw_loop(dist):
+    # one draw call per step over every sample, the finite support's step 0
+    # taken from the strata: the walk's time-blocked draws keep the bits
+    samples, n = 300, 5
+    counts = _stratified_counts(PAIR.weights, samples)
+    streams = rng.stream_table(SEED.stream_id, samples, _TAG_MOP)
+    X = np.full(samples, complex(Z0[0]))
+    Y = np.full(samples, complex(Z0[1]))
+    for step in range(n):
+        if step == 0 and dist is PAIR:
+            drawn = np.repeat([0, 1], counts)
+        else:
+            drawn = lanes.draw(dist, SEED.master_seed, streams, step)
+        X, Y = lanes.apply(dist, drawn, X, Y)
+    vals = np.array([phi_test(z) for z in zip(X, Y)])
+    got = _mc_power(dist, phi_test, Z0, n, samples, SEED)
+    if dist is PAIR:
+        a = int(counts[0])
+        assert got.value == 0.25 * float(vals[:a].mean()) + 0.75 * float(vals[a:].mean())
+    else:
+        assert got.value == float(vals.mean())
+
+
+def test_paths_leaving_the_window_contribute_zero():
+    # from (0, 1e40) every path reaches |y| ~ 1e160 at step 2 and retires
+    # there; stepping on would overflow at step 3
+    z = (0j, 1e40 + 0j)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert _tree_power(PAIR, phi_test, z, 3) == 0.0
+        assert _mc_power(PAIR, phi_test, z, 3, 64, SEED).value == 0.0
 
 
 def test_ball_apply_reports_se():
