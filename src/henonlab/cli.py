@@ -2,10 +2,11 @@
 
 Configs are JSON, read from a path or stdin; artifacts land atomically in
 the output directory.  Every report embeds the tool version and the fully
-resolved config (defaults materialized), which can be fed back in to
-reproduce the artifact byte for byte.  Exit codes: 0 on success, 2 for a
-config problem (message carries the JSON pointer), 3 when the requested
-computation fails.
+resolved config (defaults materialized, a grid recorded as written), which
+can be fed back in to reproduce the artifact byte for byte.  Exit codes: 0
+on success, 2 for a config problem (message carries the JSON pointer), 3
+when the library fails: any ArithmeticError, RuntimeError or ValueError,
+an unanticipated ValueError included.
 """
 
 from __future__ import annotations
@@ -22,8 +23,7 @@ from typing import Any, Dict, List, Optional, Sequence, Tuple, Union
 import numpy as np
 
 from . import __version__, rng
-from .core import (FiltrationParams, HenonMap, NumericOverflow, Poly, eval_inverse, eval_map,
-                   in_v_plus)
+from .core import FiltrationParams, HenonMap, Point, Poly, eval_inverse, eval_map, in_v_plus
 from .dist import (
     FiniteDist,
     MapDistribution,
@@ -36,32 +36,22 @@ from .escape import (
     VERDICT_ESCAPED,
     VERDICT_UNCERTAIN,
     DistSource,
-    GreenIndeterminate,
     ShiftedSource,
     escape_census,
     green_plus,
     green_points,
     raster_slice,
 )
-from .lyapunov import (
-    AllEscaped,
-    DegenerateVector,
-    backward_lyapunov_statistics,
-    lyapunov_statistics,
-)
+from .lyapunov import backward_lyapunov_statistics, lyapunov_statistics
 from .minsets import (
     INFINITY,
-    AmbiguousCapture,
     MinimalSetDescriptor,
-    NotMinimal,
     cluster_eps_floor,
     discover_minimal_sets,
     estimate_TL_many,
 )
 from .transition import (
     CaptureRamp,
-    RateUnresolved,
-    SeriesStall,
     fd_derivative_TL,
     fit_convergence_rate,
     iterate_M,
@@ -76,19 +66,6 @@ _TAG_CLI = 0x434C4900
 
 class ComputeError(RuntimeError):
     """Run-level failure that is not a config problem."""
-
-
-_COMPUTE_ERRORS = (
-    AllEscaped,
-    AmbiguousCapture,
-    ComputeError,
-    DegenerateVector,
-    GreenIndeterminate,
-    NotMinimal,
-    NumericOverflow,
-    RateUnresolved,
-    SeriesStall,
-)
 
 
 def _phase(seed: SequenceSeed, *parts: int) -> SequenceSeed:
@@ -108,14 +85,17 @@ def _system(r: Resolver,
     return dist, seed, checked(f"{r.ptr}/rho_margin", condition_a_params, dist, rho_margin=rho)
 
 
-def _discovery(R: float) -> Dict[str, Field]:
-    """discover_minimal_sets keywords; cluster_eps must clear the int64
+def _discovery(r: Resolver, R: float,
+               **extra: Field) -> Tuple[List[Point], Dict[str, Any]]:
+    """The discovery block r: its starts, and its discover_minimal_sets
+    keywords with the ``extra`` fields; cluster_eps must clear the int64
     lattice floor of every certificate radius up to R."""
-    return {
+    return r.points(), r.read({
         "burn_in": Field("int", 1000, lo=1000),
         "n_record": Field("int", 200, lo=2),
         "cluster_eps": Field("pos", None, lo=cluster_eps_floor(R)),
-    }
+        **extra,
+    })
 
 
 def _descriptor_json(d: MinimalSetDescriptor) -> Dict[str, Any]:
@@ -181,9 +161,7 @@ def _cmd_render_julia(r: Resolver, out: str, seed_override: Optional[int],
     pix = np.rint(65535.0 * (g / (1.0 + g))).astype(np.uint16)
 
     header = canonical_json({"config": r.resolved, "version": __version__})
-    write_pgm16(os.path.join(out, "julia.pgm"), pix, comment=f"cfg {header}")
-    with open(os.path.join(out, "julia.pgm"), "rb") as fh:
-        digest = hashlib.sha256(fh.read()).hexdigest()
+    pgm = write_pgm16(os.path.join(out, "julia.pgm"), pix, comment=f"cfg {header}")
     counts = {
         "bounded": int((raster.verdict == VERDICT_BOUNDED).sum()),
         "escaped": int((raster.verdict == VERDICT_ESCAPED).sum()),
@@ -194,7 +172,7 @@ def _cmd_render_julia(r: Resolver, out: str, seed_override: Optional[int],
         "pixel_pitch": spec.pixel_pitch,
         "c_tel": raster.c_tel,
         "R": params.R,
-        "pgm_sha256": digest,
+        "pgm_sha256": hashlib.sha256(pgm).hexdigest(),
     }
 
 
@@ -237,8 +215,7 @@ def _cmd_lyapunov(r: Resolver, out: str, seed_override: Optional[int],
 def _cmd_minsets(r: Resolver, out: str, seed_override: Optional[int],
                  threads: int) -> Dict[str, Any]:
     dist, seed, params = _system(r, seed_override)
-    starts = r.points()
-    knobs = r.read(_discovery(params.R))
+    starts, knobs = _discovery(r, params.R)
     sets = discover_minimal_sets(dist, params, starts, _phase(seed, 0), **knobs)
     finite = [d for d in sets if not d.is_infinity]
     return {
@@ -252,9 +229,7 @@ def _cmd_minsets(r: Resolver, out: str, seed_override: Optional[int],
 def _cmd_tl(r: Resolver, out: str, seed_override: Optional[int],
             threads: int) -> Dict[str, Any]:
     dist, seed, params = _system(r, seed_override)
-    disc = r.sub("discovery")
-    starts = disc.points()
-    knobs = disc.read(_discovery(params.R))
+    starts, knobs = _discovery(r.sub("discovery"), params.R)
     probes = r.points()
     samples, max_iter = r.read({
         "samples": Field("int", 1000, lo=1),
@@ -276,9 +251,7 @@ def _cmd_tl(r: Resolver, out: str, seed_override: Optional[int],
 def _cmd_mop(r: Resolver, out: str, seed_override: Optional[int],
              threads: int) -> Dict[str, Any]:
     dist, seed, params = _system(r, seed_override)
-    disc = r.sub("discovery")
-    starts = disc.points()
-    knobs = disc.read(_discovery(params.R))
+    starts, knobs = _discovery(r.sub("discovery"), params.R)
     points = r.points()
     target, powers, budget, mc_samples, ramp_width, do_fit = r.read({
         "target": Field("int", 0, lo=0),
@@ -331,9 +304,7 @@ def _cmd_dtl(r: Resolver, out: str, seed_override: Optional[int],
     dist, seed, params = _system(r, seed_override)
     if not isinstance(dist, FiniteDist) or len(dist.maps) < 2:
         raise ConfigError("/maps", "weight derivatives need a finite support of two or more maps")
-    disc = r.sub("discovery")
-    starts = disc.points()
-    knobs = disc.read(_discovery(params.R))
+    starts, knobs = _discovery(r.sub("discovery"), params.R)
     w, m = dist.weights, len(dist.maps)
     # the last weight is the dependent one: it absorbs every step
     z, target, index = r.read({
@@ -386,12 +357,8 @@ def _cmd_bifurcate(r: Resolver, out: str, seed_override: Optional[int],
         raise ConfigError("/t_grid", "expected at least two strictly increasing amplitudes")
     # scan_family certifies each amplitude separately: bound eps by the largest R
     R = max(condition_a_params(family_at(fam, t)).R for t in t_grid)
-    grid = r.points()
-    knobs = r.read({
-        **_discovery(R),
-        "tl_samples": Field("int", 200, lo=1),
-        "tl_max_iter": Field("int", 500, lo=1),
-    })
+    grid, knobs = _discovery(r, R, tl_samples=Field("int", 200, lo=1),
+                             tl_max_iter=Field("int", 500, lo=1))
 
     scan = scan_family(fam, t_grid, grid, _phase(seed, 0), **knobs, threads=threads)
     # every FamilyPoint field but the descriptors, in declaration order
@@ -562,7 +529,7 @@ def run_cli(argv: Sequence[str]) -> int:
     except ConfigError as e:
         print(f"config error: {e}", file=sys.stderr)
         return 2
-    except _COMPUTE_ERRORS as e:
+    except (ArithmeticError, RuntimeError, ValueError) as e:  # every library failure
         print(f"computation failed: {type(e).__name__}: {e}", file=sys.stderr)
         return 3
     if args.out is not None:

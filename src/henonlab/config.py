@@ -244,17 +244,17 @@ class Resolver:
 
     def points(self) -> List[Point]:
         """Probe points, either explicit or as a real rectangular lattice of
-        cell centres, x fastest; a lattice is recorded as its points."""
+        cell centres, x fastest; a lattice is recorded as written, so the
+        recorded config expands to the same points."""
         if "points" in self.cfg or "grid" not in self.cfg:
             return self.read({"points": Field("points")})["points"]
-        gp = f"{self.ptr}/grid"
-        g = Resolver(self.cfg["grid"], gp).read(_GRID)
+        grid = self.sub("grid")
+        g = grid.read(_GRID)
         if g["x_max"] < g["x_min"] or g["y_max"] < g["y_min"]:
-            raise ConfigError(gp, "empty ranges")
+            raise ConfigError(grid.ptr, "empty ranges")
         xs = [g["x_min"] + (g["x_max"] - g["x_min"]) * (i + 0.5) / g["nx"] for i in range(g["nx"])]
         ys = [g["y_min"] + (g["y_max"] - g["y_min"]) * (j + 0.5) / g["ny"] for j in range(g["ny"])]
-        pts = self.resolved["points"] = [(complex(x), complex(y)) for y in ys for x in xs]
-        return pts
+        return [(complex(x), complex(y)) for y in ys for x in xs]
 
     def slice_spec(self) -> SliceSpec:
         """This object as a raster slice; dir1 and dir2 default to the x and

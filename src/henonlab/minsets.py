@@ -206,13 +206,14 @@ def _fresh(tree: cKDTree, fx: List[np.ndarray], fy: List[np.ndarray], eps: float
 def _saturate(
     xs: np.ndarray, ys: np.ndarray, maps: Sequence[HenonMap], eps: float, box: float,
     assign: float, tree: Optional[cKDTree] = None,
-) -> Tuple[np.ndarray, np.ndarray, bool]:
+) -> Tuple[np.ndarray, np.ndarray, Optional[cKDTree]]:
     """Grow the sample cloud until support images are covered.
 
     Only image points farther than the coverage radius ``assign`` from the
     cloud are added (after lattice dedup), so the cloud stays a sample of the
     set rather than a volumetric fill; points leaving the |coordinate| <= box
-    window are discarded.  The flag reports whether coverage closed; the
+    window are discarded.  The third value is the closing round's index of
+    the returned cloud when coverage closed, and None when it did not; the
     cloud stops unclosed at the round limit, or before a round that would
     carry it past ``_MAX_CLOUD`` points.  Images never change and the cloud
     only grows, so a round's far images are the last round's still far plus
@@ -238,15 +239,15 @@ def _saturate(
                     n_far > 1e-3 * (kept + (len(maps) - 1 - m) * new_x.size)):
                 counted = n_far
                 if _fresh(tree, far_x, far_y, eps, assign)[0].size > room:
-                    return xs, ys, False
+                    return xs, ys, None
         far_x, far_y = np.concatenate(far_x), np.concatenate(far_y)
         if far_x.size <= 1e-3 * max(kept, 1):
-            return xs, ys, True
+            return xs, ys, tree
         new_x, new_y = _fresh(tree, [far_x], [far_y], eps, assign)
         if new_x.size > room:
-            return xs, ys, False
+            return xs, ys, None
         xs, ys = np.concatenate([xs, new_x]), np.concatenate([ys, new_y])
-    return xs, ys, False
+    return xs, ys, None
 
 
 # ---------------------------------------------------------------------------
@@ -329,11 +330,11 @@ def _terminal_sccs(edges: np.ndarray, n_nodes: int) -> List[np.ndarray]:
 
 
 def _digraph(
-    xs: np.ndarray, ys: np.ndarray, maps: Sequence[HenonMap], eps: float
+    tree: cKDTree, xs: np.ndarray, ys: np.ndarray, maps: Sequence[HenonMap], eps: float
 ) -> Tuple[np.ndarray, np.ndarray]:
     """Component labels of the cloud at its linking radius, and the
-    transition edges between the components, from one index of the cloud."""
-    tree = cKDTree(_embed4(xs, ys))
+    transition edges between the components, from ``tree``, the cloud's
+    index."""
     link = _link_radius(tree, eps)
     labels = _components(tree, link)
     radius = max(_ASSIGN_FACTOR * eps, 1.5 * link)
@@ -365,7 +366,7 @@ def detect_period(dist: MapDistribution, L: MinimalSetDescriptor, seed: Sequence
     eps = sub_eps if sub_eps is not None else L.cluster_eps
     xs = np.array([p[0] for p in L.cloud])
     ys = np.array([p[1] for p in L.cloud])
-    labels, edges = _digraph(xs, ys, support_sample(dist, seed), eps)
+    labels, edges = _digraph(cKDTree(_embed4(xs, ys)), xs, ys, support_sample(dist, seed), eps)
     n_nodes = int(labels.max()) + 1
     nscc, _ = _strong_components(edges, n_nodes)
     if nscc > 1:
@@ -449,10 +450,10 @@ def _candidates_at(
     # linking radii do not demand a volumetric fill of noise-blown blobs
     tree = cKDTree(_embed4(xs, ys))
     assign = max(_ASSIGN_FACTOR * eps, 2.0 * _link_radius(tree, eps))
-    xs, ys, ok = _saturate(xs, ys, maps, eps, box, assign, tree=tree)
-    if not ok:
+    xs, ys, tree = _saturate(xs, ys, maps, eps, box, assign, tree=tree)
+    if tree is None:
         return []
-    labels, edges = _digraph(xs, ys, maps, eps)
+    labels, edges = _digraph(tree, xs, ys, maps, eps)
     drafts = []
     for nodes in _terminal_sccs(edges, int(labels.max()) + 1):
         sel = np.isin(labels, nodes)
@@ -752,6 +753,9 @@ def _pair_tracking(
     )
     w = lanes.Walk(starts_x, starts_y, streams, dist, seed.master_seed)
     blown = np.zeros(pairs, dtype=bool)
+    # a pair with a lane outside the window is blown before any step
+    blown[w.move(w.X, w.Y) // 2] = True
+    w.retire(blown[w.lane // 2])
     # per-pair distance and step count frozen at first passage below 1e-13,
     # before the paired orbits collapse onto the same float orbit
     dn = d0.copy()

@@ -68,8 +68,9 @@ def write_json(path: str, obj: Any) -> None:
     _atomic_write(path, json_bytes(obj))
 
 
-def write_pgm16(path: str, data: np.ndarray, comment: str = "") -> None:
-    """16-bit big-endian binary PGM (P5, maxval 65535)."""
+def write_pgm16(path: str, data: np.ndarray, comment: str = "") -> bytes:
+    """16-bit big-endian binary PGM (P5, maxval 65535); returns the bytes
+    written."""
     if data.ndim != 2:
         raise ValueError("PGM data must be a 2-d array")
     arr = np.asarray(data)
@@ -83,7 +84,9 @@ def write_pgm16(path: str, data: np.ndarray, comment: str = "") -> None:
         for line in comment.splitlines():
             header += f"# {line}\n"
     header += f"{w} {h}\n65535\n"
-    _atomic_write(path, header.encode("ascii") + arr.astype(">u2").tobytes())
+    pgm = header.encode("ascii") + arr.astype(">u2").tobytes()
+    _atomic_write(path, pgm)
+    return pgm
 
 
 def _csv_cell(v: Any) -> str:

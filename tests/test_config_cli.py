@@ -164,8 +164,9 @@ def test_json_writer_is_atomic_and_sorted(tmp_path):
 def test_pgm_bytes(tmp_path):
     p = tmp_path / "img.pgm"
     data = np.array([[0, 1], [65535, 258]], dtype=np.uint16)
-    write_pgm16(str(p), data, comment="hello")
+    written = write_pgm16(str(p), data, comment="hello")
     raw = p.read_bytes()
+    assert written == raw
     assert raw.startswith(b"P5\n# hello\n2 2\n65535\n")
     body = raw.split(b"65535\n", 1)[1]
     # big-endian 16-bit rows
@@ -419,6 +420,41 @@ def test_escape_stats_rerun_from_resolved_config(tmp_path):
     assert (a / "escape.json").read_bytes() == (b / "escape.json").read_bytes()
 
 
+def test_escape_stats_records_a_grid_as_written(tmp_path):
+    # the 10,000 points of a 100 x 100 grid are recorded as the grid itself,
+    # which a re-run expands to the same points
+    cfg = dict(QUAD_CFG, max_iter=5,
+               grid={"x_min": -1.0, "x_max": 1.0, "y_min": -1.0, "y_max": 1.0,
+                     "nx": 100, "ny": 100})
+    del cfg["points"]
+    a, b = tmp_path / "a", tmp_path / "b"
+    assert run_cli(["escape-stats", "--config", _write_cfg(tmp_path, cfg), "--out", str(a)]) == 0
+    first = (a / "escape.json").read_bytes()
+    rep = json.loads(first)
+    assert rep["config"]["grid"] == cfg["grid"] and "points" not in rep["config"]
+    assert rep["result"]["total"] == 10_000 and len(first) < 4096
+    assert run_cli(["escape-stats", "--config", _write_cfg(tmp_path, rep["config"], "r2.json"),
+                    "--out", str(b)]) == 0
+    assert (b / "escape.json").read_bytes() == first
+
+
+@pytest.mark.parametrize("error", [ValueError("boom"), ZeroDivisionError("boom")],
+                         ids=["ValueError", "ZeroDivisionError"])
+def test_cli_unanticipated_library_errors_exit_3(tmp_path, monkeypatch, capsys, error):
+    # a library failure that no field bound anticipated exits 3 with its
+    # message, not 1 with a traceback, and writes no report
+    def fail(*args, **kwargs):
+        raise error
+
+    monkeypatch.setattr("henonlab.cli.escape_census", fail)
+    out = tmp_path / "out"
+    assert run_cli(["escape-stats", "--config", _write_cfg(tmp_path, QUAD_CFG),
+                    "--out", str(out)]) == 3
+    err = capsys.readouterr().err
+    assert err == f"computation failed: {type(error).__name__}: boom\n"
+    assert list(out.iterdir()) == []
+
+
 def test_render_report_matches_artifact(tmp_path):
     cfg = dict(QUAD_CFG)
     cfg["slice"] = {"anchor": [[0, 0], [0, 0]], "extent": 2.5, "resolution": 32}
@@ -530,22 +566,35 @@ def test_cli_render_never_steps_pixels_outside_the_window(tmp_path):
     assert rep["pixels"] == {"bounded": 0, "escaped": 2, "uncertain": 14}
 
 
-@pytest.mark.parametrize("cmd, report", [
-    ("escape-stats", "escape.json"), ("minsets", "minsets.json"), ("tl", "tl.json"),
+_FAR = [[[1e308, 0], [0, 0]], [[0, 0], [1e308, 0]]]
+_FAR_CFG = {"maps": [{"alpha": 0.0, "delta": 2.0, "poly": [1.0, 0.0, 0.0]}], "seed": 7,
+            "points": _FAR, "discovery": {"points": _FAR}, "samples": 20, "max_iter": 50}
+# cluster_eps 1e300 gives a one-point set whose capture radius, 3e300, starts
+# the certificate's probe pairs far outside the exact window
+_HUGE_EPS_CFG = {"noise": {"base": QUAD_CFG["maps"][0], "radius": 0.05}, "seed": 1,
+                 "grid": {"x_min": 0, "x_max": 0.3, "y_min": 0, "y_max": 0.3, "nx": 2, "ny": 2},
+                 "cluster_eps": 1e300}
+
+
+@pytest.mark.parametrize("cmd, report, cfg", [
+    pytest.param("escape-stats", "escape.json", _FAR_CFG, id="escape-stats-escape.json"),
+    pytest.param("minsets", "minsets.json", _FAR_CFG, id="minsets-minsets.json"),
+    pytest.param("tl", "tl.json", _FAR_CFG, id="tl-tl.json"),
+    pytest.param("minsets", "minsets.json", _HUGE_EPS_CFG, id="minsets-certificate"),
 ])
-def test_cli_walkers_never_step_starts_outside_the_window(tmp_path, cmd, report):
-    # the first start is outside the exact window and not in the cone: it is
-    # never stepped, so no overflow warning turns into an error; the second
-    # starts in the cone and still counts as escaped
-    far = [[[1e308, 0], [0, 0]], [[0, 0], [1e308, 0]]]
-    cfg = {"maps": [{"alpha": 0.0, "delta": 2.0, "poly": [1.0, 0.0, 0.0]}], "seed": 7,
-           "points": far, "discovery": {"points": far}, "samples": 20, "max_iter": 50}
+def test_cli_walkers_never_step_starts_outside_the_window(tmp_path, cmd, report, cfg):
+    # a start outside the exact window and not in the cone is never stepped,
+    # so no overflow warning turns into an error; one that starts in the cone
+    # still counts as escaped
     proc = _python("-W", "error", "-m", "henonlab.cli", cmd,
                    "--config", _write_cfg(tmp_path, cfg), "--out", str(tmp_path / "out"))
     assert proc.returncode == 0 and proc.stderr == ""
     rep = json.loads((tmp_path / "out" / report).read_text())["result"]
     if cmd == "escape-stats":
         assert (rep["escaped"], rep["bounded"], rep["uncertain"]) == (1, 0, 1)
+    elif cfg is _HUGE_EPS_CFG:  # every pair is blown before its first step
+        assert (rep["finite_count"], rep["attracting_count"]) == (1, 0)
+        assert rep["descriptors"][0]["contraction"] == "inf"
     elif cmd == "minsets":
         assert rep["finite_count"] == 0
     else:

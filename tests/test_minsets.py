@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -235,9 +236,10 @@ def test_superattracting_period3():
     assert est.counts[L.id] == 200
 
 
-def _finite_descriptor(contraction):
+def _finite_descriptor(contraction, capture_radius=0.01):
     return MinimalSetDescriptor(
-        id=0, cloud=((CYCLE_Y1, CYCLE_Y2),), period=1, parts=((0,),), capture_radius=0.01,
+        id=0, cloud=((CYCLE_Y1, CYCLE_Y2),), period=1, parts=((0,),),
+        capture_radius=capture_radius,
         contraction=contraction, cluster_eps=0.01,
         parts_centers=((CYCLE_Y1, CYCLE_Y2),), parts_radii=(0.0,),
     )
@@ -253,6 +255,17 @@ def test_attracting_threshold_is_shared(cycle_dist, monkeypatch):
         assert L.attracting is want
         monkeypatch.setattr(minsets, "_pair_tracking", lambda *a, r=ratio: (r, 4, 0))
         assert certify_attracting(cycle_dist, L, params, SEED).certified is want
+
+
+def test_certificate_never_steps_pairs_outside_the_window(cycle_dist):
+    # a capture radius of 1e300 starts every probe pair far outside the exact
+    # window: the pairs are blown before any step, so no overflow warning
+    # (an error here) is raised, and the ratio is infinite
+    L = _finite_descriptor(None, capture_radius=1e300)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rep = certify_attracting(cycle_dist, L, condition_a_params(cycle_dist), SEED)
+    assert rep.ratio == math.inf and not rep.certified and rep.pairs == 0
 
 
 # ---------------------------------------------------------------------------
@@ -507,8 +520,10 @@ def test_saturate_matches_whole_cloud_reference(stop, monkeypatch):
     reference_queried = sum(queried)
     queried.clear()
     got = minsets._saturate(xs, ys, maps, eps, box, assign)
-    assert got[2] is want[2] is want_ok
+    assert (got[2] is not None) is want[2] is want_ok
     assert got[0].tobytes() == want[0].tobytes() and got[1].tobytes() == want[1].tobytes()
+    if want_ok:  # the closing round's index is the returned cloud's
+        assert np.array_equal(got[2].data, _embed(got[0], got[1]))
     if stop == "round-limit":
         assert want[0].size == 10_813
     if stop == "cap":
@@ -538,13 +553,13 @@ def test_saturate_reuses_the_start_tree(closes, monkeypatch):
     rebuilt = list(built)
     built.clear()
     got = minsets._saturate(xs, ys, maps, eps, box, 5.0 * eps, tree=start)
-    assert got[2] is want[2] is closes
+    assert (got[2] is not None) is (want[2] is not None) is closes
     assert got[0].tobytes() == want[0].tobytes() and got[1].tobytes() == want[1].tobytes()
     assert rebuilt[0] == xs.size and built == rebuilt[1:]
 
 
-def test_candidates_build_the_start_tree_once(monkeypatch):
-    dist = _two_map()
+def _candidate_builds(dist, monkeypatch):
+    """The clouds _candidates_at indexes at eps 0.002, in build order."""
     xs, ys, maps, box = _start_cloud(dist, 0.002)
     built = []
 
@@ -554,9 +569,22 @@ def test_candidates_build_the_start_tree_once(monkeypatch):
             super().__init__(data, *args, **kwargs)
 
     monkeypatch.setattr(minsets, "cKDTree", CountingKD)
-    minsets._candidates_at(xs, ys, maps, 0.002, box)
-    assert len(built) >= 2
-    assert sum(np.array_equal(b, built[0]) for b in built[1:-1]) == 0
+    assert minsets._candidates_at(xs, ys, maps, 0.002, box)
+    return built
+
+
+def test_candidates_build_the_start_tree_once(monkeypatch):
+    # the two-map cloud closes in its first round: the start tree serves
+    # that round and the digraph, so the level is indexed exactly once
+    assert len(_candidate_builds(_two_map(), monkeypatch)) == 1
+
+
+def test_candidates_index_each_saturation_round_once(monkeypatch):
+    # the ball's cloud closes after several rounds: each round's cloud is
+    # indexed once, and the digraph reuses the closing round's index
+    built = _candidate_builds(BallNoise(QUAD_C, 0.05), monkeypatch)
+    assert len(built) > 2
+    assert not any(np.array_equal(a, b) for i, a in enumerate(built) for b in built[i + 1:])
 
 
 def test_unclosed_cloud_gives_no_candidates(monkeypatch):
@@ -587,9 +615,9 @@ def test_digraph_edges_match_reference(kind):
     eps = 0.002
     xs, ys, maps, box = _start_cloud(dist, eps)
     assign = max(5.0 * eps, 2.0 * _reference_link(cKDTree(_embed(xs, ys)), eps))
-    xs, ys, ok = minsets._saturate(xs, ys, maps, eps, box, assign)
-    assert ok
-    labels, edges = minsets._digraph(xs, ys, maps, eps)
+    xs, ys, index = minsets._saturate(xs, ys, maps, eps, box, assign)
+    assert index is not None
+    labels, edges = minsets._digraph(index, xs, ys, maps, eps)
 
     tree = cKDTree(_embed(xs, ys))
     link = _reference_link(tree, eps)
