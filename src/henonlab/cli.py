@@ -7,6 +7,10 @@ can be fed back in to reproduce the artifact byte for byte.  Exit codes: 0
 on success, 2 for a config problem (message carries the JSON pointer), 3
 when the library fails: any ArithmeticError, RuntimeError or ValueError,
 an unanticipated ValueError included.
+
+The discovery modules (minsets, transition, bifurcation) load scipy, so
+only the commands that run them import them, on first use; the raster,
+Green, Lyapunov, census and selftest commands never load scipy.
 """
 
 from __future__ import annotations
@@ -18,7 +22,7 @@ import math
 import os
 import sys
 from dataclasses import asdict, astuple, fields
-from typing import Any, Dict, List, Optional, Sequence, Tuple, Union
+from typing import TYPE_CHECKING, Any, Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -43,23 +47,11 @@ from .escape import (
     raster_slice,
 )
 from .lyapunov import backward_lyapunov_statistics, lyapunov_statistics
-from .minsets import (
-    INFINITY,
-    MinimalSetDescriptor,
-    cluster_eps_floor,
-    discover_minimal_sets,
-    estimate_TL_many,
-)
-from .transition import (
-    CaptureRamp,
-    fd_derivative_TL,
-    fit_convergence_rate,
-    iterate_M,
-    weight_derivative_TL,
-)
-from .bifurcation import FamilyPoint, locate_bifurcations, monotone_violations, scan_family
 from .config import ConfigError, Field, Resolver, checked, load_text
 from .output import canonical_json, write_csv, write_json, write_pgm16
+
+if TYPE_CHECKING:
+    from .minsets import MinimalSetDescriptor
 
 _TAG_CLI = 0x434C4900
 
@@ -85,15 +77,19 @@ def _system(r: Resolver,
     return dist, seed, checked(f"{r.ptr}/rho_margin", condition_a_params, dist, rho_margin=rho)
 
 
-def _discovery(r: Resolver, R: float,
+def _discovery(r: Resolver, radii: Sequence[float],
                **extra: Field) -> Tuple[List[Point], Dict[str, Any]]:
     """The discovery block r: its starts, and its discover_minimal_sets
-    keywords with the ``extra`` fields; cluster_eps must clear the int64
-    lattice floor of every certificate radius up to R."""
+    keywords with the ``extra`` fields.  cluster_eps must clear the int64
+    lattice floor of every certificate radius in ``radii``, and stay within
+    the smallest of them: a cell wider than the escape bidisk lumps all of
+    it into one "minimal set"."""
+    from .minsets import cluster_eps_floor
+
     return r.points(), r.read({
         "burn_in": Field("int", 1000, lo=1000),
         "n_record": Field("int", 200, lo=2),
-        "cluster_eps": Field("pos", None, lo=cluster_eps_floor(R)),
+        "cluster_eps": Field("pos", None, lo=cluster_eps_floor(max(radii)), hi=min(radii)),
         **extra,
     })
 
@@ -117,6 +113,8 @@ def _descriptor_json(d: MinimalSetDescriptor) -> Dict[str, Any]:
 
 def _pick_target(minsets: Sequence[MinimalSetDescriptor],
                  target: Union[int, str]) -> MinimalSetDescriptor:
+    from .minsets import INFINITY
+
     if target == INFINITY:
         return minsets[-1]
     finite = [d for d in minsets if not d.is_infinity]
@@ -214,8 +212,10 @@ def _cmd_lyapunov(r: Resolver, out: str, seed_override: Optional[int],
 
 def _cmd_minsets(r: Resolver, out: str, seed_override: Optional[int],
                  threads: int) -> Dict[str, Any]:
+    from .minsets import discover_minimal_sets
+
     dist, seed, params = _system(r, seed_override)
-    starts, knobs = _discovery(r, params.R)
+    starts, knobs = _discovery(r, (params.R,))
     sets = discover_minimal_sets(dist, params, starts, _phase(seed, 0), **knobs)
     finite = [d for d in sets if not d.is_infinity]
     return {
@@ -228,8 +228,10 @@ def _cmd_minsets(r: Resolver, out: str, seed_override: Optional[int],
 
 def _cmd_tl(r: Resolver, out: str, seed_override: Optional[int],
             threads: int) -> Dict[str, Any]:
+    from .minsets import discover_minimal_sets, estimate_TL_many
+
     dist, seed, params = _system(r, seed_override)
-    starts, knobs = _discovery(r.sub("discovery"), params.R)
+    starts, knobs = _discovery(r.sub("discovery"), (params.R,))
     probes = r.points()
     samples, max_iter = r.read({
         "samples": Field("int", 1000, lo=1),
@@ -250,8 +252,11 @@ def _cmd_tl(r: Resolver, out: str, seed_override: Optional[int],
 
 def _cmd_mop(r: Resolver, out: str, seed_override: Optional[int],
              threads: int) -> Dict[str, Any]:
+    from .minsets import discover_minimal_sets
+    from .transition import CaptureRamp, fit_convergence_rate, iterate_M
+
     dist, seed, params = _system(r, seed_override)
-    starts, knobs = _discovery(r.sub("discovery"), params.R)
+    starts, knobs = _discovery(r.sub("discovery"), (params.R,))
     points = r.points()
     target, powers, budget, mc_samples, ramp_width, do_fit = r.read({
         "target": Field("int", 0, lo=0),
@@ -301,10 +306,13 @@ def _cmd_mop(r: Resolver, out: str, seed_override: Optional[int],
 
 def _cmd_dtl(r: Resolver, out: str, seed_override: Optional[int],
              threads: int) -> Dict[str, Any]:
+    from .minsets import INFINITY, discover_minimal_sets
+    from .transition import fd_derivative_TL, weight_derivative_TL
+
     dist, seed, params = _system(r, seed_override)
     if not isinstance(dist, FiniteDist) or len(dist.maps) < 2:
         raise ConfigError("/maps", "weight derivatives need a finite support of two or more maps")
-    starts, knobs = _discovery(r.sub("discovery"), params.R)
+    starts, knobs = _discovery(r.sub("discovery"), (params.R,))
     w, m = dist.weights, len(dist.maps)
     # the last weight is the dependent one: it absorbs every step
     z, target, index = r.read({
@@ -350,14 +358,16 @@ def _cmd_dtl(r: Resolver, out: str, seed_override: Optional[int],
 
 def _cmd_bifurcate(r: Resolver, out: str, seed_override: Optional[int],
                    threads: int) -> Dict[str, Any]:
+    from .bifurcation import FamilyPoint, locate_bifurcations, monotone_violations, scan_family
+
     fam = r.sub("family").family()
     seed = r.seed_field(seed_override)
     t_grid = r.read({"t_grid": Field("floats", lo=0.0, hi=1.0)})["t_grid"]
     if len(t_grid) < 2 or any(b <= a for a, b in zip(t_grid, t_grid[1:])):
         raise ConfigError("/t_grid", "expected at least two strictly increasing amplitudes")
-    # scan_family certifies each amplitude separately: bound eps by the largest R
-    R = max(condition_a_params(family_at(fam, t)).R for t in t_grid)
-    grid, knobs = _discovery(r, R, tl_samples=Field("int", 200, lo=1),
+    # scan_family certifies each amplitude separately: eps must suit every R
+    radii = [condition_a_params(family_at(fam, t)).R for t in t_grid]
+    grid, knobs = _discovery(r, radii, tl_samples=Field("int", 200, lo=1),
                              tl_max_iter=Field("int", 500, lo=1))
 
     scan = scan_family(fam, t_grid, grid, _phase(seed, 0), **knobs, threads=threads)

@@ -38,7 +38,6 @@ from enum import Enum
 from typing import List, Optional, Sequence, Tuple, Union
 
 import numpy as np
-from scipy.spatial import cKDTree
 
 from . import lanes, rng
 from .core import (
@@ -912,6 +911,8 @@ def boundary_extract(raster: SliceRaster) -> np.ndarray:
 
 def hausdorff_pixels(a: np.ndarray, b: np.ndarray, pixel_pitch: float) -> float:
     """Symmetric Hausdorff distance between pixel-index sets, in world units."""
+    from scipy.spatial import cKDTree  # here, so no CLI command loads scipy for it
+
     if len(a) == 0 or len(b) == 0:
         raise ValueError("empty pixel set")
     ta = np.asarray(a, dtype=np.float64)

@@ -30,14 +30,19 @@ from unittest import mock
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from henonlab import cli
+from henonlab import bifurcation, cli, minsets
 from henonlab.config import LIST_ITEM, REQUIRED, Resolver
 from henonlab.output import canonical_json
 
 INT64_MAX = (1 << 63) - 1
-STUBBED = ("raster_slice", "green_points", "lyapunov_statistics",
-           "backward_lyapunov_statistics", "discover_minimal_sets", "escape_census",
-           "scan_family")
+# the discovery commands import their entry points on first use, so they
+# are stubbed where the commands look them up
+STUBBED = {
+    cli: ("raster_slice", "green_points", "lyapunov_statistics",
+          "backward_lyapunov_statistics", "escape_census"),
+    minsets: ("discover_minimal_sets",),
+    bifurcation: ("scan_family",),
+}
 
 
 class Reached(Exception):
@@ -48,7 +53,12 @@ def _stub(*args, **kwargs):
     raise Reached
 
 
-PATCHES = {n: _stub for n in STUBBED}
+@contextlib.contextmanager
+def _stubbed():
+    with contextlib.ExitStack() as stack:
+        for mod, names in STUBBED.items():
+            stack.enter_context(mock.patch.multiple(mod, **{n: _stub for n in names}))
+        yield
 
 
 def _map(c):
@@ -95,8 +105,7 @@ def _collect():
         return read(self, fields)
 
     cases = []
-    with mock.patch.multiple(cli, **PATCHES), \
-            mock.patch.object(Resolver, "read", recording):
+    with _stubbed(), mock.patch.object(Resolver, "read", recording):
         for cmd, cfg in CONFIGS.items():
             seen.clear()
             with pytest.raises(Reached):
@@ -111,7 +120,7 @@ IDS = [f"{cmd}{ptr}" for cmd, ptr, _ in CASES]
 
 @pytest.fixture(scope="module", autouse=True)
 def stubbed():
-    with mock.patch.multiple(cli, **PATCHES):
+    with _stubbed():
         yield
     shutil.rmtree(OUT)
 

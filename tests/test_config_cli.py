@@ -349,6 +349,9 @@ SLICE = {"anchor": [[0, 0], [0, 0]], "extent": 2.0, "resolution": 4}
     ("render-julia", dict(QUAD_CFG, slice=dict(SLICE, dir1=[[2, 0], [0, 0]])), "/slice"),
     ("render-julia", dict(QUAD_CFG, slice=dict(SLICE, dir2=[[1, 0], [0, 0]])), "/slice"),
     ("green", dict(QUAD_CFG, maps=[dict(QUAD_CFG["maps"][0], delta=0)]), "/maps/0"),
+    # cluster_eps far above the certificate radius (R = 18.2) would lump the
+    # whole cloud into a one-point "minimal set" at the origin
+    ("minsets", dict(NOISE_CFG, cluster_eps=1e300), "/cluster_eps"),
 ])
 def test_cli_bad_field_exit_2_before_any_work(tmp_path, capsys, monkeypatch, cmd, cfg, pointer):
     from henonlab import cli
@@ -357,9 +360,11 @@ def test_cli_bad_field_exit_2_before_any_work(tmp_path, capsys, monkeypatch, cmd
         raise AssertionError("computation started on a config that should be refused")
 
     for name in ("raster_slice", "green_points", "lyapunov_statistics",
-                 "backward_lyapunov_statistics", "discover_minimal_sets", "escape_census",
-                 "scan_family"):
+                 "backward_lyapunov_statistics", "escape_census"):
         monkeypatch.setattr(cli, name, started)
+    # the discovery commands look these up where they are defined
+    monkeypatch.setattr("henonlab.minsets.discover_minimal_sets", started)
+    monkeypatch.setattr("henonlab.bifurcation.scan_family", started)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         code = run_cli([cmd, "--config", _write_cfg(tmp_path, cfg),
@@ -545,6 +550,32 @@ def _python(*args):
                           env=dict(os.environ, PYTHONPATH=path))
 
 
+def test_cli_loads_scipy_only_for_discovery(tmp_path):
+    # scipy is most of the CLI's start-up: it loads with the discovery
+    # modules, which only the discovery commands import
+    cfg = _write_cfg(tmp_path, dict(QUAD_CFG, max_iter=10))
+    script = f"""
+import json, sys
+def loaded():
+    return sorted(m for m in sys.modules if m.split(".")[0] == "scipy"
+                  or m in ("henonlab.minsets", "henonlab.transition", "henonlab.bifurcation"))
+import henonlab.cli as cli
+seen = [loaded()]
+assert cli.run_cli(["selftest"]) == 0
+seen.append(loaded())
+assert cli.run_cli(["escape-stats", "--config", {cfg!r}, "--out", {str(tmp_path)!r}]) == 0
+seen.append(loaded())
+import henonlab.minsets
+seen.append(loaded())
+print(json.dumps(seen))
+"""
+    proc = _python("-c", script)
+    assert proc.returncode == 0, proc.stderr
+    *clean, control = json.loads(proc.stdout.splitlines()[-1])
+    assert clean == [[], [], []]
+    assert "scipy.spatial" in control and "henonlab.minsets" in control
+
+
 def test_console_entry_point():
     proc = _python("-m", "henonlab.cli", "--help")
     assert proc.returncode == 0
@@ -569,18 +600,12 @@ def test_cli_render_never_steps_pixels_outside_the_window(tmp_path):
 _FAR = [[[1e308, 0], [0, 0]], [[0, 0], [1e308, 0]]]
 _FAR_CFG = {"maps": [{"alpha": 0.0, "delta": 2.0, "poly": [1.0, 0.0, 0.0]}], "seed": 7,
             "points": _FAR, "discovery": {"points": _FAR}, "samples": 20, "max_iter": 50}
-# cluster_eps 1e300 gives a one-point set whose capture radius, 3e300, starts
-# the certificate's probe pairs far outside the exact window
-_HUGE_EPS_CFG = {"noise": {"base": QUAD_CFG["maps"][0], "radius": 0.05}, "seed": 1,
-                 "grid": {"x_min": 0, "x_max": 0.3, "y_min": 0, "y_max": 0.3, "nx": 2, "ny": 2},
-                 "cluster_eps": 1e300}
 
 
 @pytest.mark.parametrize("cmd, report, cfg", [
     pytest.param("escape-stats", "escape.json", _FAR_CFG, id="escape-stats-escape.json"),
     pytest.param("minsets", "minsets.json", _FAR_CFG, id="minsets-minsets.json"),
     pytest.param("tl", "tl.json", _FAR_CFG, id="tl-tl.json"),
-    pytest.param("minsets", "minsets.json", _HUGE_EPS_CFG, id="minsets-certificate"),
 ])
 def test_cli_walkers_never_step_starts_outside_the_window(tmp_path, cmd, report, cfg):
     # a start outside the exact window and not in the cone is never stepped,
@@ -592,9 +617,6 @@ def test_cli_walkers_never_step_starts_outside_the_window(tmp_path, cmd, report,
     rep = json.loads((tmp_path / "out" / report).read_text())["result"]
     if cmd == "escape-stats":
         assert (rep["escaped"], rep["bounded"], rep["uncertain"]) == (1, 0, 1)
-    elif cfg is _HUGE_EPS_CFG:  # every pair is blown before its first step
-        assert (rep["finite_count"], rep["attracting_count"]) == (1, 0)
-        assert rep["descriptors"][0]["contraction"] == "inf"
     elif cmd == "minsets":
         assert rep["finite_count"] == 0
     else:

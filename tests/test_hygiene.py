@@ -1,6 +1,7 @@
 """Source hygiene: every module-level import and private helper in the
-library is used, the vector overflow-window check has one home, and every
-name the benchmark's span recorder wraps is still live."""
+library is used, the vector overflow-window check and the scipy import
+each have one home, and every name the benchmark's span recorder wraps is
+still live."""
 
 from __future__ import annotations
 
@@ -155,3 +156,25 @@ def test_benchmark_spans_reach_discovery_layers():
     # spans.py counts basin-capture lanes from _tl_chunk's 6th argument, the
     # lane streams: one estimate of 50 samples must read 50
     assert m["minsets._tl_chunk.lanes"][0] == 50
+
+
+def _imported_packages(tree: ast.Module) -> set:
+    """Top-level packages a module imports at module level."""
+    found = set()
+    for node in tree.body:
+        if isinstance(node, ast.Import):
+            found.update(a.name.split(".")[0] for a in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            found.add(node.module.split(".")[0])
+    return found
+
+
+def test_scipy_has_one_home():
+    # scipy is most of the CLI's start-up: only minsets imports it at module
+    # level, and the CLI imports minsets only in the commands that run it
+    users = set()
+    for path in glob.glob(os.path.join(SRC, "*.py")):
+        with open(path, encoding="utf-8") as fh:
+            if "scipy" in _imported_packages(ast.parse(fh.read())):
+                users.add(os.path.basename(path))
+    assert users <= {"minsets.py"}, f"scipy imported at module level in {sorted(users)}"
