@@ -90,7 +90,7 @@ def scan_family(
         sub = _t_stream(seed, t)
         descs = discover_minimal_sets(
             dist, params, grid, sub,
-            burn_in=burn_in, n_record=n_record, cluster_eps=cluster_eps,
+            burn_in=burn_in, n_record=n_record, cluster_eps=cluster_eps, threads=threads,
         )
         finite = [d for d in descs if not d.is_infinity]
         ests = estimate_TL_many(

@@ -216,7 +216,8 @@ def _cmd_minsets(r: Resolver, out: str, seed_override: Optional[int],
 
     dist, seed, params = _system(r, seed_override)
     starts, knobs = _discovery(r, (params.R,))
-    sets = discover_minimal_sets(dist, params, starts, _phase(seed, 0), **knobs)
+    sets = discover_minimal_sets(dist, params, starts, _phase(seed, 0), **knobs,
+                                 threads=threads)
     finite = [d for d in sets if not d.is_infinity]
     return {
         "descriptors": [_descriptor_json(d) for d in sets],
@@ -238,7 +239,8 @@ def _cmd_tl(r: Resolver, out: str, seed_override: Optional[int],
         "max_iter": Field("int", 1000, lo=1),
     }).values()
 
-    sets = discover_minimal_sets(dist, params, starts, _phase(seed, 0), **knobs)
+    sets = discover_minimal_sets(dist, params, starts, _phase(seed, 0), **knobs,
+                                 threads=threads)
     ests = estimate_TL_many(
         dist, sets, probes, samples, max_iter,
         [_phase(seed, 1, i) for i in range(len(probes))], params, threads=threads,
@@ -276,7 +278,8 @@ def _cmd_mop(r: Resolver, out: str, seed_override: Optional[int],
             "tl_max_iter": Field("int", 1000, lo=1),
         })
 
-    sets = discover_minimal_sets(dist, params, starts, _phase(seed, 0), **knobs)
+    sets = discover_minimal_sets(dist, params, starts, _phase(seed, 0), **knobs,
+                                 threads=threads)
     L = _pick_target(sets, target)
     result: Dict[str, Any] = {
         "descriptors": [_descriptor_json(d) for d in sets],
@@ -334,7 +337,8 @@ def _cmd_dtl(r: Resolver, out: str, seed_override: Optional[int],
         "richardson": Field("bool", False),
     })
 
-    sets = discover_minimal_sets(dist, params, starts, _phase(seed, 0), **knobs)
+    sets = discover_minimal_sets(dist, params, starts, _phase(seed, 0), **knobs,
+                                 threads=threads)
     L = _pick_target(sets, target)
     series = weight_derivative_TL(
         dist, sets, L, z, index, _phase(seed, 1),

@@ -7,6 +7,12 @@ components are the minimal set candidates, their digraph period is the
 cyclic order r, and the BFS level classes mod r are the cyclically permuted
 parts.
 
+Every nearest-neighbor question goes to one KD-tree query helper: the
+images of a batch under consecutive support maps are asked in fixed groups
+of whole maps, and a large query runs on the ``threads`` workers.  A point's
+nearest index depends neither on the grouping nor on the worker count, so
+discovery returns the same result at any thread count.
+
 The sentinel at infinity is always reported: escape to the vertical cone is
 certified convergence to the attracting fixed point on the line at infinity.
 """
@@ -32,6 +38,12 @@ _MAX_SATURATION_ROUNDS = 50
 _MAX_CLOUD = 100_000
 _START_CLOUD = 20_000
 _ASSIGN_FACTOR = 5.0  # coverage radius in units of cluster_eps
+# images per KD query: whole support maps, at most this many unless one map
+# has more; fixed, so a query's grouping never depends on the thread count
+_QUERY_GROUP = 1 << 17
+# a KD query of fewer points runs on one worker: below it, starting the
+# other workers costs more than they save
+_THREADED_QUERY = 1 << 16
 _CAPTURE_DWELL = 20
 _TAG_TL = 0x544C0001
 _TAG_PROBE = 0x50524F42
@@ -155,7 +167,18 @@ def _embed4(xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
     return np.stack([xs.real, xs.imag, ys.real, ys.imag], axis=1)
 
 
-def _link_radius(tree: cKDTree, eps: float) -> float:
+def _nearest(tree: cKDTree, pts: np.ndarray, radius: float = math.inf, threads: int = 1,
+             k: int = 1) -> Tuple[np.ndarray, np.ndarray]:
+    """Distances and indices of the k cloud points nearest each row of the
+    (m, 4) array ``pts`` within ``radius`` (index ``tree.n`` where there is
+    none): this module's one KD query.  A row's answer depends neither on
+    the other rows nor on the worker count, so a query of at least
+    ``_THREADED_QUERY`` rows runs on ``threads`` workers."""
+    workers = threads if len(pts) >= _THREADED_QUERY else 1
+    return tree.query(pts, k=k, distance_upper_bound=radius, workers=workers)
+
+
+def _link_radius(tree: cKDTree, eps: float, threads: int = 1) -> float:
     """Linking radius adapted to the cloud's sampling density.
 
     eps when the cloud is at least that dense, otherwise twice the lower
@@ -164,7 +187,7 @@ def _link_radius(tree: cKDTree, eps: float) -> float:
     """
     if tree.n < 2:
         return eps
-    d, _ = tree.query(tree.data, k=2)
+    d, _ = _nearest(tree, tree.data, threads=threads, k=2)
     q = float(np.quantile(d[:, 1], 0.25))
     return float(min(max(eps, 2.0 * q), 10.0 * eps))
 
@@ -181,31 +204,45 @@ def _components(tree: cKDTree, radius: float) -> np.ndarray:
 
 def _image_hits(
     tree: cKDTree, xs: np.ndarray, ys: np.ndarray, maps: Sequence[HenonMap],
-    radius: float, box: float = math.inf,
+    radius: float, box: float = math.inf, threads: int = 1,
 ):
     """For each support map in turn: the mask of cloud points whose image
-    stays in the |coordinate| <= box window, those images, and the index of
-    each image's nearest cloud point within ``radius`` (``tree.n`` where
-    there is none)."""
-    for f in maps:
-        ix, iy = lanes.image(f, xs, ys)
-        keep = (np.abs(ix) <= box) & (np.abs(iy) <= box)
-        ix, iy = ix[keep], iy[keep]
-        _, j = tree.query(_embed4(ix, iy), k=1, distance_upper_bound=radius)
-        yield keep, ix, iy, j
+    stays in the |coordinate| <= box window, the index of each such image's
+    nearest cloud point within ``radius`` (``tree.n`` where there is none),
+    and the x and y of the images with none.  The images of consecutive
+    maps are queried together, in groups of whole maps of at most
+    ``_QUERY_GROUP`` images (one map's, when it alone has more); a group's
+    images are dropped before its maps are yielded."""
+    per = max(1, _QUERY_GROUP // max(xs.size, 1))
+    for g in range(0, len(maps), per):
+        # row i holds image i's x and y; viewed as float64 it is _embed4's
+        z = np.empty((min(per, len(maps) - g) * xs.size, 2), dtype=np.complex128)
+        keeps, ends = [], [0]
+        for f in maps[g:g + per]:
+            ix, iy = lanes.image(f, xs, ys)
+            keep = (np.abs(ix) <= box) & (np.abs(iy) <= box)
+            a, b = ends[-1], ends[-1] + int(np.count_nonzero(keep))
+            z[a:b, 0], z[a:b, 1] = ix[keep], iy[keep]
+            keeps.append(keep)
+            ends.append(b)
+        _, j = _nearest(tree, z[:ends[-1]].view(np.float64), radius, threads)
+        far = [z[a:b][j[a:b] == tree.n] for a, b in zip(ends, ends[1:])]
+        del z
+        for keep, a, b, w in zip(keeps, ends, ends[1:], far):
+            yield keep, j[a:b], w[:, 0], w[:, 1]
 
 
 def _fresh(tree: cKDTree, fx: List[np.ndarray], fy: List[np.ndarray], eps: float,
-           assign: float) -> Tuple[np.ndarray, np.ndarray]:
+           assign: float, threads: int = 1) -> Tuple[np.ndarray, np.ndarray]:
     """Lattice points of the far images that no cloud point covers."""
     nx, ny = _lattice_points(_quantize(np.concatenate(fx), np.concatenate(fy), eps), eps)
-    _, j = tree.query(_embed4(nx, ny), k=1, distance_upper_bound=assign)
+    _, j = _nearest(tree, _embed4(nx, ny), assign, threads)
     return nx[j == tree.n], ny[j == tree.n]
 
 
 def _saturate(
     xs: np.ndarray, ys: np.ndarray, maps: Sequence[HenonMap], eps: float, box: float,
-    assign: float, tree: Optional[cKDTree] = None,
+    assign: float, tree: Optional[cKDTree] = None, threads: int = 1,
 ) -> Tuple[np.ndarray, np.ndarray, Optional[cKDTree]]:
     """Grow the sample cloud until support images are covered.
 
@@ -223,27 +260,32 @@ def _saturate(
     round can reach, it cannot close, and once the fresh points of the far
     images so far (a subset of the round's) outgrow the room, it stops where
     the whole round would.  That subset is recounted as the far count doubles.
-    ``tree``, when given, indexes the start cloud and serves round 1."""
+    The test runs as each map's images come in, but they are queried a group
+    of maps at a time (:func:`_image_hits`), so a stop leaves at most the
+    rest of one group queried in vain; the outcome is the same at any
+    grouping.  ``tree``, when given, indexes the start cloud and serves
+    round 1; ``threads`` is the worker count of large queries."""
     new_x, new_y, kept, far_x, far_y = xs, ys, 0, xs[:0], ys[:0]
     for r in range(_MAX_SATURATION_ROUNDS):
         if r or tree is None:
             tree = cKDTree(_embed4(xs, ys))
-        _, j = tree.query(_embed4(far_x, far_y), k=1, distance_upper_bound=assign)
+        _, j = _nearest(tree, _embed4(far_x, far_y), assign, threads)
         far_x, far_y = [far_x[j == tree.n]], [far_y[j == tree.n]]
         n_far, counted, room = far_x[0].size, 0, _MAX_CLOUD - xs.size
-        for m, (_, ix, iy, j) in enumerate(_image_hits(tree, new_x, new_y, maps, assign, box)):
-            far_x.append(ix[j == tree.n])
-            far_y.append(iy[j == tree.n])
-            n_far, kept = n_far + far_x[-1].size, kept + ix.size
+        hits = _image_hits(tree, new_x, new_y, maps, assign, box, threads)
+        for m, (_, j, fx, fy) in enumerate(hits):
+            far_x.append(fx)
+            far_y.append(fy)
+            n_far, kept = n_far + fx.size, kept + j.size
             if n_far > max(room, 2 * counted) and (
                     n_far > 1e-3 * (kept + (len(maps) - 1 - m) * new_x.size)):
                 counted = n_far
-                if _fresh(tree, far_x, far_y, eps, assign)[0].size > room:
+                if _fresh(tree, far_x, far_y, eps, assign, threads)[0].size > room:
                     return xs, ys, None
         far_x, far_y = np.concatenate(far_x), np.concatenate(far_y)
         if far_x.size <= 1e-3 * max(kept, 1):
             return xs, ys, tree
-        new_x, new_y = _fresh(tree, [far_x], [far_y], eps, assign)
+        new_x, new_y = _fresh(tree, [far_x], [far_y], eps, assign, threads)
         if new_x.size > room:
             return xs, ys, None
         xs, ys = np.concatenate([xs, new_x]), np.concatenate([ys, new_y])
@@ -256,14 +298,14 @@ def _saturate(
 
 def _node_edges(
     tree: cKDTree, xs: np.ndarray, ys: np.ndarray, labels: np.ndarray,
-    maps: Sequence[HenonMap], radius: float,
+    maps: Sequence[HenonMap], radius: float, threads: int = 1,
 ) -> np.ndarray:
     """Directed edges (u, v): some support map sends a u-point within
     ``radius`` of a v-point.  Image points with no cloud point that close
     contribute no edge."""
     n_nodes = int(labels.max()) + 1
     codes = []
-    for keep, _, _, j in _image_hits(tree, xs, ys, maps, radius):
+    for keep, j, _, _ in _image_hits(tree, xs, ys, maps, radius, threads=threads):
         hit = j < tree.n
         codes.append(labels[keep][hit].astype(np.int64) * n_nodes + labels[j[hit]])
     if not codes:
@@ -330,15 +372,16 @@ def _terminal_sccs(edges: np.ndarray, n_nodes: int) -> List[np.ndarray]:
 
 
 def _digraph(
-    tree: cKDTree, xs: np.ndarray, ys: np.ndarray, maps: Sequence[HenonMap], eps: float
+    tree: cKDTree, xs: np.ndarray, ys: np.ndarray, maps: Sequence[HenonMap], eps: float,
+    threads: int = 1,
 ) -> Tuple[np.ndarray, np.ndarray]:
     """Component labels of the cloud at its linking radius, and the
     transition edges between the components, from ``tree``, the cloud's
     index."""
-    link = _link_radius(tree, eps)
+    link = _link_radius(tree, eps, threads)
     labels = _components(tree, link)
     radius = max(_ASSIGN_FACTOR * eps, 1.5 * link)
-    return labels, _node_edges(tree, xs, ys, labels, maps, radius)
+    return labels, _node_edges(tree, xs, ys, labels, maps, radius, threads)
 
 
 def _cyclic_parts(
@@ -434,7 +477,8 @@ class _Draft:
 
 
 def _candidates_at(
-    xs0: np.ndarray, ys0: np.ndarray, maps: Sequence[HenonMap], eps: float, box: float
+    xs0: np.ndarray, ys0: np.ndarray, maps: Sequence[HenonMap], eps: float, box: float,
+    threads: int = 1,
 ) -> List[_Draft]:
     """Saturate the recorded cloud and split it into terminal strongly
     connected pieces of the component digraph.  A cloud whose coverage does
@@ -449,11 +493,11 @@ def _candidates_at(
     # coverage radius tracks the sampling density, not just eps, so finer
     # linking radii do not demand a volumetric fill of noise-blown blobs
     tree = cKDTree(_embed4(xs, ys))
-    assign = max(_ASSIGN_FACTOR * eps, 2.0 * _link_radius(tree, eps))
-    xs, ys, tree = _saturate(xs, ys, maps, eps, box, assign, tree=tree)
+    assign = max(_ASSIGN_FACTOR * eps, 2.0 * _link_radius(tree, eps, threads))
+    xs, ys, tree = _saturate(xs, ys, maps, eps, box, assign, tree=tree, threads=threads)
     if tree is None:
         return []
-    labels, edges = _digraph(tree, xs, ys, maps, eps)
+    labels, edges = _digraph(tree, xs, ys, maps, eps, threads)
     drafts = []
     for nodes in _terminal_sccs(edges, int(labels.max()) + 1):
         sel = np.isin(labels, nodes)
@@ -504,6 +548,7 @@ def discover_minimal_sets(
     burn_in: int = 1000,
     n_record: int = 200,
     cluster_eps: Optional[float] = None,
+    threads: int = 1,
 ) -> List[MinimalSetDescriptor]:
     """Attracting minimal set candidates reachable from a grid of starts.
 
@@ -511,7 +556,8 @@ def discover_minimal_sets(
     linking radius starts at 1e-2 and is halved until the candidate count is
     stable across two refinements.  Candidates include non-attracting
     invariant sets the grid happens to hit exactly; certification separates
-    those.
+    those.  Large nearest-neighbor queries run on ``threads`` workers; each
+    point's answer, and so the result, is the same at any thread count.
     """
     if not grid:
         raise ValueError("grid must be nonempty")
@@ -525,7 +571,7 @@ def discover_minimal_sets(
     box = params.R
 
     if cluster_eps is not None:
-        eps, drafts = cluster_eps, _candidates_at(xs0, ys0, maps, cluster_eps, box)
+        eps, drafts = cluster_eps, _candidates_at(xs0, ys0, maps, cluster_eps, box, threads)
     else:
         # halve eps from 1e-2 until the candidate count holds over two more
         # halvings; after six halvings take the sixth
@@ -533,7 +579,7 @@ def discover_minimal_sets(
 
         def level(j: int) -> List[_Draft]:
             if j not in levels:
-                levels[j] = _candidates_at(xs0, ys0, maps, 1e-2 / 2**j, box)
+                levels[j] = _candidates_at(xs0, ys0, maps, 1e-2 / 2**j, box, threads)
             return levels[j]
 
         k = next((k for k in range(6)

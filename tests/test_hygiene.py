@@ -120,6 +120,17 @@ def test_lane_draws_only_through_walks():
     assert not users - {"lanes.py"}, f"lanes.draw used in {sorted(users)}"
 
 
+def test_kd_queries_have_one_home():
+    # every nearest-neighbor query in minsets goes through one helper, which
+    # groups and threads them: a per-map query must not creep back
+    with open(os.path.join(SRC, "minsets.py"), encoding="utf-8") as fh:
+        tree = ast.parse(fh.read())
+    calls = [n for n in ast.walk(tree) if isinstance(n, ast.Call)
+             and isinstance(n.func, ast.Attribute) and n.func.attr == "query"]
+    assert len(calls) == 1, [c.lineno for c in calls]
+    assert "distance_upper_bound" in {k.arg for k in calls[0].keywords}
+
+
 def test_benchmark_spans_reach_discovery_layers():
     # perfbench/spans.py wraps module-level names of the library; a renamed
     # or reshaped name must fail here rather than in a traced benchmark run

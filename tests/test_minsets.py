@@ -637,6 +637,84 @@ def test_digraph_edges_match_reference(kind):
     assert sorted(map(tuple, edges.tolist())) == sorted(want)
 
 
+class _WorkerCountingKD(cKDTree):
+    """Records the point count and worker count of every query."""
+
+    queries: list = []
+
+    def query(self, x, *args, **kwargs):
+        self.queries.append((len(x), kwargs.get("workers", 1)))
+        return super().query(x, *args, **kwargs)
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+@pytest.mark.parametrize("size", ["two-groups", "one-group"])
+def test_image_hits_match_per_map_queries(size, threads, monkeypatch):
+    # the ball's 64-map stand-in: the grouped queries give every map's keep
+    # mask, nearest indices and uncovered images exactly as one query per
+    # map does, whether a pass spans several groups or fits in one
+    dist = BallNoise(QUAD_C, 0.1)
+    xs, ys, maps, _ = _start_cloud(dist, 0.01)
+    assert len(maps) == 64
+    tree = cKDTree(_embed(xs, ys))
+    if size == "two-groups":  # jittered copies of the cloud
+        k = -(-minsets._QUERY_GROUP // (len(maps) * xs.size)) + 1
+        jit = np.arange(k * xs.size) * 1e-6
+        bx, by = np.tile(xs, k) + jit, np.tile(ys, k) - 1j * jit
+    else:
+        bx, by = xs, ys
+    box, radius = 0.6, 0.05  # the box drops some images
+    monkeypatch.setattr(_WorkerCountingKD, "queries", [])
+    got = list(minsets._image_hits(_WorkerCountingKD(_embed(xs, ys)), bx, by, maps, radius,
+                                   box, threads))
+    assert len(got) == len(maps)
+    dropped = 0
+    for f, (keep, j, fx, fy) in zip(maps, got):
+        ix, iy = lanes.image(f, bx, by)
+        want_keep = (np.abs(ix) <= box) & (np.abs(iy) <= box)
+        ix, iy = ix[want_keep], iy[want_keep]
+        _, want_j = tree.query(_embed(ix, iy), k=1, distance_upper_bound=radius)
+        far = want_j == tree.n
+        assert np.array_equal(keep, want_keep) and np.array_equal(j, want_j)
+        assert fx.tobytes() == ix[far].tobytes() and fy.tobytes() == iy[far].tobytes()
+        dropped += int((~keep).sum())
+    assert 0 < dropped < len(maps) * bx.size
+    sizes = [n for n, _ in _WorkerCountingKD.queries]
+    assert sum(sizes) == len(maps) * bx.size - dropped
+    if size == "two-groups":
+        assert len(sizes) >= 2 and max(sizes) >= minsets._THREADED_QUERY
+    else:
+        assert len(sizes) == 1 and sizes[0] < minsets._THREADED_QUERY
+    # only a query large enough to gain runs on more than one worker
+    assert all(w == (threads if n >= minsets._THREADED_QUERY else 1)
+               for n, w in _WorkerCountingKD.queries)
+
+
+def test_discovery_is_thread_count_invariant_across_groups(monkeypatch):
+    # the radius-0.05 ball at eps 0.0025 closes at 2,841 points, so each
+    # digraph pass maps about 180k images: more than one query group, and
+    # queries large enough to run on two workers
+    dist = BallNoise(QUAD_C, 0.05)
+    params = condition_a_params(dist)
+    digraphs = []
+    digraph = minsets._digraph
+
+    def recording_digraph(*args, **kwargs):
+        digraphs.append(digraph(*args, **kwargs))
+        return digraphs[-1]
+
+    monkeypatch.setattr(minsets, "_digraph", recording_digraph)
+    monkeypatch.setattr(_WorkerCountingKD, "queries", [])
+    monkeypatch.setattr(minsets, "cKDTree", _WorkerCountingKD)
+    runs = [discover_minimal_sets(dist, params, LOST_GRID, SequenceSeed(9, 0),
+                                  cluster_eps=0.0025, threads=t) for t in (1, 2)]
+    assert runs[0] == runs[1]
+    (labels1, edges1), (labels2, edges2) = digraphs
+    assert labels1.size > minsets._QUERY_GROUP // 64
+    assert np.array_equal(labels1, labels2) and np.array_equal(edges1, edges2)
+    assert any(w > 1 for _, w in _WorkerCountingKD.queries)
+
+
 def test_discovery_refuses_eps_below_int64_lattice(cycle_dist):
     params = condition_a_params(cycle_dist)
     floor = minsets.cluster_eps_floor(params.R)
