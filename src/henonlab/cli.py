@@ -395,7 +395,7 @@ def _cmd_escape_stats(r: Resolver, out: str, seed_override: Optional[int],
     dist, seed, params = _system(r, seed_override)
     points = r.points()
     max_iter = r.read({"max_iter": Field("int", 1000, lo=1)})["max_iter"]
-    res = escape_census(dist, points, params, max_iter, _phase(seed, 0), threads=threads)
+    res = escape_census(dist, points, params, max_iter, _phase(seed, 0))
     return {
         "escaped": res.escaped,
         "bounded": res.bounded,

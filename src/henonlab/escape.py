@@ -958,19 +958,37 @@ def _census_chunk(
     R: float,
     max_iter: int,
 ) -> Tuple[int, int, int]:
-    w = lanes.Walk(xs, ys, streams, dist, master)
-    escaped = 0
-    for n in range(max_iter + 1):
-        escaped += w.retire(w.in_cone(R)).size
-        if n == 0:  # lanes that start outside the window are never stepped
-            w.move(w.X, w.Y)
-        if n == max_iter or not len(w):
+    """(escaped, bounded, uncertain) over the walkers xs, ys on their
+    streams, walked in one pool of at most lanes.WALK_BLOCK live lanes.
+    Before each step the pool takes the next walkers into the slots that
+    retired lanes left; a walker taken in at walk step s takes its step k at
+    walk step s + k, on its stream's step-k draw, so its verdict does not
+    depend on when it was taken in.  A walker escapes at its first step k
+    <= max_iter in the escape cone (step 0 before the window check), ends
+    bounded in the central bidisk at step max_iter, and is uncertain
+    otherwise: it left, or started outside, the exact-arithmetic window, or
+    ended at the cap outside the bidisk."""
+    w = lanes.Walk(xs[:0], ys[:0], streams[:0], dist, master)
+    escaped = bounded = fed = 0
+    n = 0
+    while True:
+        room = min(lanes.WALK_BLOCK - len(w), xs.size - fed)
+        if room:
+            x, y, s = xs[fed:fed + room], ys[fed:fed + room], streams[fed:fed + room]
+            esc = lanes.in_cone(x, y, R)
+            escaped += int(np.count_nonzero(esc))
+            w.admit(x[~esc], y[~esc], s[~esc])
+            fed += room
+        if n >= max_iter:  # lanes at the cap end here
+            done = w.start == n - max_iter
+            bounded += int(np.count_nonzero(w.in_bidisk(R) & done))
+            w.retire(done)
+        if not len(w) and fed == xs.size:
             break
-        # lanes leaving the window are tallied as uncertain below
-        w.step(n)
-    bounded = int(np.count_nonzero(w.in_bidisk(R)))
-    uncertain = xs.size - escaped - bounded
-    return escaped, bounded, uncertain
+        w.step(n)  # lanes leaving the window are tallied as uncertain
+        escaped += w.retire(w.in_cone(R)).size
+        n += 1
+    return escaped, bounded, xs.size - escaped - bounded
 
 
 def escape_census(
@@ -979,25 +997,18 @@ def escape_census(
     params: FiltrationParams,
     max_iter: int,
     seed: SequenceSeed,
-    threads: int = 1,
 ) -> CensusResult:
     """Escape statistics over (point, sequence) pairs.
 
     Walker i follows its own i.i.d. sequence on the stream derived from
     (seed.stream_id, i); doubling max_iter with the same seed reuses the
-    same sequences, so the escaped count is nondecreasing in the cap.
+    same sequences, so the escaped count is nondecreasing in the cap.  The
+    walkers run in one :func:`_census_chunk` on the calling thread, whose
+    pool of live lanes refills as lanes retire, so the census pays one tail
+    of slow escapers rather than one per block of walkers.
     """
     xs = np.array([p[0] for p in points], dtype=np.complex128)
     ys = np.array([p[1] for p in points], dtype=np.complex128)
     streams = rng.stream_table(seed.stream_id, len(points))
-
-    def run(a, b):
-        return _census_chunk(
-            dist, seed.master_seed, streams[a:b], xs[a:b], ys[a:b], params.R, max_iter
-        )
-
-    parts = lanes.run_blocks(run, len(points), lanes.WALK_BLOCK, threads)
-    esc = sum(p[0] for p in parts)
-    bnd = sum(p[1] for p in parts)
-    unc = sum(p[2] for p in parts)
-    return CensusResult(esc, bnd, unc)
+    return CensusResult(*_census_chunk(
+        dist, seed.master_seed, streams, xs, ys, params.R, max_iter))

@@ -10,11 +10,12 @@ runs its fixed blocks on the pool here.  A finite support, one map or many,
 steps every lane by one formula on its map's column of the support's table.  A
 :class:`Walk` holds a batch's live lanes, with per-lane streams or under one
 shared sequence: it moves them, retires lanes (those that leave the window
-among them) and compacts the survivors with their carry arrays and their drawn
-future steps.  A walk draws its steps in time blocks: a refill at step n
-hashes steps n .. n + T - 1 of every live lane in one call, T from
-:func:`draw_steps`, so a walk over few lanes pays a draw call's fixed cost
-once per block rather than once per step.
+among them), compacts the survivors with their carry arrays and their drawn
+future steps, and admits new lanes into the slots that retired ones left.  A
+walk draws its steps in time blocks: a refill at step n hashes steps
+n .. n + T - 1 of every live lane in one call, T from :func:`draw_steps`, so a
+walk over few lanes pays a draw call's fixed cost once per block rather than
+once per step.
 """
 
 from __future__ import annotations
@@ -102,8 +103,10 @@ def draw_steps(live: int) -> int:
     4,096-lane step.  Bounding the cells keeps a refill's arrays, and peak
     memory, at the size of one 4,096-lane step, so large walks keep T = 1.
     Steps that a lane draws but never takes (it retires, or the walk ends)
-    are wasted, which caps T: 64-step blocks ran the 10,000-walker census no
-    faster than 32-step ones within the spread of repeated runs."""
+    are wasted, which caps T: on the 10,000-walker census of the
+    quad-volume preset, which walks one refilling pool, 64- and 128-step
+    blocks ran no faster than 32-step ones (medians 0.37-0.38 s over 12
+    runs each, quartiles overlapping; 2-core x86 box, numpy 2.4)."""
     return min(_BLOCK_STEPS, max(1, _BLOCK_CELLS // max(live, 1)))
 
 
@@ -114,14 +117,17 @@ def _each(drawn, fn):
 
 class Walk:
     """The live lanes of a batch: positions X, Y, draw streams (None for a
-    batch that shares one map sequence), each lane's index in the starting
-    batch (``lane``) and per-lane ``carry`` arrays.  A walk that draws its
-    steps is bound to one distribution and master seed.  Retiring compacts
-    the lanes in lane order, along with the steps drawn ahead and not yet
-    taken.  :meth:`in_cone` and :meth:`in_bidisk` reuse the |X|, |Y| that
-    the last :meth:`move` took for its window check.  Arrays are rebound,
-    never written in place, so a caller may keep a reference to any of
-    them."""
+    batch that shares one map sequence) with each lane's start step
+    (``start``), each lane's index in the batch (``lane``) and per-lane
+    ``carry`` arrays.  A walk that draws its steps is bound to one
+    distribution and master seed; at walk step n a lane takes the cell
+    (stream, n - start) of its stream, so a lane that :meth:`admit` adds
+    late draws the sequence it would draw walking from step 0.  Retiring
+    compacts the lanes in lane order, along with the steps drawn ahead and
+    not yet taken.  :meth:`in_cone` and :meth:`in_bidisk` reuse the |X|,
+    |Y| that the last :meth:`move` took for its window check.  Arrays are
+    rebound, never written in place, so a caller may keep a reference to
+    any of them."""
 
     def __init__(self, X: np.ndarray, Y: np.ndarray, streams: Optional[np.ndarray] = None,
                  dist: Optional[MapDistribution] = None, master: int = 0,
@@ -129,6 +135,7 @@ class Walk:
         self.X = X
         self.Y = Y
         self.streams = streams
+        self.start = None if streams is None else np.zeros(X.size, dtype=np.uint64)
         self.dist = dist
         self.master = master
         self.lane = np.arange(X.size)
@@ -137,6 +144,7 @@ class Walk:
         # rows before step _next have been taken
         self._block: Optional[tuple] = None
         self._next = 0
+        self._admitted = X.size
         # (X, Y, |X|, |Y|): magnitudes taken by the last move, so that the
         # window check after a step and the cone check before the next one
         # share them; stale once X or Y is rebound other than by a retire
@@ -155,7 +163,7 @@ class Walk:
         self.X, self.Y, self.lane = self.X[keep], self.Y[keep], self.lane[keep]
         self._mag = None if mag is None else (self.X, self.Y, mag[0][keep], mag[1][keep])
         if self.streams is not None:
-            self.streams = self.streams[keep]
+            self.streams, self.start = self.streams[keep], self.start[keep]
         self.carry = {k: v[keep] for k, v in self.carry.items()}
         if self._block is not None:
             # taken rows are dropped, not compacted; a used-up block goes
@@ -164,6 +172,22 @@ class Walk:
             self._block = None if used >= width else (
                 self._next, width - used, _each(drawn, lambda d: d[used:, keep]))
         return gone
+
+    def admit(self, X: np.ndarray, Y: np.ndarray, streams: np.ndarray) -> None:
+        """Append lanes at X, Y on their draw streams to a walk without carry
+        arrays.  They take their first step, as their step 0, at the walk's
+        next step; those outside the exact-arithmetic window are dropped
+        unseen.  Lane indices continue the batch's.  The steps drawn ahead
+        for the walk's other lanes are let go, and the next step redraws
+        them with the same bits."""
+        kept = np.flatnonzero(~outside(X, Y))
+        self.X = np.concatenate((self.X, X[kept]))
+        self.Y = np.concatenate((self.Y, Y[kept]))
+        self.streams = np.concatenate((self.streams, streams[kept]))
+        self.start = np.concatenate((self.start, np.full(kept.size, self._next, dtype=np.uint64)))
+        self.lane = np.concatenate((self.lane, self._admitted + kept))
+        self._admitted += X.size
+        self._block = None
 
     def move(self, X: np.ndarray, Y: np.ndarray) -> np.ndarray:
         """Rebind the lanes to their images X, Y, then retire the lanes that
@@ -197,6 +221,7 @@ class Walk:
         live lane in one call, T = draw_steps(len(self)).  Every cell is the
         per-step draw's, so neither T nor the refill points change bits."""
         dist = self.dist
+        self._next = n + 1
         if isinstance(dist, FiniteDist) and len(dist.maps) == 1:
             return None
         blk = self._block
@@ -206,9 +231,8 @@ class Walk:
             # streams are given in the block's shape, so the call's streams
             # argument counts its (lane, step) cells
             cells = np.broadcast_to(self.streams, (width, len(self)))
-            steps = np.arange(n, n + width, dtype=np.uint64)[:, None]
+            steps = np.arange(n, n + width, dtype=np.uint64)[:, None] - self.start
             blk = self._block = (n, width, draw(dist, self.master, cells, steps))
-        self._next = n + 1
         return _each(blk[2], lambda d: d[n - blk[0]])
 
     def step(self, n: int) -> np.ndarray:
@@ -251,7 +275,7 @@ def _in_bidisk(ax: np.ndarray, ay: np.ndarray, R: float) -> np.ndarray:
     return np.maximum(ax, ay) < R
 
 
-WALK_BLOCK = 4096  # fixed, so results never depend on the thread count
+WALK_BLOCK = 4096  # fixed, so results never depend on the thread count; the census pool width
 
 
 def run_blocks(work: Callable[[int, int], T], total: int, size: int, threads: int) -> List[T]:

@@ -254,9 +254,9 @@ def test_volume_preserving_escape_census():
     pts = points_from(cfg, "")
     assert len(pts) == 10_000
     params = condition_a_params(ball)
-    c1 = escape_census(ball, pts, params, max_iter=10_000, seed=SequenceSeed(7, 3), threads=4)
+    c1 = escape_census(ball, pts, params, max_iter=10_000, seed=SequenceSeed(7, 3))
     assert c1.escaped >= 0.99 * len(pts)
-    c2 = escape_census(ball, pts, params, max_iter=20_000, seed=SequenceSeed(7, 3), threads=4)
+    c2 = escape_census(ball, pts, params, max_iter=20_000, seed=SequenceSeed(7, 3))
     assert c2.escaped >= c1.escaped
     _check_budget(t0, 300.0)
 

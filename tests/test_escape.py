@@ -321,7 +321,7 @@ def test_census_counts_and_determinism(quad_params):
     assert a.escaped_fraction + a.bounded_fraction + a.uncertain_fraction == pytest.approx(1.0)
     b = escape_census(dist, pts, quad_params, 600, seed)
     assert b.escaped >= a.escaped
-    c = escape_census(dist, pts, quad_params, 300, seed, threads=8)
+    c = escape_census(dist, pts, quad_params, 300, seed)
     assert (c.escaped, c.bounded, c.uncertain) == (a.escaped, a.bounded, a.uncertain)
 
 
@@ -335,6 +335,9 @@ def _per_step_census(dist, pts, R, max_iter, seed):
         esc = lanes.in_cone(X, Y, R)
         escaped += int(esc.sum())
         streams, X, Y = streams[~esc], X[~esc], Y[~esc]
+        if n == 0:  # walkers that start outside the window never step
+            keep = ~lanes.outside(X, Y)
+            streams, X, Y = streams[keep], X[keep], Y[keep]
         if n == max_iter or not X.size:
             break
         X, Y = lanes.apply(dist, lanes.draw(dist, seed.master_seed, streams, n), X, Y)
@@ -345,8 +348,8 @@ def _per_step_census(dist, pts, R, max_iter, seed):
 
 
 def test_census_thread_invariance_across_chunks(ball_cycle_dist, monkeypatch):
-    # 9,000 walkers span three walker blocks; each block's tail draws its
-    # steps in blocks wider than one
+    # 9,000 walkers pass through the 4,096-lane pool in admissions after the
+    # first; the tail draws its steps in blocks wider than one
     assert 2 * lanes.WALK_BLOCK < 9000
     widths = []
     draw_steps = lanes.draw_steps
@@ -358,13 +361,46 @@ def test_census_thread_invariance_across_chunks(ball_cycle_dist, monkeypatch):
     monkeypatch.setattr(lanes, "draw_steps", spy)
     params = condition_a_params(ball_cycle_dist)
     pts = [((0.37 * k) % 3.0 - 1.5 + 0j, (0.53 * k) % 3.0 - 1.5 + 0j) for k in range(9000)]
-    runs = [escape_census(ball_cycle_dist, pts, params, 40, SequenceSeed(5, 4), threads=t)
-            for t in (1, 2)]
+    runs = [escape_census(ball_cycle_dist, pts, params, 40, SequenceSeed(5, 4))
+            for _ in range(2)]
     assert runs[0] == runs[1]
     assert runs[0].total == 9000 and runs[0].escaped > 0 and runs[0].bounded > 0
     assert (runs[0].escaped, runs[0].bounded, runs[0].uncertain) == \
         _per_step_census(ball_cycle_dist, pts, params.R, 40, SequenceSeed(5, 4))
     assert min(widths) == 1 and max(widths) > 1
+
+
+@pytest.mark.parametrize("width, walkers", [(37, 1500), (lanes.WALK_BLOCK, 10_000)])
+def test_census_admissions_cross_the_pool_width(ball_cycle_dist, monkeypatch, width, walkers):
+    # walkers retire at staggered steps and new ones take their slots; a
+    # walker taken in late must draw, and end, as if it walked from step 0.
+    # Among the grid sit walkers that start outside the window (uncertain),
+    # that start in the cone and outside the window (escaped: the cone is
+    # checked first) and that leave the window on their first step
+    monkeypatch.setattr(lanes, "WALK_BLOCK", width)
+    sizes = []
+    step = lanes.Walk.step
+
+    def spy(self, n):
+        sizes.append(len(self))
+        return step(self, n)
+
+    monkeypatch.setattr(lanes.Walk, "step", spy)
+    params = condition_a_params(ball_cycle_dist)
+    odd = [(1e101 + 0j, 0j), (0j, 1e200 + 0j), (1e60 + 0j, 1e60 + 0j)]
+    pts = [odd[k // 7 % 3] if k % 7 == 3 else
+           ((0.37 * k) % 3.0 - 1.5 + 0j, (0.53 * k) % 3.0 - 1.5 + 0j) for k in range(walkers)]
+    seed = SequenceSeed(5, 6)
+    for max_iter in (0, 1, 40):
+        sizes.clear()
+        got = escape_census(ball_cycle_dist, pts, params, max_iter, seed)
+        want = _per_step_census(ball_cycle_dist, pts, params.R, max_iter, seed)
+        assert (got.escaped, got.bounded, got.uncertain) == want
+        assert min(want) > 0, (max_iter, want)
+        assert max(sizes, default=0) <= width
+    # the pool filled and held fewer lanes than there are walkers, so the
+    # rest were taken in as lanes retired
+    assert max(sizes) == width < walkers
 
 
 def test_census_ball_noise(ball_cycle_dist):

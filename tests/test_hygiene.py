@@ -1,7 +1,7 @@
 """Source hygiene: every module-level import and private helper in the
 library is used, the vector overflow-window check and the scipy import
-each have one home, and every name the benchmark's span recorder wraps is
-still live."""
+each have one home, the escape census stays off the thread pool, and every
+name the benchmark's span recorder wraps is still live."""
 
 from __future__ import annotations
 
@@ -129,6 +129,19 @@ def test_kd_queries_have_one_home():
              and isinstance(n.func, ast.Attribute) and n.func.attr == "query"]
     assert len(calls) == 1, [c.lineno for c in calls]
     assert "distance_upper_bound" in {k.arg for k in calls[0].keywords}
+
+
+def test_census_stays_off_the_pool():
+    # the census walks one refilling lane pool on the calling thread: a pool
+    # of fixed walker blocks pays one tail of slow escapers per block
+    with open(os.path.join(SRC, "escape.py"), encoding="utf-8") as fh:
+        tree = ast.parse(fh.read())
+    defs = {n.name: n for n in tree.body if isinstance(n, ast.FunctionDef)}
+    for name in ("escape_census", "_census_chunk"):
+        assert "run_blocks" not in _loaded_names(defs[name]), name
+    calls = [n for n in ast.walk(defs["escape_census"]) if isinstance(n, ast.Call)
+             and isinstance(n.func, ast.Name) and n.func.id == "_census_chunk"]
+    assert len(calls) == 1
 
 
 def test_benchmark_spans_reach_discovery_layers():

@@ -298,3 +298,27 @@ def test_walk_draw_refills_outside_its_block(name):
     big.retire(np.arange(5000) % 2 == 0)
     assert big._block is None
     assert _same_draw(big.draw(1), lanes.draw(dist, MASTER, big.streams, 1))
+
+
+@pytest.mark.parametrize("name", sorted(CALM))
+def test_walk_admit_draws_each_lane_from_its_own_step_0(name):
+    # lanes admitted at walk step 5, inside a drawn block, walk as a fresh
+    # walk of their own would; one starting outside the window is dropped
+    dist = CALM[name]
+    u = np.random.default_rng(3).uniform(-0.2, 0.2, (4, 12))
+    X, Y = u[0] + 1j * u[1], u[2] + 1j * u[3]
+    X[7] = 1e101
+    streams = rng.stream_table(21, 12)
+    w = lanes.Walk(X[:4], Y[:4], streams[:4], dist, MASTER)
+    for n in range(5):
+        w.step(n)
+    w.admit(X[4:], Y[4:], streams[4:])
+    assert list(w.lane) == [0, 1, 2, 3, 4, 5, 6, 8, 9, 10, 11]
+    assert list(w.start) == [0] * 4 + [5] * 7
+    keep = np.array([4, 5, 6, 8, 9, 10, 11])
+    ref = lanes.Walk(X[keep], Y[keep], streams[keep], dist, MASTER)
+    for n in range(5, 45):
+        w.step(n)
+        ref.step(n - 5)
+        assert np.array_equal(w.lane[4:], keep)
+        assert np.array_equal(w.X[4:], ref.X) and np.array_equal(w.Y[4:], ref.Y)
