@@ -18,15 +18,21 @@ its tangent is used.  The block's k Jacobians are then multiplied pairwise,
 in ceil(log2 k) vectorised levels (a tree reduction, Blelloch 1990), and the
 product is applied to each run's unit tangent vector, which is renormalized
 once.  A drawing support steps its runs as lanes of one :class:`lanes.Walk`.
-A one-map support draws nothing, so every run follows the same orbit: it is
-stepped once, with the scalar arithmetic of :func:`max_lyapunov_single`, in
-chunks of at most ``lanes._BLOCK_CELLS`` steps whose consecutive blocks are
-the columns of one reduction, and each block's product serves every run.
-Held memory does not grow with the step count.
+A one-map support draws nothing, so every run follows the same orbit.  It
+is computed once, in chunks of at most ``lanes._BLOCK_CELLS`` steps whose
+consecutive blocks are the columns of one reduction, and each block's
+product serves every run.  The orbit is stepped, with the scalar arithmetic
+of :func:`max_lyapunov_single`, only until its state repeats bit for bit (cycle
+finding in the sense of Brent, BIT 20, 1980: the next state is matched
+against the chunk just stepped); the rest of the orbit is then read from that
+period.  A bit-equal state has a bit-equal future, so the exponents are the
+bits that stepping every position gives.  Held memory does not grow with
+the step count.
 """
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass
 from typing import Optional, Tuple
@@ -210,21 +216,53 @@ def _walk_runs(dist: MapDistribution, z: Point, streams: np.ndarray, master: int
     return acc, escaped
 
 
+def _repeat_at(X: np.ndarray, Y: np.ndarray, cur: Point) -> Optional[int]:
+    """Index of the last recorded position (X[i], Y[i]) whose bits equal
+    the state cur, or None.  Bits, not values: 0.0 and -0.0 differ, and a
+    state with a NaN part matches nothing."""
+    if not all(cmath.isfinite(v) for v in cur):
+        return None
+    (x0, x1), (y0, y1) = np.array(cur, dtype=np.complex128).view(np.int64).reshape(2, 2)
+    Xb, Yb = X.view(np.int64).reshape(-1, 2), Y.view(np.int64).reshape(-1, 2)
+    # column by column: all() over rows of two took five times as long
+    same = (Xb[:, 0] == x0) & (Xb[:, 1] == x1) & (Yb[:, 0] == y0) & (Yb[:, 1] == y1)
+    hits = np.flatnonzero(same)
+    return int(hits[-1]) if hits.size else None
+
+
 def _orbit_runs(dist: FiniteDist, z: Point, V1: np.ndarray, V2: np.ndarray, n: int,
                 k: int, r_big: float) -> Optional[np.ndarray]:
     """Per-run log-norm sums along the one orbit of a one-map support, or
-    None when that orbit leaves the 10R bidisk."""
+    None when that orbit leaves the 10R bidisk.
+
+    The orbit is stepped a chunk at a time until its next state repeats,
+    bit for bit, a position of the chunk just stepped: a bit-equal state has
+    a bit-equal future under :func:`core.image`, so from the last such
+    position on the orbit is periodic, and later chunks are gathered from
+    that one period without stepping.  The start itself is never matched,
+    since it may be given as real numbers, whose arithmetic need not match
+    a complex state's in the sign of a zero."""
     f = dist.maps[0]
     part = np.zeros(V1.size)
     chunk = k * max(1, lanes._BLOCK_CELLS // k)
     cur = z
+    tile = None  # once the orbit repeats: (its first periodic step, one period of X, of Y)
     for a in range(0, n, chunk):
         m = min(chunk, n - a)
-        X = np.empty(m, dtype=np.complex128)
-        Y = np.empty_like(X)
-        for j in range(m):
-            X[j], Y[j] = cur
-            cur = image(f, cur)
+        if tile is None:
+            X = np.empty(m, dtype=np.complex128)
+            Y = np.empty_like(X)
+            for j in range(m):
+                X[j], Y[j] = cur
+                cur = image(f, cur)
+            lo = int(a == 0)
+            i = _repeat_at(X[lo:], Y[lo:], cur)
+            if i is not None:
+                tile = (a + lo + i, X[lo + i:], Y[lo + i:])
+        else:
+            t0, PX, PY = tile
+            at = (np.arange(a, a + m) - t0) % PX.size
+            X, Y = PX[at], PY[at]
         if _left(X, Y, r_big):
             return None
         c, d = lanes.jacobian_rows(dist, None, Y)

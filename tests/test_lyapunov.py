@@ -9,8 +9,8 @@ import warnings
 import numpy as np
 import pytest
 
-from conftest import QUAD, QUAD_A, QUAD_C
-from henonlab import rng
+from conftest import QUAD, QUAD_A, QUAD_C, QUAD_W
+from henonlab import lanes, lyapunov, rng
 from henonlab.config import dist_from
 from henonlab.core import HenonMap, Poly, condition_a_radius, eval_map, image, swap
 from henonlab.dist import (
@@ -27,7 +27,12 @@ from henonlab.lyapunov import (
     AllEscaped,
     LyapunovReport,
     _batch_runs,
+    _block_products,
+    _left,
     _renorm_steps,
+    _renormalize,
+    _repeat_at,
+    _start_vector,
     backward_lyapunov_statistics,
     lyapunov_statistics,
     max_lyapunov_single,
@@ -41,6 +46,12 @@ ORACLE = math.log(math.sqrt(0.1))
 # of modulus 0.1, so the per-step exponent is again log sqrt(0.1)
 _S = math.sqrt(0.92)
 CYCLE_POINT = ((0.2 - _S) / 2, (0.2 + _S) / 2)
+
+# a conservative map whose orbit 0.01 off its elliptic fixed point (y0, y0),
+# y0 = 1 - sqrt(1.5), stays bounded and never repeats bit for bit
+CONSERVATIVE = HenonMap(0.0, 1.0, Poly((1.0, 0.0, -0.5)))
+_Y0 = 1.0 - math.sqrt(1.5)
+OFF_ELLIPTIC = (_Y0 + 0.01, _Y0)
 
 
 def test_fixed_point_oracle():
@@ -285,4 +296,104 @@ def test_one_map_orbit_memory_does_not_grow_with_n():
         tracemalloc.stop()
     assert not escaped.any()
     assert abs(vals.mean() - ORACLE) < 1e-3
+    assert peak < 2_000_000
+
+
+def _one_map(f) -> tuple:
+    dist = FiniteDist((f,), (1.0,))
+    return dist, ESCAPE_FACTOR * condition_a_params(dist).R
+
+
+def _per_step_orbit_runs(dist, z, samples, n, seed, r_big):
+    # the one-map path of _batch_runs with every position of the orbit stepped
+    streams = rng.stream_table(seed.stream_id, samples)
+    V1 = np.empty(samples, dtype=np.complex128)
+    V2 = np.empty(samples, dtype=np.complex128)
+    for i in range(samples):
+        V1[i], V2[i] = _start_vector(int(streams[i]))
+    k = _renorm_steps(dist, r_big)
+    chunk = k * max(1, lanes._BLOCK_CELLS // k)
+    part = np.zeros(samples)
+    cur = z
+    for a in range(0, n, chunk):
+        m = min(chunk, n - a)
+        X = np.empty(m, dtype=np.complex128)
+        Y = np.empty_like(X)
+        for j in range(m):
+            X[j], Y[j] = cur
+            cur = image(dist.maps[0], cur)
+        if _left(X, Y, r_big):
+            return np.zeros(samples), np.ones(samples, dtype=bool)
+        c, d = lanes.jacobian_rows(dist, None, Y)
+        full = m - m % k
+        Ps = list(_block_products(c[:full].reshape(-1, k).T, d[:full].reshape(-1, k).T).T)
+        if full < m:
+            Ps.append(_block_products(c[full:, None], d[full:, None])[:, 0])
+        for P in Ps:
+            V1, V2, part = _renormalize(P, V1, V2, part)
+    return part / n, np.zeros(samples, dtype=bool)
+
+
+# saddle at the origin with eigenvalues 1.1 and 0.1 / 1.1: from 1e-300 up
+# its unstable direction the orbit leaves the 10R bidisk at step 7,227
+_SADDLE = HenonMap(0.0, 0.1, Poly((1.0, 1.1 + 0.1 / 1.1, 0.0)))
+
+
+@pytest.mark.parametrize("f, z, n", [
+    (QUAD_C, (0.3, 0.65), 3 * 4032 + 43),  # period 2 from step 36, in the first chunk
+    (QUAD_W, (0.3, 0.65), 3 * 4017 + 50),  # period 4 of subnormals from step 7,052
+    (CONSERVATIVE, OFF_ELLIPTIC, 3 * 4056 + 33),  # never repeats
+    (_SADDLE, (0.0, 1e-300), 10_001),  # leaves in its second chunk
+], ids=["repeat-mid-chunk", "subnormal-cycle", "no-repeat", "leaves"])
+def test_tiled_orbit_matches_stepping_bit_for_bit(f, z, n):
+    dist, r_big = _one_map(f)
+    k = _renorm_steps(dist, r_big)
+    assert n % k and n > 2 * k * (lanes._BLOCK_CELLS // k)
+    seed = SequenceSeed(6, 3)
+    vals, escaped = _batch_runs(dist, z, 12, n, seed, r_big)
+    ref_vals, ref_escaped = _per_step_orbit_runs(dist, z, 12, n, seed, r_big)
+    assert np.array_equal(escaped, ref_escaped)
+    assert np.array_equal(vals.view(np.int64), ref_vals.view(np.int64))
+    assert escaped.all() == (f is _SADDLE)
+
+
+def test_one_map_orbit_that_repeats_takes_at_most_one_chunk_of_steps(monkeypatch):
+    # desk-mix's lyapunov input: the orbit repeats with period 2 after 38 steps
+    dist, r_big = _one_map(QUAD_C)
+    k = _renorm_steps(dist, r_big)
+    calls = []
+
+    def spy(f, z):
+        calls.append(z)
+        return image(f, z)
+
+    monkeypatch.setattr(lyapunov, "image", spy)
+    rep = lyapunov_statistics(dist, (0.3, 0.65), 10, 100_000, SequenceSeed(4, 9))
+    assert len(calls) <= k * (lanes._BLOCK_CELLS // k)
+    assert rep.escaped_fraction == 0.0 and abs(rep.exponent - ORACLE) < 1e-3
+
+
+def test_repeat_is_matched_on_bits():
+    X = np.array([1 + 0j, 0.5 + 0j, 1 + 0j, 0.5 + 0j])
+    Y = np.array([0j, 0j, 0j, 0j])
+    assert _repeat_at(X, Y, (1 + 0j, 0j)) == 2  # the last match
+    assert _repeat_at(X, Y, (0.25 + 0j, 0j)) is None
+    assert _repeat_at(X, Y, (1 + 0j, complex(-0.0, 0.0))) is None  # only the sign of a zero
+    assert _repeat_at(X, Y, (1 + 0j, complex(0.0, -0.0))) is None
+    nan = complex(math.nan, 0.0)
+    assert _repeat_at(np.array([nan]), np.array([0j]), (nan, 0j)) is None
+
+
+def test_stepped_one_map_orbit_memory_does_not_grow_with_n():
+    # the orbit that never repeats is stepped through all 50 of its chunks;
+    # holding its 200,000 y-values alone would take 3.2 MB
+    dist, r_big = _one_map(CONSERVATIVE)
+    tracemalloc.start()
+    try:
+        vals, escaped = _batch_runs(dist, OFF_ELLIPTIC, 10, 200_000, SequenceSeed(2, 7), r_big)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert not escaped.any()
+    assert np.isfinite(vals).all()
     assert peak < 2_000_000
