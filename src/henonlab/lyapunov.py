@@ -110,7 +110,7 @@ def max_lyapunov_single(
     cur = z
     for k in range(n):
         x, y = cur
-        if max(abs(x), abs(y)) > r_big:
+        if not (abs(x) <= r_big and abs(y) <= r_big):  # NaN is outside too
             return None
         f = src[k]
         w = (v[1], -f.delta * v[0] + f.poly.deriv(y) * v[1])
@@ -170,9 +170,10 @@ def _renormalize(P: np.ndarray, V1: np.ndarray, V2: np.ndarray,
 
 
 def _left(X: np.ndarray, Y: np.ndarray, r_big: float) -> np.ndarray:
-    # recorded positions outside the 10R bidisk, taken down the rows
+    # recorded positions not inside the 10R bidisk, taken down the rows: a
+    # NaN part compares false, so it counts as outside
     with np.errstate(over="ignore", invalid="ignore"):
-        return (np.maximum(np.abs(X), np.abs(Y)) > r_big).any(axis=0)
+        return ~(np.maximum(np.abs(X), np.abs(Y)) <= r_big).all(axis=0)
 
 
 def _walk_runs(dist: MapDistribution, z: Point, streams: np.ndarray, master: int,

@@ -142,7 +142,9 @@ def cluster_eps_floor(R: float) -> float:
 
 
 def _quantize(xs: np.ndarray, ys: np.ndarray, eps: float) -> np.ndarray:
-    """Snap points to the eps/4 lattice; returns unique int64 rows (4 cols)."""
+    """Snap points to the eps/4 lattice; returns unique int64 rows (4 cols),
+    sorted as np.unique(rows, axis=0) sorts them: one lexsort keeps each
+    run's first row, at about a third of np.unique's cost."""
     q = eps / 4.0
     rows = np.stack(
         [
@@ -153,7 +155,10 @@ def _quantize(xs: np.ndarray, ys: np.ndarray, eps: float) -> np.ndarray:
         ],
         axis=1,
     )
-    return np.unique(rows, axis=0)
+    rows = rows[np.lexsort(rows.T[::-1])]
+    first = np.ones(len(rows), dtype=bool)
+    first[1:] = (rows[1:] != rows[:-1]).any(axis=1)
+    return rows[first]
 
 
 def _lattice_points(rows: np.ndarray, eps: float) -> Tuple[np.ndarray, np.ndarray]:

@@ -1,10 +1,13 @@
 """Deterministic counter-based random words.
 
 Every draw is a pure function of (master_seed, stream_id, index, word),
-all 64-bit, pushed through a splitmix-style avalanche chain.  There is no
-mutable generator state, so parallel workers can evaluate any cell of the
-(stream, index) table in any order and always obtain the same bits.  This
-is what makes multi-threaded runs bit-identical to single-threaded ones.
+all 64-bit, pushed through a chain of SplitMix finalizers (Steele, Lea &
+Flood, OOPSLA 2014): counter-based in the sense of Salmon et al., SC 2011.
+Word w of a cell is mix64(prefix ^ w), so a caller drawing many words of
+the same cells hashes their prefix once.  There is no mutable generator
+state, so parallel workers can evaluate any cell of the (stream, index)
+table in any order and always obtain the same bits.  This is what makes
+multi-threaded runs bit-identical to single-threaded ones.
 
 Scalar helpers operate on Python ints; the ``*_array`` variants accept
 numpy uint64 arrays and vectorise the same mixing chain (numpy unsigned
@@ -65,20 +68,35 @@ def derive_stream(*parts: int) -> int:
 
 
 def _mix64_np(z: np.ndarray) -> np.ndarray:
-    z = (z ^ (z >> np.uint64(30))) * np.uint64(_MIX1)
-    z = (z ^ (z >> np.uint64(27))) * np.uint64(_MIX2)
-    return z ^ (z >> np.uint64(31))
+    """:func:`mix64` of every word of z, mixed in place: every caller passes
+    a fresh uint64 array that it does not read again (a numpy scalar is
+    rebound instead).  Only the three shifts allocate."""
+    z ^= z >> np.uint64(30)
+    z *= np.uint64(_MIX1)
+    z ^= z >> np.uint64(27)
+    z *= np.uint64(_MIX2)
+    z ^= z >> np.uint64(31)
+    return z
 
 
-def word64_array(master_seed: int, stream_ids, index, word=0) -> np.ndarray:
-    """Vectorised :func:`word64`; any of stream_ids/index/word may be arrays."""
-    streams = np.asarray(stream_ids, dtype=np.uint64)
+def prefix_array(master_seed: int, stream_ids, index) -> np.ndarray:
+    """Vectorised :func:`_prefix` of the (stream, index) cells; stream_ids
+    and index broadcast."""
     with np.errstate(over="ignore"):
         h0 = np.uint64(mix64(master_seed ^ _GAMMA))
-        h = _mix64_np(h0 ^ streams)
-        h = _mix64_np(h ^ np.asarray(index, dtype=np.uint64))
-        h = _mix64_np(h ^ np.asarray(word, dtype=np.uint64))
-    return h
+        h = _mix64_np(h0 ^ np.asarray(stream_ids, dtype=np.uint64))
+        return _mix64_np(h ^ np.asarray(index, dtype=np.uint64))
+
+
+def word64_array(master_seed: int, stream_ids, index, word=0, *, prefix=None) -> np.ndarray:
+    """Vectorised :func:`word64`; any of stream_ids/index/word may be arrays.
+    A caller that draws several words of the same cells passes their
+    :func:`prefix_array` as ``prefix``, hashed once; stream_ids and index
+    are then not read."""
+    if prefix is None:
+        prefix = prefix_array(master_seed, stream_ids, index)
+    with np.errstate(over="ignore"):
+        return _mix64_np(prefix ^ np.asarray(word, dtype=np.uint64))
 
 
 def stream_table(stream_id: int, n: int, *tags: int) -> np.ndarray:
@@ -93,6 +111,10 @@ def stream_entries(prefix, index) -> np.ndarray:
         return _mix64_np(np.asarray(prefix, dtype=np.uint64) ^ np.asarray(index, dtype=np.uint64))
 
 
-def uniform01_array(master_seed: int, stream_ids, index, word=0) -> np.ndarray:
-    w = word64_array(master_seed, stream_ids, index, word)
-    return (w >> np.uint64(11)).astype(np.float64) * _U53
+def uniform01_array(master_seed: int, stream_ids, index, word=0, *, prefix=None) -> np.ndarray:
+    """Vectorised :func:`uniform01`, with :func:`word64_array`'s arguments."""
+    w = word64_array(master_seed, stream_ids, index, word, prefix=prefix)
+    w >>= np.uint64(11)
+    u = w.astype(np.float64)
+    u *= _U53
+    return u

@@ -141,14 +141,70 @@ def test_broadcast_index_draws_match_per_step_calls():
         assert a[k] == f.alpha - QUAD_C.alpha and b[k] == f.poly.coeffs[-1] - QUAD_C.poly.coeffs[-1]
 
 
+def _bits(f):
+    """Every field of a map as float hex strings: equal only bit for bit."""
+    parts = (f.alpha, f.delta) + tuple(f.poly.coeffs)
+    return tuple((complex(v).real.hex(), complex(v).imag.hex()) for v in parts)
+
+
+SHIFTED = HenonMap(0.3 - 0.1j, 0.1, Poly((1.0, -1.3, 0.2 + 0.05j)))
+
+
+@pytest.mark.parametrize("shape", [(1,), (511,), (512,), (2048,), (4096,), (32, 128)],
+                         ids=lambda s: "x".join(map(str, s)))
+def test_ball_offsets_equal_the_scalar_loop_across_pass_sizes(shape):
+    # the cell counts straddle the pass sizes of _block_attempts; a broadcast
+    # block draws (stream, step) cells as a walk's refill does
+    bn = BallNoise(SHIFTED, 0.25)
+    if len(shape) == 1:
+        streams, steps = rng.stream_table(shape[0], shape[0]), np.uint64(5)
+    else:
+        streams = rng.stream_table(9, shape[1])[None, :]
+        steps = np.arange(shape[0], dtype=np.uint64)[:, None] * 3
+    a, b = ball_offsets_array(bn, 11, streams, steps)
+    assert a.shape == b.shape == shape
+    cells = np.broadcast_arrays(streams, steps)
+    late = 0
+    for s, n, x, y in zip(*(np.ravel(v).tolist() for v in (*cells, a, b))):
+        f = sample_map(bn, SequenceSeed(11, s), n)
+        assert _bits(dist_mod._perturbed(SHIFTED, x, y)) == _bits(f)
+        late += _reference_ball_draw(0.25, 11, s, n)[2] >= 16
+    if a.size >= 4096:
+        assert late > 0  # some cell's accepted attempt lies past a 16-attempt block
+
+
+@pytest.mark.parametrize("radius", [0.1, 1.7])
+@pytest.mark.parametrize("k", [1, 64])
+def test_support_sample_draws_the_scalar_loop(seed, radius, k):
+    bn = BallNoise(SHIFTED, radius)
+    reps = support_sample(bn, seed, k)
+    sub = seed.derive(dist_mod.TAG_SUPPORT)
+    want = [sample_map(bn, sub, i) for i in range(k)]
+    assert [_bits(f) for f in reps] == [_bits(f) for f in want]
+    for f in reps:
+        assert type(f.alpha) is complex and all(type(c) is complex for c in f.poly.coeffs)
+
+
+def test_one_map_support_hashes_nothing(monkeypatch):
+    def spy(*args):
+        raise AssertionError("a one-map support hashed a word")
+
+    monkeypatch.setattr(rng, "uniform01", spy)
+    d = FiniteDist((QUAD_C,), (1.0,))
+    assert all(sample_map(d, SequenceSeed(3, s), i) is QUAD_C for s in (0, 7) for i in (0, 9))
+    with pytest.raises(AssertionError, match="hashed"):
+        sample_map(FiniteDist((QUAD, QUAD_C), (0.5, 0.5)), SequenceSeed(3, 0), 0)
+
+
 @pytest.mark.parametrize("lanes", [5, 300])
 def test_ball_rejection_cap_is_shared(monkeypatch, lanes):
     bn = BallNoise(QUAD_C, 0.25)
     drawn = []
 
-    def corner(master, streams, index, words):
+    def corner(master, streams, index, words, *, prefix):
+        # the kernel hands over each pending cell's hashed prefix
         drawn.append(np.asarray(words).ravel())
-        return np.ones(np.broadcast_shapes(np.shape(streams), np.shape(words))) * 0.99
+        return np.ones(np.broadcast_shapes(np.shape(prefix), np.shape(words))) * 0.99
 
     monkeypatch.setattr(rng, "uniform01_array", corner)
     with pytest.raises(RuntimeError, match="ball rejection failed to terminate"):

@@ -1,7 +1,7 @@
 """Source hygiene: every module-level import and private helper in the
 library is used, the vector overflow-window check and the scipy import
 each have one home, the escape census stays off the thread pool, and every
-name the benchmark's span recorder wraps is still live."""
+name the benchmark's span recorder wraps is still live and still counts."""
 
 from __future__ import annotations
 
@@ -10,11 +10,13 @@ import glob
 import importlib.util
 import os
 
+import numpy as np
 import pytest
 from scipy.spatial import cKDTree
 
 from henonlab import minsets
-from henonlab.dist import FiniteDist, SequenceSeed, condition_a_params
+from henonlab.dist import BallNoise, FiniteDist, SequenceSeed, condition_a_params
+from henonlab.escape import escape_census
 
 from conftest import QUAD_C
 
@@ -144,13 +146,19 @@ def test_census_stays_off_the_pool():
     assert len(calls) == 1
 
 
-def test_benchmark_spans_reach_discovery_layers():
-    # perfbench/spans.py wraps module-level names of the library; a renamed
-    # or reshaped name must fail here rather than in a traced benchmark run
+def _spans():
+    """perfbench/spans.py, loaded from its file."""
     spec = importlib.util.spec_from_file_location(
         "perfbench_spans", os.path.join(ROOT, "perfbench", "spans.py"))
     spans = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(spans)
+    return spans
+
+
+def test_benchmark_spans_reach_discovery_layers():
+    # perfbench/spans.py wraps module-level names of the library; a renamed
+    # or reshaped name must fail here rather than in a traced benchmark run
+    spans = _spans()
 
     dist = FiniteDist((QUAD_C,), (1.0,))
     params = condition_a_params(dist)
@@ -180,6 +188,27 @@ def test_benchmark_spans_reach_discovery_layers():
     # spans.py counts basin-capture lanes from _tl_chunk's 6th argument, the
     # lane streams: one estimate of 50 samples must read 50
     assert m["minsets._tl_chunk.lanes"][0] == 50
+
+
+def test_benchmark_spans_count_ball_words():
+    # spans.py reads the ball accept ratio as lanes per four words of the
+    # rng.word64_array spans under dist.ball_offsets_array: the kernel must
+    # still hash its words through word64_array, and its passes must not
+    # hash much past the first accepted attempt (pi^2 / 32 = 0.308 at best)
+    spans = _spans()
+
+    dist = BallNoise(QUAD_C, 0.05)
+    xs = np.linspace(-2.0, 2.0, 16)
+    pts = [(complex(x), complex(y)) for x in xs for y in xs]
+    tr = spans.Tracer()
+    inst = spans.install(tr)
+    try:
+        escape_census(dist, pts, condition_a_params(dist), 100, SequenceSeed(5, 1))
+    finally:
+        inst.undo()
+    m = spans.layer_metrics(tr)
+    assert m["dist.ball_offsets_array.calls"][0] > 0
+    assert 0.2 < m["dist.ball_offsets_array.accept_ratio"][0] < 0.31
 
 
 def _imported_packages(tree: ast.Module) -> set:

@@ -284,6 +284,18 @@ def test_one_map_orbit_that_leaves_reports_all_escaped():
     assert info.value.report.escaped_fraction == 1.0
 
 
+@pytest.mark.parametrize("dist", [FiniteDist((QUAD_C,), (1.0,)), BallNoise(QUAD_C, 0.05)],
+                         ids=["one-map", "ball"])
+@pytest.mark.parametrize("z", [(math.nan, 0.5), (0.5, complex(0.2, math.nan))])
+def test_nan_start_is_escaped(dist, z):
+    # a NaN part is not inside the 10R bidisk: the runs are escaped, not a
+    # report with a NaN exponent and half-width
+    with pytest.raises(AllEscaped) as info:
+        lyapunov_statistics(dist, (complex(z[0]), complex(z[1])), 10, 1000, SequenceSeed(3, 1))
+    assert info.value.report.escaped_fraction == 1.0
+    assert max_lyapunov_single(QUAD_C, z, 100, condition_a_params(dist)) is None
+
+
 def test_one_map_orbit_memory_does_not_grow_with_n():
     # holding the orbit's 400,000 y-values alone would take 6.4 MB
     dist = FiniteDist((QUAD_C,), (1.0,))

@@ -445,6 +445,25 @@ def _start_cloud(dist, eps):
     return xs, ys, support_sample(dist, SEED), params.R
 
 
+@pytest.mark.parametrize("n", [0, 1, 5000])
+def test_quantize_equals_np_unique(n):
+    # lattice points with many repeats and both signs, jittered below the
+    # rounding threshold: rows and order equal np.unique(rows, axis=0)'s
+    eps = 0.02
+    q = eps / 4.0
+    rs = np.random.default_rng(n)
+    k = rs.integers(-6, 6, size=(n, 4)) * q + rs.uniform(-0.4, 0.4, size=(n, 4)) * q
+    xs, ys = k[:, 0] + 1j * k[:, 1], k[:, 2] + 1j * k[:, 3]
+    rows = np.stack([np.round(v / q).astype(np.int64)
+                     for v in (xs.real, xs.imag, ys.real, ys.imag)], axis=1)
+    got = minsets._quantize(xs, ys, eps)
+    want = np.unique(rows, axis=0)
+    assert got.dtype == np.int64 and got.shape == want.shape == (len(want), 4)
+    assert np.array_equal(got, want)
+    if n > 1:
+        assert len(want) < n and (want < 0).any()
+
+
 def _two_map():
     kicked = HenonMap(0.004, 0.1, Poly((1.0, -1.3, 0.003)))
     return FiniteDist((QUAD_C, kicked), (0.5, 0.5))

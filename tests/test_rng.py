@@ -71,3 +71,32 @@ def test_stream_table_matches_derive_stream():
         assert got.dtype == np.uint64
         assert np.array_equal(got, want)
     assert rng.stream_table(77, 0).shape == (0,)
+
+
+def test_prefix_draws_the_same_words():
+    streams = rng.stream_table(5, 40)
+    index = np.arange(40, dtype=np.uint64) * 3
+    words = np.arange(12, dtype=np.uint64)[:, None]
+    pre = rng.prefix_array(9, streams, index)
+    for s, n, p in zip(streams.tolist(), index.tolist(), pre.tolist()):
+        assert p == rng._prefix(9, s, n)
+    assert np.array_equal(rng.word64_array(9, None, None, words, prefix=pre),
+                          rng.word64_array(9, streams, index, words))
+    assert np.array_equal(rng.uniform01_array(9, None, None, words, prefix=pre),
+                          rng.uniform01_array(9, streams, index, words))
+
+
+def test_in_place_mixing_leaves_the_arguments_alone():
+    streams = rng.stream_table(5, 40)
+    index = np.arange(40, dtype=np.uint64)
+    words = np.arange(4, dtype=np.uint64)[:, None]
+    pre = rng.prefix_array(9, streams, index)
+    kept = [v.copy() for v in (streams, index, words, pre)]
+    rng.prefix_array(9, streams, index)
+    rng.word64_array(9, streams, index, words)
+    rng.uniform01_array(9, None, None, words, prefix=pre)
+    rng.stream_entries(streams, index)
+    for v, w in zip((streams, index, words, pre), kept):
+        assert np.array_equal(v, w)
+    # scalar cells still give numpy scalars, as before
+    assert rng.word64_array(1, 2, 3, 4) == rng.word64(1, 2, 3, 4)
