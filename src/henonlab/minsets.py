@@ -11,7 +11,11 @@ Every nearest-neighbor question goes to one KD-tree query helper: the
 images of a batch under consecutive support maps are asked in fixed groups
 of whole maps, and a large query runs on the ``threads`` workers.  A point's
 nearest index depends neither on the grouping nor on the worker count, so
-discovery returns the same result at any thread count.
+discovery returns the same result at any thread count.  No question is
+asked twice: a level whose cloud closes in the first saturation round keeps
+the start tree, so its digraph reads the linking radius already found and,
+when the edge radius is the coverage radius and no image left the box,
+takes its edges from round 1's answers.
 
 The sentinel at infinity is always reported: escape to the vertical cone is
 certified convergence to the attracting fixed point on the line at infinity.
@@ -30,7 +34,9 @@ from scipy.spatial import cKDTree
 
 from . import lanes, rng
 from .core import FiltrationParams, HenonMap, Point
-from .dist import MapDistribution, SequenceSeed, condition_a_params, support_sample
+from .dist import (
+    FiniteDist, MapDistribution, SequenceSeed, condition_a_params, support_sample,
+)
 
 INFINITY = "infinity"
 
@@ -41,9 +47,12 @@ _ASSIGN_FACTOR = 5.0  # coverage radius in units of cluster_eps
 # images per KD query: whole support maps, at most this many unless one map
 # has more; fixed, so a query's grouping never depends on the thread count
 _QUERY_GROUP = 1 << 17
-# a KD query of fewer points runs on one worker: below it, starting the
-# other workers costs more than they save
-_THREADED_QUERY = 1 << 16
+# a KD query of fewer points runs on one worker.  Two workers against one,
+# on a 1,809-point cloud of the radius-0.05 ladder (2 cores, median of 21,
+# three runs) took 0.86-0.92x the time at 2,048 points, 0.60-0.92x at 4,096
+# and 8,192, 0.79-0.88x at 16,384 and 0.61-0.77x at 65,536: below 2^14 the
+# gain is small and unsteady
+_THREADED_QUERY = 1 << 14
 _CAPTURE_DWELL = 20
 _TAG_TL = 0x544C0001
 _TAG_PROBE = 0x50524F42
@@ -247,7 +256,8 @@ def _fresh(tree: cKDTree, fx: List[np.ndarray], fy: List[np.ndarray], eps: float
 
 def _saturate(
     xs: np.ndarray, ys: np.ndarray, maps: Sequence[HenonMap], eps: float, box: float,
-    assign: float, tree: Optional[cKDTree] = None, threads: int = 1,
+    assign: float, tree: Optional[cKDTree] = None, threads: int = 1, *,
+    answers: Optional[list] = None,
 ) -> Tuple[np.ndarray, np.ndarray, Optional[cKDTree]]:
     """Grow the sample cloud until support images are covered.
 
@@ -269,8 +279,13 @@ def _saturate(
     of maps at a time (:func:`_image_hits`), so a stop leaves at most the
     rest of one group queried in vain; the outcome is the same at any
     grouping.  ``tree``, when given, indexes the start cloud and serves
-    round 1; ``threads`` is the worker count of large queries."""
+    round 1; ``threads`` is the worker count of large queries.  ``answers``,
+    when given, receives round 1's per-map (keep, j) if round 1 closes with
+    every image inside the box: the answers :func:`_node_edges` would ask
+    for at radius ``assign``.  Otherwise it stays empty, and round 1's
+    answers are dropped once it fails to close."""
     new_x, new_y, kept, far_x, far_y = xs, ys, 0, xs[:0], ys[:0]
+    asked: list = []
     for r in range(_MAX_SATURATION_ROUNDS):
         if r or tree is None:
             tree = cKDTree(_embed4(xs, ys))
@@ -278,7 +293,9 @@ def _saturate(
         far_x, far_y = [far_x[j == tree.n]], [far_y[j == tree.n]]
         n_far, counted, room = far_x[0].size, 0, _MAX_CLOUD - xs.size
         hits = _image_hits(tree, new_x, new_y, maps, assign, box, threads)
-        for m, (_, j, fx, fy) in enumerate(hits):
+        for m, (keep, j, fx, fy) in enumerate(hits):
+            if answers is not None and not r:
+                asked.append((keep, j))
             far_x.append(fx)
             far_y.append(fy)
             n_far, kept = n_far + fx.size, kept + j.size
@@ -289,7 +306,10 @@ def _saturate(
                     return xs, ys, None
         far_x, far_y = np.concatenate(far_x), np.concatenate(far_y)
         if far_x.size <= 1e-3 * max(kept, 1):
+            if asked and kept == len(maps) * xs.size:  # no image left the box
+                answers.extend(asked)
             return xs, ys, tree
+        asked.clear()
         new_x, new_y = _fresh(tree, [far_x], [far_y], eps, assign, threads)
         if new_x.size > room:
             return xs, ys, None
@@ -303,14 +323,19 @@ def _saturate(
 
 def _node_edges(
     tree: cKDTree, xs: np.ndarray, ys: np.ndarray, labels: np.ndarray,
-    maps: Sequence[HenonMap], radius: float, threads: int = 1,
+    maps: Sequence[HenonMap], radius: float, threads: int = 1, *,
+    answers: Optional[Sequence] = None,
 ) -> np.ndarray:
     """Directed edges (u, v): some support map sends a u-point within
     ``radius`` of a v-point.  Image points with no cloud point that close
-    contribute no edge."""
+    contribute no edge.  ``answers``, when nonempty, holds every map's
+    (keep, j) of :func:`_image_hits` on this tree at ``radius`` with no
+    box, and is read instead of asked again."""
     n_nodes = int(labels.max()) + 1
     codes = []
-    for keep, j, _, _ in _image_hits(tree, xs, ys, maps, radius, threads=threads):
+    hits = answers or (
+        (keep, j) for keep, j, _, _ in _image_hits(tree, xs, ys, maps, radius, threads=threads))
+    for keep, j in hits:
         hit = j < tree.n
         codes.append(labels[keep][hit].astype(np.int64) * n_nodes + labels[j[hit]])
     if not codes:
@@ -378,15 +403,17 @@ def _terminal_sccs(edges: np.ndarray, n_nodes: int) -> List[np.ndarray]:
 
 def _digraph(
     tree: cKDTree, xs: np.ndarray, ys: np.ndarray, maps: Sequence[HenonMap], eps: float,
-    threads: int = 1,
+    threads: int = 1, *, link: Optional[float] = None, answers: Optional[Sequence] = None,
 ) -> Tuple[np.ndarray, np.ndarray]:
     """Component labels of the cloud at its linking radius, and the
     transition edges between the components, from ``tree``, the cloud's
-    index."""
-    link = _link_radius(tree, eps, threads)
+    index.  ``link``, when given, is that tree's linking radius, and
+    ``answers`` are passed on to :func:`_node_edges`."""
+    if link is None:
+        link = _link_radius(tree, eps, threads)
     labels = _components(tree, link)
     radius = max(_ASSIGN_FACTOR * eps, 1.5 * link)
-    return labels, _node_edges(tree, xs, ys, labels, maps, radius, threads)
+    return labels, _node_edges(tree, xs, ys, labels, maps, radius, threads, answers=answers)
 
 
 def _cyclic_parts(
@@ -497,12 +524,19 @@ def _candidates_at(
     xs, ys = _lattice_points(rows, eps)
     # coverage radius tracks the sampling density, not just eps, so finer
     # linking radii do not demand a volumetric fill of noise-blown blobs
-    tree = cKDTree(_embed4(xs, ys))
-    assign = max(_ASSIGN_FACTOR * eps, 2.0 * _link_radius(tree, eps, threads))
-    xs, ys, tree = _saturate(xs, ys, maps, eps, box, assign, tree=tree, threads=threads)
+    start = cKDTree(_embed4(xs, ys))
+    link = _link_radius(start, eps, threads)
+    assign = max(_ASSIGN_FACTOR * eps, 2.0 * link)
+    # a level that closes in round 1 keeps the start tree and so its link;
+    # when the edge radius is assign, round 1 has asked the digraph's
+    # question too
+    answers: Optional[list] = [] if max(_ASSIGN_FACTOR * eps, 1.5 * link) == assign else None
+    xs, ys, tree = _saturate(xs, ys, maps, eps, box, assign, tree=start, threads=threads,
+                             answers=answers)
     if tree is None:
         return []
-    labels, edges = _digraph(tree, xs, ys, maps, eps, threads)
+    labels, edges = _digraph(tree, xs, ys, maps, eps, threads,
+                             link=link if tree is start else None, answers=answers)
     drafts = []
     for nodes in _terminal_sccs(edges, int(labels.max()) + 1):
         sel = np.isin(labels, nodes)
@@ -708,7 +742,9 @@ def estimate_TL_many(
     it covers, so a block's memory does not grow with the probe count.  A
     lane's draws depend only on (master seed, its stream, step) and every
     lane operation is elementwise, so each estimate equals the one-probe call
-    bit for bit; hence all seeds must share one master seed.
+    bit for bit; hence all seeds must share one master seed.  A one-map
+    support draws nothing, so every lane of a probe follows the same orbit:
+    one lane per probe is walked and its tally counts ``samples`` times.
     """
     if samples < 1:
         raise ValueError("samples must be positive")
@@ -725,16 +761,30 @@ def estimate_TL_many(
     prefixes = np.array([rng.derive_stream(s.stream_id, _TAG_TL) for s in seeds], dtype=np.uint64)
     master = seeds[0].master_seed
 
-    def work(a, b):
-        # lane j is entry j - probe * samples of its probe's stream table
-        j = np.arange(a, b)
-        probe = j // samples
-        streams = rng.stream_entries(prefixes[probe], j - probe * samples)
-        return probe[0], _tl_chunk(dist, finite, params.R, starts, master, streams, max_iter, probe)
+    def walk(per: int) -> np.ndarray:
+        """Tally of ``per`` lanes per probe."""
+        def work(a, b):
+            # lane j is entry j - probe * per of its probe's stream table
+            j = np.arange(a, b)
+            probe = j // per
+            streams = rng.stream_entries(prefixes[probe], j - probe * per)
+            return probe[0], _tl_chunk(dist, finite, params.R, starts, master, streams,
+                                       max_iter, probe)
 
-    tally = np.zeros((len(probes), len(finite) + 2), dtype=np.int64)
-    for p0, part in lanes.run_blocks(work, len(probes) * samples, lanes.WALK_BLOCK, threads):
-        tally[p0:p0 + len(part)] += part
+        tally = np.zeros((len(probes), len(finite) + 2), dtype=np.int64)
+        for p0, part in lanes.run_blocks(work, len(probes) * per, lanes.WALK_BLOCK, threads):
+            tally[p0:p0 + len(part)] += part
+        return tally
+
+    if isinstance(dist, FiniteDist) and len(dist.maps) == 1:
+        # nothing is drawn, so a probe's lanes all follow its lane 0's orbit
+        try:
+            tally = walk(1) * samples
+        except AmbiguousCapture:
+            # the full walk raises too, naming the probe its blocks meet first
+            tally = walk(samples)
+    else:
+        tally = walk(samples)
     ids = [d.id for d in finite] + [INFINITY]
     return [
         BasinEstimate(counts={i: int(c) for i, c in zip(ids, row)},

@@ -164,10 +164,13 @@ def test_benchmark_spans_reach_discovery_layers():
     params = condition_a_params(dist)
     grid = [(0.15, 0.05), (-0.05, 0.25)]
     seed = SequenceSeed(11, 2)
+    # a one-map support walks one lane per probe; two copies of the map
+    # draw per lane, so the estimate walks all its lanes
+    drawn = FiniteDist((QUAD_C, QUAD_C), (0.5, 0.5))
 
     def run():
         descs = minsets.discover_minimal_sets(dist, params, grid, seed, cluster_eps=0.01)
-        return descs, minsets.estimate_TL(dist, descs, grid[0], 50, 100, seed, params)
+        return descs, minsets.estimate_TL(drawn, descs, grid[0], 50, 100, seed, params)
 
     plain = run()
     saturate = minsets._saturate

@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
+import json
 import math
+import os
 import warnings
 
 import numpy as np
@@ -11,9 +13,12 @@ from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import connected_components
 from scipy.spatial import cKDTree
 
+from henonlab.config import family_from, points_from
 from henonlab.core import HenonMap, Poly, eval_map
-from henonlab.dist import BallNoise, FiniteDist, SequenceSeed, condition_a_params, support_sample
-from henonlab import lanes, minsets
+from henonlab.dist import (
+    BallNoise, FiniteDist, SequenceSeed, condition_a_params, family_at, support_sample,
+)
+from henonlab import bifurcation, cli, lanes, minsets
 from henonlab.minsets import (
     ATTRACTING_RATIO,
     INFINITY,
@@ -38,6 +43,7 @@ CYCLE_Y2 = (0.2 + math.sqrt(0.92)) / 2
 CSTAR = -1.7548776662466927
 
 SEED = SequenceSeed(0x5EED_0001, 7)
+PRESET_DIR = os.path.join(os.path.dirname(__file__), "..", "src", "henonlab", "presets")
 
 
 @pytest.fixture(scope="module")
@@ -398,18 +404,22 @@ def test_tl_without_finite_sets(cycle_dist):
     assert est.probabilities[INFINITY] == 1.0
 
 
+def _overlapping_pair():
+    """Two fixed-point descriptors whose capture neighbourhoods both hold
+    (0.1, 0)."""
+    return [
+        MinimalSetDescriptor(
+            id=i, cloud=((x, 0.0),), period=1, parts=((0,),), capture_radius=0.5,
+            contraction=0.5, cluster_eps=0.01, parts_centers=((x, 0.0),), parts_radii=(0.0,),
+        )
+        for i, x in enumerate((0.0, 0.2))
+    ]
+
+
 def test_tl_ambiguous_capture(cycle_dist):
     params = condition_a_params(cycle_dist)
-    a = MinimalSetDescriptor(
-        id=0, cloud=((0.0, 0.0),), period=1, parts=((0,),), capture_radius=0.5,
-        contraction=0.5, cluster_eps=0.01, parts_centers=((0.0, 0.0),), parts_radii=(0.0,),
-    )
-    b = MinimalSetDescriptor(
-        id=1, cloud=((0.2, 0.0),), period=1, parts=((0,),), capture_radius=0.5,
-        contraction=0.5, cluster_eps=0.01, parts_centers=((0.2, 0.0),), parts_radii=(0.0,),
-    )
     with pytest.raises(AmbiguousCapture):
-        estimate_TL(cycle_dist, [a, b], (0.1, 0.0), 10, 30, SEED, params)
+        estimate_TL(cycle_dist, _overlapping_pair(), (0.1, 0.0), 10, 30, SEED, params)
 
 
 # ---------------------------------------------------------------------------
@@ -667,11 +677,12 @@ class _WorkerCountingKD(cKDTree):
 
 
 @pytest.mark.parametrize("threads", [1, 2])
-@pytest.mark.parametrize("size", ["two-groups", "one-group"])
+@pytest.mark.parametrize("size", ["two-groups", "one-group", "one-threaded-group"])
 def test_image_hits_match_per_map_queries(size, threads, monkeypatch):
     # the ball's 64-map stand-in: the grouped queries give every map's keep
     # mask, nearest indices and uncovered images exactly as one query per
-    # map does, whether a pass spans several groups or fits in one
+    # map does, whether a pass spans several groups or fits in one, and
+    # whether that one query runs on one worker or on several
     dist = BallNoise(QUAD_C, 0.1)
     xs, ys, maps, _ = _start_cloud(dist, 0.01)
     assert len(maps) == 64
@@ -680,6 +691,8 @@ def test_image_hits_match_per_map_queries(size, threads, monkeypatch):
         k = -(-minsets._QUERY_GROUP // (len(maps) * xs.size)) + 1
         jit = np.arange(k * xs.size) * 1e-6
         bx, by = np.tile(xs, k) + jit, np.tile(ys, k) - 1j * jit
+    elif size == "one-group":  # a quarter of the cloud: below the threaded size
+        bx, by = xs[::4], ys[::4]
     else:
         bx, by = xs, ys
     box, radius = 0.6, 0.05  # the box drops some images
@@ -702,8 +715,10 @@ def test_image_hits_match_per_map_queries(size, threads, monkeypatch):
     assert sum(sizes) == len(maps) * bx.size - dropped
     if size == "two-groups":
         assert len(sizes) >= 2 and max(sizes) >= minsets._THREADED_QUERY
-    else:
+    elif size == "one-group":
         assert len(sizes) == 1 and sizes[0] < minsets._THREADED_QUERY
+    else:
+        assert len(sizes) == 1 and sizes[0] >= minsets._THREADED_QUERY
     # only a query large enough to gain runs on more than one worker
     assert all(w == (threads if n >= minsets._THREADED_QUERY else 1)
                for n, w in _WorkerCountingKD.queries)
@@ -732,6 +747,87 @@ def test_discovery_is_thread_count_invariant_across_groups(monkeypatch):
     assert labels1.size > minsets._QUERY_GROUP // 64
     assert np.array_equal(labels1, labels2) and np.array_equal(edges1, edges2)
     assert any(w > 1 for _, w in _WorkerCountingKD.queries)
+
+
+def _family_t0():
+    """bifurcate's discovery inputs at t = 0 on the family-noise preset."""
+    with open(os.path.join(PRESET_DIR, "family-noise.json")) as fh:
+        cfg = json.load(fh)
+    dist = family_at(family_from(cfg["family"], "/family"), 0.0)
+    seed = bifurcation._t_stream(cli._phase(SequenceSeed(cfg["seed"], 0), 0), 0.0)
+    return dist, points_from(cfg, ""), seed, cfg["n_record"], cfg["cluster_eps"]
+
+
+def _reuse_case(case):
+    """A discovery run and the reuse its level is expected to make: the
+    kept link, and round 1's answers ("read"), or none because the edge
+    radius is not the coverage radius ("radius") or because round 1 dropped
+    images at the box ("box")."""
+    if case in ("family-t0", "box-drop"):
+        dist, grid, seed, n_record, eps = _family_t0()
+    elif case == "ladder-level-0":  # cycle-discovery's radius-0.05 input, eps 1e-2
+        dist, n_record, eps = BallNoise(QUAD_C, 0.05), 200, 0.01
+        seed = cli._phase(SequenceSeed(1, 0), 0)
+        grid = points_from({"grid": {"x_min": 0.0, "x_max": 0.3, "y_min": 0.0, "y_max": 0.3,
+                                     "nx": 3, "ny": 3}}, "")
+    else:  # the link 0.029 outgrows eps 0.005: 1.5 link < assign = 2 link
+        dist, grid, seed, n_record, eps = BallNoise(QUAD_C, 0.05), LOST_GRID, SEED, 200, 0.005
+    params = condition_a_params(dist)
+    if case == "box-drop":  # 329 of round 1's 50,944 images leave the 0.7 box
+        xs, ys, _, _ = minsets._record_orbits(dist, params, grid, 1000, n_record, seed)
+        maps = support_sample(dist, seed)
+        return (lambda: [(d.xs.tobytes(), d.ys.tobytes(), d.period, d.parts)
+                         for d in minsets._candidates_at(xs, ys, maps, eps, 0.7)]), "box"
+    reads = "radius" if case == "link-dominated" else "read"
+    return (lambda: discover_minimal_sets(dist, params, grid, seed, n_record=n_record,
+                                          cluster_eps=eps)), reads
+
+
+@pytest.mark.parametrize("case", ["family-t0", "ladder-level-0", "link-dominated", "box-drop"])
+def test_discovery_reuse_equals_asking_again(case, monkeypatch):
+    # a level that closes in round 1 reads its link and, where they answer
+    # the digraph's question, round 1's answers; asking again gives the
+    # same descriptors and digraph bit for bit
+    run, reads = _reuse_case(case)
+    digraph = minsets._digraph
+    calls = []
+
+    def recording(*args, link=None, answers=None, reuse=True):
+        out = digraph(*args, **(dict(link=link, answers=answers) if reuse else {}))
+        offered = "read" if answers else "radius" if answers is None else "box"
+        calls.append((link is not None, offered, out))
+        return out
+
+    monkeypatch.setattr(minsets, "_digraph", recording)
+    got = run()
+    monkeypatch.setattr(minsets, "_digraph", lambda *a, **k: recording(*a, **k, reuse=False))
+    want = run()
+    assert got == want and len(calls) == 2
+    (link, offered, (labels, edges)), (_, _, (want_labels, want_edges)) = calls
+    assert link and offered == reads
+    assert np.array_equal(labels, want_labels) and np.array_equal(edges, want_edges)
+    assert len(edges) > 1
+
+
+def test_first_round_answers_the_digraph(monkeypatch):
+    # the t = 0 level closes in round 1 with edge radius = coverage radius:
+    # one query of all 64 x 796 images and one k=2 linking query, where
+    # asking again makes two of each
+    dist, grid, seed, n_record, eps = _family_t0()
+    maps = support_sample(dist, seed)
+    queries = []
+
+    class CountingKD(cKDTree):
+        def query(self, x, *args, **kwargs):
+            queries.append((self.n, len(x), kwargs.get("k", 1)))
+            return super().query(x, *args, **kwargs)
+
+    monkeypatch.setattr(minsets, "cKDTree", CountingKD)
+    discover_minimal_sets(dist, condition_a_params(dist), grid, seed, n_record=n_record,
+                          cluster_eps=eps)
+    assert len({n for n, _, _ in queries}) == 1
+    assert [m for n, m, _ in queries if m == len(maps) * n] == [64 * 796]
+    assert sum(k == 2 for _, _, k in queries) == 1
 
 
 def test_discovery_refuses_eps_below_int64_lattice(cycle_dist):
@@ -769,14 +865,7 @@ def test_tl_many_equals_one_probe_loop(noisy_cycle_dist, noisy_setup, threads):
 
 def test_tl_many_names_the_ambiguous_probe(cycle_dist):
     params = condition_a_params(cycle_dist)
-    a = MinimalSetDescriptor(
-        id=0, cloud=((0.0, 0.0),), period=1, parts=((0,),), capture_radius=0.5,
-        contraction=0.5, cluster_eps=0.01, parts_centers=((0.0, 0.0),), parts_radii=(0.0,),
-    )
-    b = MinimalSetDescriptor(
-        id=1, cloud=((0.2, 0.0),), period=1, parts=((0,),), capture_radius=0.5,
-        contraction=0.5, cluster_eps=0.01, parts_centers=((0.2, 0.0),), parts_radii=(0.0,),
-    )
+    a, b = _overlapping_pair()
     probes = [(0.0, 100.0), (1e102, 0.0), (0.1, 0.0)]
     seeds = [SEED.derive(1, i) for i in range(3)]
     # the first two probes alone resolve without touching either neighbourhood
@@ -786,10 +875,60 @@ def test_tl_many_names_the_ambiguous_probe(cycle_dist):
         estimate_TL_many(cycle_dist, [a, b], probes, 10, 30, seeds, params)
 
 
-def test_tl_many_block_results_do_not_grow_with_probes(cycle_dist, monkeypatch):
+@pytest.mark.parametrize("samples", [1, 7, 1000])
+def test_tl_one_map_walks_one_lane_per_probe(cycle_dist, cycle_setup, samples, monkeypatch):
+    # nothing is drawn on a one-map support, so one lane per probe stands
+    # for all its samples: the same estimates as walking every lane
+    params, descs = cycle_setup
+    L = next(d for d in descs if not d.is_infinity)
+    # captured, escaping, unresolved (the saddle fixed point at the origin),
+    # and starting outside the window
+    probes = [L.parts_centers[0], (0.0, 100.0), (0.0, 0.0), (1e102, 0.0)]
+    seeds = [SEED.derive(1, i) for i in range(len(probes))]
+    chunk = minsets._tl_chunk
+    walked = []
+
+    def spy(*args):
+        walked.append(args[5].size)
+        return chunk(*args)
+
+    monkeypatch.setattr(minsets, "_tl_chunk", spy)
+    got = estimate_TL_many(cycle_dist, descs, probes, samples, 100, seeds, params, threads=2)
+    assert sum(walked) == len(probes)
+    walked.clear()
+    monkeypatch.setattr(minsets, "FiniteDist", type("NoShortcut", (), {}))
+    want = estimate_TL_many(cycle_dist, descs, probes, samples, 100, seeds, params, threads=2)
+    assert sum(walked) == len(probes) * samples
+    assert got == want
+    assert want[0].probabilities[L.id] == want[1].probabilities[INFINITY] == 1.0
+    assert want[2].unresolved == want[3].unresolved == 1.0
+
+
+def test_tl_one_map_names_the_probe_the_full_walk_names(cycle_dist, monkeypatch):
+    # probe 1 starts in both neighbourhoods; probe 0 is sent there by its
+    # first step, but its lanes fill the first walker block, so the full
+    # walk names probe 0 where one lane per probe would meet probe 1 first
+    params = condition_a_params(cycle_dist)
+    probes = [(-1.2, 0.1), (0.1, 0.0)]
+    seeds = [SEED.derive(1, i) for i in range(2)]
+    messages = []
+    for shortcut in (True, False):
+        if not shortcut:
+            monkeypatch.setattr(minsets, "FiniteDist", type("NoShortcut", (), {}))
+        with pytest.raises(AmbiguousCapture) as err:
+            estimate_TL_many(cycle_dist, _overlapping_pair(), probes, lanes.WALK_BLOCK, 30,
+                             seeds, params, threads=2)
+        messages.append(str(err.value))
+    assert messages[0] == messages[1]
+    assert messages[0].startswith("orbit of probe 0 from ((-1.2")
+
+
+def test_tl_many_block_results_do_not_grow_with_probes(monkeypatch):
     # many blocks, each covering about WALK_BLOCK / samples probes; probes
     # alternate between the escape cone and a first image outside the window
-    params = condition_a_params(cycle_dist)
+    # a one-map support walks one lane per probe: two maps walk them all
+    dist = _two_map()
+    params = condition_a_params(dist)
     samples = 1000
     chunk = minsets._tl_chunk
     seen = []
@@ -804,7 +943,7 @@ def test_tl_many_block_results_do_not_grow_with_probes(cycle_dist, monkeypatch):
         seen.clear()
         probes = [[(0.0, 100.0), (1e102, 0.0)][i % 2] for i in range(n)]
         seeds = [SEED.derive(1, i) for i in range(n)]
-        out = estimate_TL_many(cycle_dist, [], probes, samples, 10, seeds, params, threads=2)
+        out = estimate_TL_many(dist, [], probes, samples, 10, seeds, params, threads=2)
         assert len(seen) == -(-n * samples // lanes.WALK_BLOCK) > 2
         assert [e.counts[INFINITY] for e in out] == [samples, 0] * (n // 2)
         assert [e.unresolved_count for e in out] == [0, samples] * (n // 2)
