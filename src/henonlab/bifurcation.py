@@ -76,7 +76,7 @@ def scan_family(
     estimated at each amplitude by one batched walk over all probes
     (:func:`estimate_TL_many`); a point is mean stable when every finite
     minimal set is attracting and under 1 percent of the probe mass stays
-    unresolved.
+    unresolved.  ``threads`` sizes discovery's large nearest-neighbor queries.
     """
     ts = [float(t) for t in t_grid]
     if len(ts) < 2:
@@ -93,10 +93,8 @@ def scan_family(
             burn_in=burn_in, n_record=n_record, cluster_eps=cluster_eps, threads=threads,
         )
         finite = [d for d in descs if not d.is_infinity]
-        ests = estimate_TL_many(
-            dist, descs, grid, tl_samples, tl_max_iter,
-            [sub.derive(1, i) for i in range(len(grid))], params=params, threads=threads,
-        )
+        ests = estimate_TL_many(dist, descs, grid, tl_samples, tl_max_iter,
+                                [sub.derive(1, i) for i in range(len(grid))], params=params)
         mass = sum(e.unresolved_count for e in ests) / (len(grid) * tl_samples)
         attracting = sum(1 for d in finite if d.attracting)
         all_attr = attracting == len(finite)

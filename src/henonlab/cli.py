@@ -241,10 +241,8 @@ def _cmd_tl(r: Resolver, out: str, seed_override: Optional[int],
 
     sets = discover_minimal_sets(dist, params, starts, _phase(seed, 0), **knobs,
                                  threads=threads)
-    ests = estimate_TL_many(
-        dist, sets, probes, samples, max_iter,
-        [_phase(seed, 1, i) for i in range(len(probes))], params, threads=threads,
-    )
+    ests = estimate_TL_many(dist, sets, probes, samples, max_iter,
+                            [_phase(seed, 1, i) for i in range(len(probes))], params)
     entries = [{"point": z, **_basin_json(est)} for z, est in zip(probes, ests)]
     return {
         "descriptors": [_descriptor_json(d) for d in sets],

@@ -823,15 +823,22 @@ def _lane_green(
     threads: int,
 ) -> Tuple[float, int, Tuple[np.ndarray, ...]]:
     """(c_tel, n_refine, (verdict, step, green, error)) for flat lanes X, Y
-    under one shared map sequence."""
+    under one shared map sequence, in fixed blocks on ``threads`` workers."""
     c_tel = src.c_tel(params)
     n_refine = refine_steps(c_tel, tol)
     maps = [src[i] for i in range(max(max_iter, n_refine))]
 
-    def run(a, b):
+    def run(a):
+        b = a + _BLOCK_LANES
         return _raster_block(maps, X[a:b], Y[a:b], params.R, max_iter, n_refine, c_tel)
 
-    parts = lanes.run_blocks(run, X.size, _BLOCK_LANES, threads)
+    starts = range(0, X.size, _BLOCK_LANES)
+    if threads > 1 and len(starts) > 1:
+        from concurrent.futures import ThreadPoolExecutor  # only a threaded raster loads it
+        with ThreadPoolExecutor(max_workers=threads) as ex:
+            parts = list(ex.map(run, starts))
+    else:
+        parts = list(map(run, starts))
     return c_tel, n_refine, tuple(map(np.concatenate, zip(*parts)))
 
 
@@ -974,10 +981,8 @@ def _census_chunk(
     while True:
         room = min(lanes.WALK_BLOCK - len(w), xs.size - fed)
         if room:
-            x, y, s = xs[fed:fed + room], ys[fed:fed + room], streams[fed:fed + room]
-            esc = lanes.in_cone(x, y, R)
-            escaped += int(np.count_nonzero(esc))
-            w.admit(x[~esc], y[~esc], s[~esc])
+            new = slice(fed, fed + room)
+            escaped += w.admit(xs[new], ys[new], streams[new], R).size
             fed += room
         if n >= max_iter:  # lanes at the cap end here
             done = w.start == n - max_iter

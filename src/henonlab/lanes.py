@@ -4,31 +4,29 @@ Each lane follows its own i.i.d. map sequence.  Draws are counter-based, so
 lane k's map at step n is a pure function of (master seed, stream k, n) and
 does not depend on how the lanes are batched, compacted or split across
 threads, nor on the order in which the (lane, step) cells are hashed.  Every
-vectorised walker in the library draws and steps through this module, checks
-the exact-arithmetic window, the escape cone and the central bidisk here and
-runs its fixed blocks on the pool here.  A finite support, one map or many,
-steps every lane by one formula on its map's column of the support's table.  A
-:class:`Walk` holds a batch's live lanes, with per-lane streams or under one
-shared sequence: it moves them, retires lanes (those that leave the window
-among them), compacts the survivors with their carry arrays and their drawn
-future steps, and admits new lanes into the slots that retired ones left.  A
-walk draws its steps in time blocks: a refill at step n hashes steps
-n .. n + T - 1 of every live lane in one call, T from :func:`draw_steps`, so a
-walk over few lanes pays a draw call's fixed cost once per block rather than
-once per step.
+vectorised walker in the library draws and steps through this module and
+checks the exact-arithmetic window, the escape cone and the central bidisk
+here.  A finite support, one map or many, steps every lane by one formula on
+its map's column of the support's table.  A :class:`Walk` holds a batch's
+live lanes, with per-lane streams or under one shared sequence: it moves
+them, retires lanes (those that leave the window among them), compacts the
+survivors with their carry arrays and their drawn future steps, and admits
+new lanes, with their carry arrays, into the slots that retired ones left;
+the escape census and basin capture walk one such refilling pool of at most
+:data:`WALK_BLOCK` lanes on the calling thread.  A walk draws its steps in
+time blocks: a refill at step n hashes steps n .. n + T - 1 of every live
+lane in one call, T from :func:`draw_steps`, so a walk over few lanes pays a
+draw call's fixed cost once per block rather than once per step.
 """
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
-from typing import Callable, Dict, List, Optional, Tuple, TypeVar
+from typing import Dict, Optional, Tuple
 
 import numpy as np
 
 from .core import OVERFLOW_LIMIT, HenonMap
 from .dist import FiniteDist, MapDistribution, ball_offsets_array, finite_choices_array
-
-T = TypeVar("T")
 
 
 def horner(coeffs, y: np.ndarray) -> np.ndarray:
@@ -173,21 +171,30 @@ class Walk:
                 self._next, width - used, _each(drawn, lambda d: d[used:, keep]))
         return gone
 
-    def admit(self, X: np.ndarray, Y: np.ndarray, streams: np.ndarray) -> None:
-        """Append lanes at X, Y on their draw streams to a walk without carry
-        arrays.  They take their first step, as their step 0, at the walk's
-        next step; those outside the exact-arithmetic window are dropped
-        unseen.  Lane indices continue the batch's.  The steps drawn ahead
-        for the walk's other lanes are let go, and the next step redraws
-        them with the same bits."""
-        kept = np.flatnonzero(~outside(X, Y))
+    def admit(self, X: np.ndarray, Y: np.ndarray, streams: np.ndarray, R: float,
+              **carry) -> np.ndarray:
+        """Offer lanes at X, Y on their draw streams, with a value or an array
+        for each of the walk's carry arrays.  Those in the escape cone of
+        radius R are not admitted: their batch indices are returned.  Those
+        outside the exact-arithmetic window are dropped unseen.  The rest
+        take their first step, as their step 0, at the walk's next step.
+        Lane indices continue the batch's over every lane offered.  The
+        steps drawn ahead for the walk's other lanes are let go, and the
+        next step redraws them with the same bits."""
+        ax, ay = np.abs(X), np.abs(Y)
+        cone = _in_cone(ax, ay, R)
+        kept = np.flatnonzero(~(cone | _outside(ax, ay)))
         self.X = np.concatenate((self.X, X[kept]))
         self.Y = np.concatenate((self.Y, Y[kept]))
         self.streams = np.concatenate((self.streams, streams[kept]))
         self.start = np.concatenate((self.start, np.full(kept.size, self._next, dtype=np.uint64)))
         self.lane = np.concatenate((self.lane, self._admitted + kept))
+        self.carry = {k: np.concatenate((v, np.broadcast_to(carry[k], X.shape)[kept]))
+                      for k, v in self.carry.items()}
+        gone = self._admitted + np.flatnonzero(cone)
         self._admitted += X.size
         self._block = None
+        return gone
 
     def move(self, X: np.ndarray, Y: np.ndarray) -> np.ndarray:
         """Rebind the lanes to their images X, Y, then retire the lanes that
@@ -275,16 +282,6 @@ def _in_bidisk(ax: np.ndarray, ay: np.ndarray, R: float) -> np.ndarray:
     return np.maximum(ax, ay) < R
 
 
-WALK_BLOCK = 4096  # fixed, so results never depend on the thread count; the census pool width
-
-
-def run_blocks(work: Callable[[int, int], T], total: int, size: int, threads: int) -> List[T]:
-    """work(a, b) over the fixed blocks [a, a + size) of range(total), in
-    block order.  The partition never depends on the thread count, so the
-    results do not either."""
-    starts = range(0, total, size)
-    ends = [min(a + size, total) for a in starts]
-    if threads > 1 and len(ends) > 1:
-        with ThreadPoolExecutor(max_workers=threads) as ex:
-            return list(ex.map(work, starts, ends))
-    return [work(a, b) for a, b in zip(starts, ends)]
+# live lanes of a refilling walk (the escape census, basin capture) at most;
+# a lane's fate does not depend on it
+WALK_BLOCK = 4096

@@ -683,45 +683,63 @@ def _tl_chunk(
     master: int,
     streams: np.ndarray,
     max_iter: int,
-    probe: np.ndarray,
+    per: int,
 ) -> np.ndarray:
-    """Walk lane j from probe[j]'s start point (starts holds every probe's x
-    and y) on its own stream; probe is non-decreasing.  Returns the tally of
-    probes probe[0]..probe[-1], one row each: one column per finite
-    descriptor, then INFINITY, then unresolved."""
-    m, k = streams.shape[0], len(finite)
-    w = lanes.Walk(starts[0][probe], starts[1][probe], streams, dist, master,
-                   cand=np.full(m, -1, dtype=np.int64), run=np.zeros(m, dtype=np.int64))
-    # a lane stays unresolved (column k + 1) unless it escapes or is captured
-    fate = np.full(m, k + 1, dtype=np.int64)
-    for step in range(max_iter + 1):
-        fate[w.retire(w.in_cone(R))] = k
-        if step == 0:  # lanes that start outside the window stay unresolved, never stepped
-            w.move(w.X, w.Y)
-        if not len(w):
-            break
-        if finite:
+    """Tally of every probe, one row each: one column per finite descriptor,
+    then INFINITY, then unresolved.  Lane j walks from probe j // per's start
+    point (starts holds every probe's x and y) on streams[j], in one pool of
+    at most lanes.WALK_BLOCK live lanes on the calling thread that takes the
+    next lanes as lanes retire, as escape._census_chunk does: a lane taken in
+    at walk step s takes its step k, on its stream's step-k draw, at walk
+    step s + k.  A lane with a point in two capture neighbourhoods cuts the
+    walk at its probe; once the earlier probes' lanes have ended,
+    AmbiguousCapture names the lowest probe cut."""
+    k = len(finite)
+    tally = np.zeros((starts[0].size, k + 2), dtype=np.int64)
+
+    def count(gone, col):  # the retired lanes gone end in column col
+        if gone.size:
+            np.add.at(tally, (gone // per, col), 1)
+
+    w = lanes.Walk(starts[0][:0], starts[1][:0], streams[:0], dist, master,
+                   cand=np.zeros(0, np.int64), run=np.zeros(0, np.int64))
+    total, ambiguous, fed, n = streams.size, None, 0, 0
+    while True:
+        room = min(lanes.WALK_BLOCK - len(w), total - fed) if fed < total else 0
+        if room > 0:  # lanes in the cone escape at step 0, outside the window they stay unresolved
+            p = np.arange(fed, fed + room) // per
+            count(w.admit(starts[0][p], starts[1][p], streams[fed:fed + room], R,
+                          cand=-1, run=0), k)
+            fed += room
+        if finite and len(w):
             inside = np.stack([_inside_descriptor(d, w.X, w.Y) for d in finite])
             n_in = inside.sum(axis=0)
-            ambiguous = np.flatnonzero(n_in > 1)
-            if ambiguous.size:
-                p = int(probe[w.lane[ambiguous[0]]])
-                z = (complex(starts[0][p]), complex(starts[1][p]))
-                raise AmbiguousCapture(
-                    f"orbit of probe {p} from {z} lies in two capture neighborhoods")
+            hit = np.flatnonzero(n_in > 1)
+            if hit.size:  # lanes are in lane order: hit[0]'s probe is the lowest
+                ambiguous = int(w.lane[hit[0]] // per)
+                total = ambiguous * per
             which = np.where(n_in == 1, inside.argmax(axis=0), -1)
-        else:
-            which = np.full(len(w), -1, dtype=np.int64)
-        run = np.where(which < 0, 0, np.where(which == w.carry["cand"], w.carry["run"] + 1, 1))
-        w.carry.update(cand=which, run=run)
-        done = run >= _CAPTURE_DWELL
-        if np.count_nonzero(done):
-            fate[w.retire(done)] = which[done]
-        if not len(w) or step == max_iter:
+            c = w.carry
+            run = np.where(which < 0, 0, np.where(which == c["cand"], c["run"] + 1, 1))
+            c.update(cand=which, run=run)
+            done = run >= _CAPTURE_DWELL
+            if np.count_nonzero(done):
+                count(w.retire(done), which[done])
+            if hit.size:
+                w.retire(w.lane >= total)
+        if n >= max_iter:  # lanes at the cap end here, unresolved
+            w.retire(w.start == n - max_iter)
+        if not len(w) and fed >= total:
             break
-        w.step(step)  # lanes that leave the window stay unresolved
-    rows = int(probe[-1] - probe[0]) + 1
-    return np.bincount((probe - probe[0]) * (k + 2) + fate, minlength=rows * (k + 2)).reshape(rows, k + 2)
+        w.step(n)  # lanes that leave the window stay unresolved
+        count(w.retire(w.in_cone(R)), k)
+        n += 1
+    if ambiguous is not None:
+        z = (complex(starts[0][ambiguous]), complex(starts[1][ambiguous]))
+        raise AmbiguousCapture(
+            f"orbit of probe {ambiguous} from {z} lies in two capture neighborhoods")
+    tally[:, -1] = per - tally[:, :-1].sum(axis=1)
+    return tally
 
 
 def estimate_TL_many(
@@ -732,19 +750,18 @@ def estimate_TL_many(
     max_iter: int,
     seeds: Sequence[SequenceSeed],
     params: Optional[FiltrationParams] = None,
-    threads: int = 1,
 ) -> List[BasinEstimate]:
     """Capture statistics of :func:`estimate_TL` at every probe, probe i on
     seeds[i], from one walk over probes x samples lanes.
 
-    Lanes are laid out probe-major and run in fixed blocks, which may split a
-    probe; a block builds its own lanes' streams and tallies only the probes
-    it covers, so a block's memory does not grow with the probe count.  A
-    lane's draws depend only on (master seed, its stream, step) and every
-    lane operation is elementwise, so each estimate equals the one-probe call
-    bit for bit; hence all seeds must share one master seed.  A one-map
-    support draws nothing, so every lane of a probe follows the same orbit:
-    one lane per probe is walked and its tally counts ``samples`` times.
+    Lanes are laid out probe-major and walk in one refilling pool on the
+    calling thread (:func:`_tl_chunk`).  A lane's draws depend only on
+    (master seed, its stream, step) and every lane operation is
+    elementwise, so each estimate equals the one-probe call bit for bit;
+    hence all seeds must share one master seed.  An ambiguous capture names
+    the lowest probe with an ambiguous lane.  A one-map support draws
+    nothing, so every lane of a probe follows the same orbit: one lane per
+    probe is walked and its tally counts ``samples`` times.
     """
     if samples < 1:
         raise ValueError("samples must be positive")
@@ -759,32 +776,12 @@ def estimate_TL_many(
     finite = [d for d in minsets if not d.is_infinity]
     starts = (np.array([complex(z[0]) for z in probes]), np.array([complex(z[1]) for z in probes]))
     prefixes = np.array([rng.derive_stream(s.stream_id, _TAG_TL) for s in seeds], dtype=np.uint64)
-    master = seeds[0].master_seed
-
-    def walk(per: int) -> np.ndarray:
-        """Tally of ``per`` lanes per probe."""
-        def work(a, b):
-            # lane j is entry j - probe * per of its probe's stream table
-            j = np.arange(a, b)
-            probe = j // per
-            streams = rng.stream_entries(prefixes[probe], j - probe * per)
-            return probe[0], _tl_chunk(dist, finite, params.R, starts, master, streams,
-                                       max_iter, probe)
-
-        tally = np.zeros((len(probes), len(finite) + 2), dtype=np.int64)
-        for p0, part in lanes.run_blocks(work, len(probes) * per, lanes.WALK_BLOCK, threads):
-            tally[p0:p0 + len(part)] += part
-        return tally
-
-    if isinstance(dist, FiniteDist) and len(dist.maps) == 1:
-        # nothing is drawn, so a probe's lanes all follow its lane 0's orbit
-        try:
-            tally = walk(1) * samples
-        except AmbiguousCapture:
-            # the full walk raises too, naming the probe its blocks meet first
-            tally = walk(samples)
-    else:
-        tally = walk(samples)
+    # nothing is drawn on one map, so a probe's lanes all follow its lane 0's orbit
+    per = 1 if isinstance(dist, FiniteDist) and len(dist.maps) == 1 else samples
+    # lane j is entry j % per of probe j // per's stream table
+    streams = rng.stream_entries(prefixes[:, None], np.arange(per, dtype=np.uint64)).ravel()
+    tally = _tl_chunk(dist, finite, params.R, starts, seeds[0].master_seed, streams,
+                      max_iter, per) * (samples // per)
     ids = [d.id for d in finite] + [INFINITY]
     return [
         BasinEstimate(counts={i: int(c) for i, c in zip(ids, row)},
@@ -801,7 +798,6 @@ def estimate_TL(
     max_iter: int,
     seed: SequenceSeed,
     params: Optional[FiltrationParams] = None,
-    threads: int = 1,
 ) -> BasinEstimate:
     """Capture statistics of the random orbit of z over sequence draws.
 
@@ -812,7 +808,7 @@ def estimate_TL(
     :func:`estimate_TL_many`; raises AmbiguousCapture when an orbit point
     lies in two capture neighborhoods.
     """
-    return estimate_TL_many(dist, minsets, [z], samples, max_iter, [seed], params, threads)[0]
+    return estimate_TL_many(dist, minsets, [z], samples, max_iter, [seed], params)[0]
 
 
 # ---------------------------------------------------------------------------

@@ -1,7 +1,8 @@
 """Source hygiene: every module-level import and private helper in the
-library is used, the vector overflow-window check and the scipy import
-each have one home, the escape census stays off the thread pool, and every
-name the benchmark's span recorder wraps is still live and still counts."""
+library is used, the vector overflow-window check, the scipy import and the
+thread pool each have one home, the escape census and basin capture stay off
+the thread pool, and every name the benchmark's span recorder wraps is still
+live and still counts."""
 
 from __future__ import annotations
 
@@ -14,7 +15,7 @@ import numpy as np
 import pytest
 from scipy.spatial import cKDTree
 
-from henonlab import minsets
+from henonlab import lanes, minsets
 from henonlab.dist import BallNoise, FiniteDist, SequenceSeed, condition_a_params
 from henonlab.escape import escape_census
 
@@ -134,16 +135,22 @@ def test_kd_queries_have_one_home():
 
 
 def test_census_stays_off_the_pool():
-    # the census walks one refilling lane pool on the calling thread: a pool
-    # of fixed walker blocks pays one tail of slow escapers per block
-    with open(os.path.join(SRC, "escape.py"), encoding="utf-8") as fh:
-        tree = ast.parse(fh.read())
-    defs = {n.name: n for n in tree.body if isinstance(n, ast.FunctionDef)}
-    for name in ("escape_census", "_census_chunk"):
-        assert "run_blocks" not in _loaded_names(defs[name]), name
-    calls = [n for n in ast.walk(defs["escape_census"]) if isinstance(n, ast.Call)
-             and isinstance(n.func, ast.Name) and n.func.id == "_census_chunk"]
-    assert len(calls) == 1
+    # the census and basin capture walk one refilling lane pool on the
+    # calling thread: a pool of fixed walker blocks pays one tail of slow
+    # lanes per block, and threads only contend over these small steps
+    for module, entry, chunk in (("escape", "escape_census", "_census_chunk"),
+                                 ("minsets", "estimate_TL_many", "_tl_chunk")):
+        with open(os.path.join(SRC, f"{module}.py"), encoding="utf-8") as fh:
+            tree = ast.parse(fh.read())
+        defs = {n.name: n for n in tree.body if isinstance(n, ast.FunctionDef)}
+        for name in (entry, chunk):
+            names = _loaded_names(defs[name])
+            assert not names & {"run_blocks", "ThreadPoolExecutor", "threads"}, name
+            assert "threads" not in {a.arg for a in defs[name].args.args}, name
+        calls = [n for n in ast.walk(defs[entry]) if isinstance(n, ast.Call)
+                 and isinstance(n.func, ast.Name) and n.func.id == chunk]
+        assert len(calls) == 1, entry
+    assert not hasattr(lanes, "run_blocks")
 
 
 def _spans():
@@ -223,6 +230,23 @@ def _imported_packages(tree: ast.Module) -> set:
         elif isinstance(node, ast.ImportFrom) and node.level == 0:
             found.add(node.module.split(".")[0])
     return found
+
+
+def test_thread_pool_has_one_home():
+    # concurrent.futures (logging with it) costs the CLI's start-up several
+    # ms: no module imports it at module level, and only the raster's block
+    # runner, escape._lane_green, builds a thread pool
+    users, pools = set(), set()
+    for path in glob.glob(os.path.join(SRC, "*.py")):
+        with open(path, encoding="utf-8") as fh:
+            tree = ast.parse(fh.read())
+        if "concurrent" in _imported_packages(tree):
+            users.add(os.path.basename(path))
+        pools.update(f"{os.path.basename(path)}:{n.name}" for n in tree.body
+                     if isinstance(n, ast.FunctionDef)
+                     and "ThreadPoolExecutor" in _loaded_names(n))
+    assert not users, f"concurrent imported at module level in {sorted(users)}"
+    assert pools == {"escape.py:_lane_green"}
 
 
 def test_scipy_has_one_home():

@@ -312,7 +312,7 @@ def test_walk_admit_draws_each_lane_from_its_own_step_0(name):
     w = lanes.Walk(X[:4], Y[:4], streams[:4], dist, MASTER)
     for n in range(5):
         w.step(n)
-    w.admit(X[4:], Y[4:], streams[4:])
+    w.admit(X[4:], Y[4:], streams[4:], 2.0)
     assert list(w.lane) == [0, 1, 2, 3, 4, 5, 6, 8, 9, 10, 11]
     assert list(w.start) == [0] * 4 + [5] * 7
     keep = np.array([4, 5, 6, 8, 9, 10, 11])
@@ -322,3 +322,25 @@ def test_walk_admit_draws_each_lane_from_its_own_step_0(name):
         ref.step(n - 5)
         assert np.array_equal(w.lane[4:], keep)
         assert np.array_equal(w.X[4:], ref.X) and np.array_equal(w.Y[4:], ref.Y)
+
+
+def test_walk_admit_returns_cone_lanes_and_takes_carry():
+    # lanes in the escape cone are returned, not admitted, even outside the
+    # window; the rest outside the window are dropped unseen; lane indices
+    # count every lane offered; carry values broadcast
+    dist = CALM["ball"]
+    X = np.array([0.1, 0.0, 1e102, 0.0, 0.2, 1e60], dtype=np.complex128)
+    Y = np.array([0.1, 50.0, 0.0, 1e102, 0.3, 1e60], dtype=np.complex128)
+    streams = rng.stream_table(22, 6)
+    w = lanes.Walk(X[:0], Y[:0], streams[:0], dist, MASTER,
+                   cand=np.zeros(0, np.int64), run=np.zeros(0, np.int64))
+    w.step(0)
+    assert list(w.admit(X[:3], Y[:3], streams[:3], 10.0, cand=-1, run=0)) == [1]
+    assert list(w.admit(X[3:], Y[3:], streams[3:], 10.0, cand=np.array([7, 8, 9]),
+                        run=5)) == [3]
+    assert list(w.lane) == [0, 4, 5]
+    assert list(w.start) == [1, 1, 1]
+    assert list(w.carry["cand"]) == [-1, 8, 9] and list(w.carry["run"]) == [0, 5, 5]
+    # at a cone radius above |y| the lane at y = 50 is admitted
+    assert w.admit(X[1:2], Y[1:2], streams[1:2], 60.0, cand=0, run=0).size == 0
+    assert list(w.lane) == [0, 4, 5, 6]

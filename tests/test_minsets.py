@@ -365,16 +365,6 @@ def test_tl_deterministic(noisy_cycle_dist, noisy_setup):
     assert a.unresolved_count == b.unresolved_count
 
 
-def test_tl_thread_invariance_across_chunks(noisy_cycle_dist, noisy_setup):
-    # 9,000 samples span three walker blocks
-    assert 2 * lanes.WALK_BLOCK < 9000
-    params, descs = noisy_setup
-    runs = [estimate_TL(noisy_cycle_dist, descs, (0.3, 0.3), 9000, 60, SEED, params, threads=t)
-            for t in (1, 2)]
-    assert runs[0] == runs[1]
-    assert len(set(runs[0].counts.values())) > 1
-
-
 def test_tl_point_inside_capture(noisy_cycle_dist, noisy_setup):
     params, descs = noisy_setup
     L = next(d for d in descs if not d.is_infinity)
@@ -838,9 +828,8 @@ def test_discovery_refuses_eps_below_int64_lattice(cycle_dist):
         discover_minimal_sets(cycle_dist, params, [(0.1, 0.1)], SEED, cluster_eps=floor)
 
 
-@pytest.mark.parametrize("threads", [1, 2])
-def test_tl_many_equals_one_probe_loop(noisy_cycle_dist, noisy_setup, threads):
-    # 3 x 1,500 lanes: the first walker block ends inside the last probe
+def test_tl_many_equals_one_probe_loop(noisy_cycle_dist, noisy_setup):
+    # 3 x 1,500 lanes: the first pool fill ends inside the last probe
     samples = 1500
     assert 2 * samples < lanes.WALK_BLOCK < 3 * samples
     params, descs = noisy_setup
@@ -851,7 +840,7 @@ def test_tl_many_equals_one_probe_loop(noisy_cycle_dist, noisy_setup, threads):
                              ([(0.0, 0.0), (0.3, 0.3), (0.2, -0.1)], 30)):
         seeds = [SEED.derive(1, i) for i in range(len(probes))]
         batch = estimate_TL_many(noisy_cycle_dist, descs, probes, samples, max_iter, seeds,
-                                 params, threads=threads)
+                                 params)
         loop = [estimate_TL(noisy_cycle_dist, descs, z, samples, max_iter, s, params)
                 for z, s in zip(probes, seeds)]
         assert batch == loop
@@ -893,11 +882,11 @@ def test_tl_one_map_walks_one_lane_per_probe(cycle_dist, cycle_setup, samples, m
         return chunk(*args)
 
     monkeypatch.setattr(minsets, "_tl_chunk", spy)
-    got = estimate_TL_many(cycle_dist, descs, probes, samples, 100, seeds, params, threads=2)
+    got = estimate_TL_many(cycle_dist, descs, probes, samples, 100, seeds, params)
     assert sum(walked) == len(probes)
     walked.clear()
     monkeypatch.setattr(minsets, "FiniteDist", type("NoShortcut", (), {}))
-    want = estimate_TL_many(cycle_dist, descs, probes, samples, 100, seeds, params, threads=2)
+    want = estimate_TL_many(cycle_dist, descs, probes, samples, 100, seeds, params)
     assert sum(walked) == len(probes) * samples
     assert got == want
     assert want[0].probabilities[L.id] == want[1].probabilities[INFINITY] == 1.0
@@ -906,8 +895,8 @@ def test_tl_one_map_walks_one_lane_per_probe(cycle_dist, cycle_setup, samples, m
 
 def test_tl_one_map_names_the_probe_the_full_walk_names(cycle_dist, monkeypatch):
     # probe 1 starts in both neighbourhoods; probe 0 is sent there by its
-    # first step, but its lanes fill the first walker block, so the full
-    # walk names probe 0 where one lane per probe would meet probe 1 first
+    # first step: one lane per probe names probe 0, the lowest ambiguous
+    # probe, as the full walk does
     params = condition_a_params(cycle_dist)
     probes = [(-1.2, 0.1), (0.1, 0.0)]
     seeds = [SEED.derive(1, i) for i in range(2)]
@@ -917,40 +906,76 @@ def test_tl_one_map_names_the_probe_the_full_walk_names(cycle_dist, monkeypatch)
             monkeypatch.setattr(minsets, "FiniteDist", type("NoShortcut", (), {}))
         with pytest.raises(AmbiguousCapture) as err:
             estimate_TL_many(cycle_dist, _overlapping_pair(), probes, lanes.WALK_BLOCK, 30,
-                             seeds, params, threads=2)
+                             seeds, params)
         messages.append(str(err.value))
     assert messages[0] == messages[1]
     assert messages[0].startswith("orbit of probe 0 from ((-1.2")
 
 
-def test_tl_many_block_results_do_not_grow_with_probes(monkeypatch):
-    # many blocks, each covering about WALK_BLOCK / samples probes; probes
-    # alternate between the escape cone and a first image outside the window
-    # a one-map support walks one lane per probe: two maps walk them all
+@pytest.fixture(scope="module")
+def two_map_setup():
     dist = _two_map()
     params = condition_a_params(dist)
+    grid = [(0.1 * a + 0.05, 0.1 * b + 0.05) for a in range(-3, 3) for b in range(-3, 3)]
+    return dist, params, discover_minimal_sets(dist, params, grid, SEED)
+
+
+@pytest.mark.parametrize("width", [37, lanes.WALK_BLOCK])
+def test_tl_admissions_cross_the_pool_width(two_map_setup, monkeypatch, width):
+    # lanes retire at staggered steps and new ones take their slots; a lane
+    # taken in late must draw, and end, as if it walked from step 0.  The
+    # reference is the one-probe call at the full width, whose lanes all
+    # enter at step 0.  Probes: captured at once, captured later, escaping
+    # later, the saddle (captured or unresolved), leaving the window on the
+    # first step, in the cone (twice, around one that starts outside the
+    # window), in the cone outside the window
+    dist, params, descs = two_map_setup
+    L = next(d for d in descs if not d.is_infinity)
+    probes = [L.parts_centers[0], (0.3, 0.3), (0.0, 3.0), (0.0, 0.0), (1e60, 1e60),
+              (0.0, 100.0), (1e102, 0.0), (0.0, 100.0), (0.0, 1e102)]
+    seeds = [SEED.derive(1, i) for i in range(len(probes))]
     samples = 1000
-    chunk = minsets._tl_chunk
-    seen = []
+    walked = 5 * samples  # lanes outside the cone and inside the window
+    assert samples < lanes.WALK_BLOCK < walked
+    want = {max_iter: [estimate_TL(dist, descs, z, samples, max_iter, s, params)
+                       for z, s in zip(probes, seeds)] for max_iter in (0, 1, 60)}
+    monkeypatch.setattr(lanes, "WALK_BLOCK", width)
+    sizes = []
+    step = lanes.Walk.step
 
-    def spy(*args):
-        tally = chunk(*args)
-        seen.append((args[5].size, tally.shape))
-        return tally
+    def spy(self, n):
+        sizes.append(len(self))
+        return step(self, n)
 
-    monkeypatch.setattr(minsets, "_tl_chunk", spy)
-    for n in (12, 48):
-        seen.clear()
-        probes = [[(0.0, 100.0), (1e102, 0.0)][i % 2] for i in range(n)]
-        seeds = [SEED.derive(1, i) for i in range(n)]
-        out = estimate_TL_many(dist, [], probes, samples, 10, seeds, params, threads=2)
-        assert len(seen) == -(-n * samples // lanes.WALK_BLOCK) > 2
-        assert [e.counts[INFINITY] for e in out] == [samples, 0] * (n // 2)
-        assert [e.unresolved_count for e in out] == [0, samples] * (n // 2)
-        # a block of WALK_BLOCK lanes meets at most WALK_BLOCK // samples + 2
-        # probes, however many there are
-        assert max(m for m, _ in seen) == lanes.WALK_BLOCK
-        assert max(rows for _, (rows, _) in seen) <= lanes.WALK_BLOCK // samples + 2
+    monkeypatch.setattr(lanes.Walk, "step", spy)
+    for max_iter in (0, 1, 60):
+        sizes.clear()
+        got = estimate_TL_many(dist, descs, probes, samples, max_iter, seeds, params)
+        assert got == want[max_iter], max_iter
+        assert max(sizes, default=0) <= width
+        assert [e.counts[INFINITY] for e in got[5:]] == [samples, 0, samples, samples]
+        assert got[4].unresolved_count == got[6].unresolved_count == samples
+        assert sum(got[0].counts.values()) == (samples if max_iter == 60 else 0)
+        # (0, 3) maps to about (3, 5.1), then (5.1, 19.1): in the cone (R =
+        # 18.2) at its step 2, so at the cap 1 it is still unresolved
+        assert got[2].counts[INFINITY] == (samples if max_iter == 60 else 0)
+    # the pool filled and held fewer lanes than were walked, so the rest
+    # were taken in as lanes retired
+    assert max(sizes) == width < walked
+    assert got[0].probabilities[L.id] == got[1].probabilities[L.id] == 1.0
+    assert len(set(got[3].counts.values())) > 1 and 0 < got[3].unresolved < 1
+
+
+@pytest.mark.parametrize("one_map", [True, False], ids=["one-map", "two-copies"])
+def test_tl_ambiguity_names_the_lowest_probe(one_map):
+    # probe 1 starts in both neighbourhoods and probe 0 reaches them on its
+    # first step: the error names probe 0, however the lanes are walked
+    dist = FiniteDist((QUAD_C,), (1.0,)) if one_map else FiniteDist((QUAD_C, QUAD_C), (0.5, 0.5))
+    params = condition_a_params(dist)
+    probes = [(-1.2, 0.1), (0.1, 0.0)]
+    seeds = [SEED.derive(1, i) for i in range(2)]
+    with pytest.raises(AmbiguousCapture, match=r"^orbit of probe 0 from \(\(-1\.2"):
+        estimate_TL_many(dist, _overlapping_pair(), probes, 10, 30, seeds, params)
 
 
 def test_tl_many_input_validation(cycle_dist):
