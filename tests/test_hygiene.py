@@ -144,8 +144,7 @@ def test_census_stays_off_the_pool():
             tree = ast.parse(fh.read())
         defs = {n.name: n for n in tree.body if isinstance(n, ast.FunctionDef)}
         for name in (entry, chunk):
-            names = _loaded_names(defs[name])
-            assert not names & {"run_blocks", "ThreadPoolExecutor", "threads"}, name
+            assert not _loaded_names(defs[name]) & {"run_blocks", "ThreadPoolExecutor"}, name
             assert "threads" not in {a.arg for a in defs[name].args.args}, name
         calls = [n for n in ast.walk(defs[entry]) if isinstance(n, ast.Call)
                  and isinstance(n.func, ast.Name) and n.func.id == chunk]
