@@ -828,8 +828,10 @@ def test_discovery_refuses_eps_below_int64_lattice(cycle_dist):
         discover_minimal_sets(cycle_dist, params, [(0.1, 0.1)], SEED, cluster_eps=floor)
 
 
-def test_tl_many_equals_one_probe_loop(noisy_cycle_dist, noisy_setup):
-    # 3 x 1,500 lanes: the first pool fill ends inside the last probe
+@pytest.mark.parametrize("calls", [1, 2])
+def test_tl_many_equals_one_probe_loop(noisy_cycle_dist, noisy_setup, calls):
+    # 3 x 1,500 lanes: the first pool fill ends inside the last probe;
+    # asked twice in a row, the batch carries no pool state into the next call
     samples = 1500
     assert 2 * samples < lanes.WALK_BLOCK < 3 * samples
     params, descs = noisy_setup
@@ -839,11 +841,11 @@ def test_tl_many_equals_one_probe_loop(noisy_cycle_dist, noisy_setup):
     for probes, max_iter in (([(0.0, 100.0), L.parts_centers[0], (1e102, 0.0)], 100),
                              ([(0.0, 0.0), (0.3, 0.3), (0.2, -0.1)], 30)):
         seeds = [SEED.derive(1, i) for i in range(len(probes))]
-        batch = estimate_TL_many(noisy_cycle_dist, descs, probes, samples, max_iter, seeds,
-                                 params)
+        batches = [estimate_TL_many(noisy_cycle_dist, descs, probes, samples, max_iter,
+                                    seeds, params) for _ in range(calls)]
         loop = [estimate_TL(noisy_cycle_dist, descs, z, samples, max_iter, s, params)
                 for z, s in zip(probes, seeds)]
-        assert batch == loop
+        assert all(batch == loop for batch in batches)
         if max_iter == 100:
             assert loop[0].probabilities[INFINITY] == 1.0
             assert loop[1].probabilities[L.id] == 1.0
