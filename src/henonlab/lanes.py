@@ -215,7 +215,7 @@ class Walk:
         return mag
 
     def in_cone(self, R: float) -> np.ndarray:
-        """:func:`in_cone` of the live lanes."""
+        """Live lanes inside the vertical escape cone |y| > max(R, |x|)."""
         return _in_cone(*self._magnitudes(), R)
 
     def in_bidisk(self, R: float) -> np.ndarray:
@@ -247,16 +247,6 @@ class Walk:
         return self.move(*apply(self.dist, self.draw(n), self.X, self.Y))
 
 
-def outside(X: np.ndarray, Y: np.ndarray) -> np.ndarray:
-    """Lanes that left the exact-arithmetic window, non-finite ones included."""
-    return _outside(np.abs(X), np.abs(Y))
-
-
-def in_cone(X: np.ndarray, Y: np.ndarray, R: float) -> np.ndarray:
-    """Lanes inside the vertical escape cone |y| > max(R, |x|)."""
-    return _in_cone(np.abs(X), np.abs(Y), R)
-
-
 def in_bidisk(X: np.ndarray, Y: np.ndarray, R: float) -> np.ndarray:
     """Lanes inside the open central bidisk max(|x|, |y|) < R."""
     return _in_bidisk(np.abs(X), np.abs(Y), R)
@@ -268,7 +258,7 @@ def window_radius(R: float) -> float:
     return min(R, OVERFLOW_LIMIT)
 
 
-# the three tests above on magnitudes (|X|, |Y|) already taken
+# window (non-finite lanes are outside), cone and bidisk tests on |X|, |Y|
 
 def _outside(ax: np.ndarray, ay: np.ndarray) -> np.ndarray:
     return ~((ax <= OVERFLOW_LIMIT) & (ay <= OVERFLOW_LIMIT))

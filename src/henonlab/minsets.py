@@ -11,11 +11,12 @@ Every nearest-neighbor question goes to one KD-tree query helper: the
 images of a batch under consecutive support maps are asked in fixed groups
 of whole maps, and a large query runs on the ``threads`` workers.  A point's
 nearest index depends neither on the grouping nor on the worker count, so
-discovery returns the same result at any thread count.  No question is
-asked twice: a level whose cloud closes in the first saturation round keeps
-the start tree, so its digraph reads the linking radius already found and,
-when the edge radius is the coverage radius and no image left the box,
-takes its edges from round 1's answers.
+discovery returns the same result at any thread count.  Each discovery
+level finds its linking radius once, on the start cloud, and derives one
+coverage radius from it: saturation certifies coverage at that radius and
+the digraph draws its edges at it.  No question is asked twice: a level
+whose cloud closes in the first saturation round with no image outside the
+box takes its digraph edges from round 1's answers.
 
 The sentinel at infinity is always reported: escape to the vertical cone is
 certified convergence to the attracting fixed point on the line at infinity.
@@ -401,19 +402,25 @@ def _terminal_sccs(edges: np.ndarray, n_nodes: int) -> List[np.ndarray]:
     return [np.nonzero(scc == s)[0] for s in good]
 
 
+def _scales(tree: cKDTree, eps: float, threads: int = 1) -> Tuple[float, float]:
+    """Linking radius of ``tree``'s cloud and the coverage radius derived
+    from it, at which saturation certifies coverage and the digraph draws
+    its edges.  Coverage tracks the sampling density, not just eps, so finer
+    linking radii do not demand a volumetric fill of noise-blown blobs."""
+    link = _link_radius(tree, eps, threads)
+    return link, max(_ASSIGN_FACTOR * eps, 2.0 * link)
+
+
 def _digraph(
-    tree: cKDTree, xs: np.ndarray, ys: np.ndarray, maps: Sequence[HenonMap], eps: float,
-    threads: int = 1, *, link: Optional[float] = None, answers: Optional[Sequence] = None,
+    tree: cKDTree, xs: np.ndarray, ys: np.ndarray, maps: Sequence[HenonMap], link: float,
+    assign: float, threads: int = 1, *, answers: Optional[Sequence] = None,
 ) -> Tuple[np.ndarray, np.ndarray]:
-    """Component labels of the cloud at its linking radius, and the
-    transition edges between the components, from ``tree``, the cloud's
-    index.  ``link``, when given, is that tree's linking radius, and
-    ``answers`` are passed on to :func:`_node_edges`."""
-    if link is None:
-        link = _link_radius(tree, eps, threads)
+    """Component labels of the cloud at the linking radius ``link``, and the
+    transition edges between the components at the coverage radius
+    ``assign``, from ``tree``, the cloud's index; ``answers`` are passed on
+    to :func:`_node_edges`."""
     labels = _components(tree, link)
-    radius = max(_ASSIGN_FACTOR * eps, 1.5 * link)
-    return labels, _node_edges(tree, xs, ys, labels, maps, radius, threads, answers=answers)
+    return labels, _node_edges(tree, xs, ys, labels, maps, assign, threads, answers=answers)
 
 
 def _cyclic_parts(
@@ -441,7 +448,8 @@ def detect_period(dist: MapDistribution, L: MinimalSetDescriptor, seed: Sequence
     eps = sub_eps if sub_eps is not None else L.cluster_eps
     xs = np.array([p[0] for p in L.cloud])
     ys = np.array([p[1] for p in L.cloud])
-    labels, edges = _digraph(cKDTree(_embed4(xs, ys)), xs, ys, support_sample(dist, seed), eps)
+    tree = cKDTree(_embed4(xs, ys))
+    labels, edges = _digraph(tree, xs, ys, support_sample(dist, seed), *_scales(tree, eps))
     n_nodes = int(labels.max()) + 1
     nscc, _ = _strong_components(edges, n_nodes)
     if nscc > 1:
@@ -522,21 +530,15 @@ def _candidates_at(
         stride = -(-rows.shape[0] // _START_CLOUD)
         rows = rows[::stride]
     xs, ys = _lattice_points(rows, eps)
-    # coverage radius tracks the sampling density, not just eps, so finer
-    # linking radii do not demand a volumetric fill of noise-blown blobs
     start = cKDTree(_embed4(xs, ys))
-    link = _link_radius(start, eps, threads)
-    assign = max(_ASSIGN_FACTOR * eps, 2.0 * link)
-    # a level that closes in round 1 keeps the start tree and so its link;
-    # when the edge radius is assign, round 1 has asked the digraph's
-    # question too
-    answers: Optional[list] = [] if max(_ASSIGN_FACTOR * eps, 1.5 * link) == assign else None
+    link, assign = _scales(start, eps, threads)
+    # a level that closes in round 1 has asked the digraph's question too
+    answers: list = []
     xs, ys, tree = _saturate(xs, ys, maps, eps, box, assign, tree=start, threads=threads,
                              answers=answers)
     if tree is None:
         return []
-    labels, edges = _digraph(tree, xs, ys, maps, eps, threads,
-                             link=link if tree is start else None, answers=answers)
+    labels, edges = _digraph(tree, xs, ys, maps, link, assign, threads, answers=answers)
     drafts = []
     for nodes in _terminal_sccs(edges, int(labels.max()) + 1):
         sel = np.isin(labels, nodes)

@@ -11,6 +11,7 @@ import pytest
 from conftest import CUBIC, QUAD, QUAD_A, QUAD_C
 from henonlab import escape, lanes, rng
 from henonlab.core import (
+    OVERFLOW_LIMIT,
     HenonMap,
     NumericOverflow,
     Poly,
@@ -332,16 +333,16 @@ def _per_step_census(dist, pts, R, max_iter, seed):
     Y = np.array([p[1] for p in pts], dtype=np.complex128)
     escaped = 0
     for n in range(max_iter + 1):
-        esc = lanes.in_cone(X, Y, R)
+        esc = np.abs(Y) > np.maximum(R, np.abs(X))
         escaped += int(esc.sum())
         streams, X, Y = streams[~esc], X[~esc], Y[~esc]
         if n == 0:  # walkers that start outside the window never step
-            keep = ~lanes.outside(X, Y)
+            keep = (np.abs(X) <= OVERFLOW_LIMIT) & (np.abs(Y) <= OVERFLOW_LIMIT)
             streams, X, Y = streams[keep], X[keep], Y[keep]
         if n == max_iter or not X.size:
             break
         X, Y = lanes.apply(dist, lanes.draw(dist, seed.master_seed, streams, n), X, Y)
-        keep = ~lanes.outside(X, Y)
+        keep = (np.abs(X) <= OVERFLOW_LIMIT) & (np.abs(Y) <= OVERFLOW_LIMIT)
         streams, X, Y = streams[keep], X[keep], Y[keep]
     bounded = int(lanes.in_bidisk(X, Y, R).sum())
     return escaped, bounded, len(pts) - escaped - bounded

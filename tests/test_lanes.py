@@ -7,7 +7,9 @@ import pytest
 
 from conftest import CUBIC, QUAD_A, QUAD_C, QUAD_W
 from henonlab import lanes, rng
-from henonlab.core import HenonMap, Poly, Region, classify_region, eval_map, in_v_plus, jacobian
+from henonlab.core import (
+    OVERFLOW_LIMIT, HenonMap, Poly, Region, classify_region, eval_map, in_v_plus, jacobian,
+)
 from henonlab.dist import BallNoise, FiniteDist, SequenceSeed, sample_map
 
 LANES = 500
@@ -95,7 +97,7 @@ def test_masks_match_scalar_regions_on_boundaries():
     pts = [(complex(x), complex(y)) for x in values for y in values]
     X = np.array([p[0] for p in pts])
     Y = np.array([p[1] for p in pts])
-    cone = lanes.in_cone(X, Y, R)
+    cone = lanes.Walk(X, Y).in_cone(R)
     disk = lanes.in_bidisk(X, Y, R)
     assert list(cone) == [in_v_plus(p, R) for p in pts]
     assert list(disk) == [classify_region(p, R) == Region.D_R for p in pts]
@@ -125,7 +127,7 @@ def test_walk_step_retires_exactly_the_lanes_leaving_the_window():
     want_x, want_y = lanes.image(dist.maps[0], X, Y)
     assert list(w.step(0)) == [2, 4, 5]
     assert list(w.lane) == [0, 1, 3]
-    assert not lanes.outside(w.X, w.Y).any()
+    assert ((np.abs(w.X) <= OVERFLOW_LIMIT) & (np.abs(w.Y) <= OVERFLOW_LIMIT)).all()
     assert np.array_equal(w.X, want_x[[0, 1, 3]]) and np.array_equal(w.Y, want_y[[0, 1, 3]])
 
 
@@ -150,7 +152,7 @@ def _walk_positions(dist, streams, X, Y, steps):
     w = lanes.Walk(X, Y, streams, dist, MASTER)
     out = np.full((steps, 2, X.size), np.nan, dtype=np.complex128)
     for n in range(steps):
-        w.retire(lanes.in_cone(w.X, w.Y, 2.0))
+        w.retire(np.abs(w.Y) > np.maximum(2.0, np.abs(w.X)))
         w.step(n)
         out[n, :, w.lane] = np.stack([w.X, w.Y], axis=1)
     return out
@@ -259,7 +261,8 @@ def test_walk_draw_blocks_match_per_step_draws(name, n_lanes):
     lane, rs, rx, ry = np.arange(n_lanes), streams, X, Y
     widths = []
     for n in range(steps):
-        for rule in (lambda: lanes.in_cone(w.X, w.Y, 2.0), lambda: _cull(n, len(w))):
+        for rule in (lambda: np.abs(w.Y) > np.maximum(2.0, np.abs(w.X)),
+                     lambda: _cull(n, len(w))):
             mask = rule()
             w.retire(mask)
             lane, rs, rx, ry = lane[~mask], rs[~mask], rx[~mask], ry[~mask]
@@ -270,7 +273,7 @@ def test_walk_draw_blocks_match_per_step_draws(name, n_lanes):
         assert _same_draw(w.draw(n), want)
         rx, ry = lanes.apply(dist, want, rx, ry)
         gone = w.step(n)
-        keep = ~lanes.outside(rx, ry)
+        keep = (np.abs(rx) <= OVERFLOW_LIMIT) & (np.abs(ry) <= OVERFLOW_LIMIT)
         assert np.array_equal(gone, lane[~keep])
         lane, rs, rx, ry = lane[keep], rs[keep], rx[keep], ry[keep]
         assert np.array_equal(w.lane, lane) and np.array_equal(w.streams, rs)

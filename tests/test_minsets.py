@@ -577,12 +577,13 @@ def test_saturate_reuses_the_start_tree(closes, monkeypatch):
     assert rebuilt[0] == xs.size and built == rebuilt[1:]
 
 
-def _candidate_builds(dist, monkeypatch):
-    """The clouds _candidates_at indexes at eps 0.002, in build order."""
+def _candidate_builds(dist, monkeypatch, kd=cKDTree):
+    """The clouds _candidates_at indexes at eps 0.002, in build order, on
+    trees of class ``kd``."""
     xs, ys, maps, box = _start_cloud(dist, 0.002)
     built = []
 
-    class CountingKD(cKDTree):
+    class CountingKD(kd):
         def __init__(self, data, *args, **kwargs):
             built.append(np.array(data))
             super().__init__(data, *args, **kwargs)
@@ -633,23 +634,25 @@ def test_digraph_edges_match_reference(kind):
     dist = BallNoise(QUAD_C, 0.05) if kind == "ball" else _two_map()
     eps = 0.002
     xs, ys, maps, box = _start_cloud(dist, eps)
-    assign = max(5.0 * eps, 2.0 * _reference_link(cKDTree(_embed(xs, ys)), eps))
+    # one rule: the start cloud's link labels the nodes, and the coverage
+    # radius it gives draws the edges
+    link = _reference_link(cKDTree(_embed(xs, ys)), eps)
+    assign = max(5.0 * eps, 2.0 * link)
+    assert minsets._scales(cKDTree(_embed(xs, ys)), eps) == (link, assign)
     xs, ys, index = minsets._saturate(xs, ys, maps, eps, box, assign)
     assert index is not None
-    labels, edges = minsets._digraph(index, xs, ys, maps, eps)
+    labels, edges = minsets._digraph(index, xs, ys, maps, link, assign)
 
     tree = cKDTree(_embed(xs, ys))
-    link = _reference_link(tree, eps)
     pairs = tree.query_pairs(link, output_type="ndarray")
     adj = csr_matrix((np.ones(len(pairs)), (pairs[:, 0], pairs[:, 1])), shape=(xs.size,) * 2)
     n_nodes, want_labels = connected_components(adj, directed=False)
     assert np.array_equal(labels, want_labels)
 
-    radius = max(5.0 * eps, 1.5 * link)  # the edge radius
     want = set()
     for f in maps:
         ix, iy = lanes.image(f, xs, ys)
-        d, j = tree.query(_embed(ix, iy), distance_upper_bound=radius)
+        d, j = tree.query(_embed(ix, iy), distance_upper_bound=assign)
         hit = np.isfinite(d)
         want |= set(zip(labels[hit].tolist(), labels[j[hit]].tolist()))
     assert len(want) > n_nodes > 1
@@ -749,10 +752,9 @@ def _family_t0():
 
 
 def _reuse_case(case):
-    """A discovery run and the reuse its level is expected to make: the
-    kept link, and round 1's answers ("read"), or none because the edge
-    radius is not the coverage radius ("radius") or because round 1 dropped
-    images at the box ("box")."""
+    """A discovery run and the reuse its level is expected to make: round
+    1's answers ("read"), or none because round 1 dropped images at the box
+    ("box")."""
     if case in ("family-t0", "box-drop"):
         dist, grid, seed, n_record, eps = _family_t0()
     elif case == "ladder-level-0":  # cycle-discovery's radius-0.05 input, eps 1e-2
@@ -760,7 +762,7 @@ def _reuse_case(case):
         seed = cli._phase(SequenceSeed(1, 0), 0)
         grid = points_from({"grid": {"x_min": 0.0, "x_max": 0.3, "y_min": 0.0, "y_max": 0.3,
                                      "nx": 3, "ny": 3}}, "")
-    else:  # the link 0.029 outgrows eps 0.005: 1.5 link < assign = 2 link
+    else:  # the link 0.029 outgrows eps 0.005: assign = 2 link
         dist, grid, seed, n_record, eps = BallNoise(QUAD_C, 0.05), LOST_GRID, SEED, 200, 0.005
     params = condition_a_params(dist)
     if case == "box-drop":  # 329 of round 1's 50,944 images leave the 0.7 box
@@ -768,24 +770,22 @@ def _reuse_case(case):
         maps = support_sample(dist, seed)
         return (lambda: [(d.xs.tobytes(), d.ys.tobytes(), d.period, d.parts)
                          for d in minsets._candidates_at(xs, ys, maps, eps, 0.7)]), "box"
-    reads = "radius" if case == "link-dominated" else "read"
     return (lambda: discover_minimal_sets(dist, params, grid, seed, n_record=n_record,
-                                          cluster_eps=eps)), reads
+                                          cluster_eps=eps)), "read"
 
 
 @pytest.mark.parametrize("case", ["family-t0", "ladder-level-0", "link-dominated", "box-drop"])
 def test_discovery_reuse_equals_asking_again(case, monkeypatch):
-    # a level that closes in round 1 reads its link and, where they answer
-    # the digraph's question, round 1's answers; asking again gives the
-    # same descriptors and digraph bit for bit
+    # a level that closes in round 1 with every image in the box reads
+    # round 1's answers; asking again gives the same descriptors and
+    # digraph bit for bit
     run, reads = _reuse_case(case)
     digraph = minsets._digraph
     calls = []
 
-    def recording(*args, link=None, answers=None, reuse=True):
-        out = digraph(*args, **(dict(link=link, answers=answers) if reuse else {}))
-        offered = "read" if answers else "radius" if answers is None else "box"
-        calls.append((link is not None, offered, out))
+    def recording(*args, answers=None, reuse=True):
+        out = digraph(*args, answers=answers if reuse else None)
+        calls.append(("read" if answers else "box", out))
         return out
 
     monkeypatch.setattr(minsets, "_digraph", recording)
@@ -793,16 +793,15 @@ def test_discovery_reuse_equals_asking_again(case, monkeypatch):
     monkeypatch.setattr(minsets, "_digraph", lambda *a, **k: recording(*a, **k, reuse=False))
     want = run()
     assert got == want and len(calls) == 2
-    (link, offered, (labels, edges)), (_, _, (want_labels, want_edges)) = calls
-    assert link and offered == reads
+    (offered, (labels, edges)), (_, (want_labels, want_edges)) = calls
+    assert offered == reads
     assert np.array_equal(labels, want_labels) and np.array_equal(edges, want_edges)
     assert len(edges) > 1
 
 
 def test_first_round_answers_the_digraph(monkeypatch):
-    # the t = 0 level closes in round 1 with edge radius = coverage radius:
-    # one query of all 64 x 796 images and one k=2 linking query, where
-    # asking again makes two of each
+    # the t = 0 level closes in round 1: one query of all 64 x 796 images
+    # and one k=2 linking query, where asking again makes two of each
     dist, grid, seed, n_record, eps = _family_t0()
     maps = support_sample(dist, seed)
     queries = []
@@ -818,6 +817,50 @@ def test_first_round_answers_the_digraph(monkeypatch):
     assert len({n for n, _, _ in queries}) == 1
     assert [m for n, m, _ in queries if m == len(maps) * n] == [64 * 796]
     assert sum(k == 2 for _, _, k in queries) == 1
+
+
+def test_closed_level_asks_its_link_once(monkeypatch):
+    # the ball's level closes after several rounds; its linking radius is
+    # read on the start cloud, and the digraph draws at the radius it gave
+    queries = []
+
+    class CountingKD(cKDTree):
+        def query(self, x, *args, **kwargs):
+            queries.append(kwargs.get("k", 1))
+            return super().query(x, *args, **kwargs)
+
+    built = _candidate_builds(BallNoise(QUAD_C, 0.05), monkeypatch, CountingKD)
+    assert len(built) > 2 and queries.count(2) == 1
+
+
+def _lost_cycle_case(case):
+    """Discovery inputs that lost the 2-cycle while the digraph drew its
+    edges at a smaller radius than saturation certified coverage at."""
+    ball = BallNoise(QUAD_C, 0.05)
+    if case == "bifurcate-t0":  # test_thread_count_invariance's bifurcate config
+        grid = points_from({"grid": {"x_min": 0.05, "x_max": 0.25, "y_min": 0.05,
+                                     "y_max": 0.25, "nx": 2, "ny": 2}}, "")
+        seed = bifurcation._t_stream(cli._phase(SequenceSeed(9, 0), 0), 0.0)
+        return _family_t0()[0], grid, seed, 60, None
+    if case == "eps-0.0025":
+        return ball, LOST_GRID, SequenceSeed(9, 0), 200, 0.0025
+    # the eps ladder on the family 3x3 grid at this master seed
+    grid = points_from({"grid": {"x_min": 0.0, "x_max": 0.3, "y_min": 0.0, "y_max": 0.3,
+                                 "nx": 3, "ny": 3}}, "")
+    return ball, grid, cli._phase(SequenceSeed(5952317097501974368, 0), 0), 200, None
+
+
+@pytest.mark.parametrize("case", ["bifurcate-t0", "eps-0.0025", "ladder-seed"])
+def test_noisy_two_cycle_is_found(case):
+    dist, grid, seed, n_record, eps = _lost_cycle_case(case)
+    descs = discover_minimal_sets(dist, condition_a_params(dist), grid, seed,
+                                  n_record=n_record, cluster_eps=eps)
+    finite = [d for d in descs if not d.is_infinity]
+    assert len(finite) == 1 and finite[0].period == 2
+    L = finite[0]
+    cycle = [(CYCLE_Y1, CYCLE_Y2), (CYCLE_Y2, CYCLE_Y1)]
+    for (cx, cy), r in zip(L.parts_centers, L.parts_radii):
+        assert min(math.hypot(abs(x - cx), abs(y - cy)) for x, y in cycle) <= r
 
 
 def test_discovery_refuses_eps_below_int64_lattice(cycle_dist):
