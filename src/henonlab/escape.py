@@ -966,33 +966,12 @@ def _census_chunk(
     max_iter: int,
 ) -> Tuple[int, int, int]:
     """(escaped, bounded, uncertain) over the walkers xs, ys on their
-    streams, walked in one pool of at most lanes.WALK_BLOCK live lanes.
-    Before each step the pool takes the next walkers into the slots that
-    retired lanes left; a walker taken in at walk step s takes its step k at
-    walk step s + k, on its stream's step-k draw, so its verdict does not
-    depend on when it was taken in.  A walker escapes at its first step k
-    <= max_iter in the escape cone (step 0 before the window check), ends
-    bounded in the central bidisk at step max_iter, and is uncertain
-    otherwise: it left, or started outside, the exact-arithmetic window, or
-    ended at the cap outside the bidisk."""
-    w = lanes.Walk(xs[:0], ys[:0], streams[:0], dist, master)
-    escaped = bounded = fed = 0
-    n = 0
-    while True:
-        room = min(lanes.WALK_BLOCK - len(w), xs.size - fed)
-        if room:
-            new = slice(fed, fed + room)
-            escaped += w.admit(xs[new], ys[new], streams[new], R).size
-            fed += room
-        if n >= max_iter:  # lanes at the cap end here
-            done = w.start == n - max_iter
-            bounded += int(np.count_nonzero(w.in_bidisk(R) & done))
-            w.retire(done)
-        if not len(w) and fed == xs.size:
-            break
-        w.step(n)  # lanes leaving the window are tallied as uncertain
-        escaped += w.retire(w.in_cone(R)).size
-        n += 1
+    streams: the counts of the fates ESCAPED, BOUNDED and UNDECIDED of one
+    :func:`lanes.refill_walk`, whose pool of live lanes refills as lanes
+    retire."""
+    fate = lanes.refill_walk(dist, master, streams, xs, ys, R, max_iter)
+    escaped = int(np.count_nonzero(fate == lanes.ESCAPED))
+    bounded = int(np.count_nonzero(fate == lanes.BOUNDED))
     return escaped, bounded, xs.size - escaped - bounded
 
 
@@ -1008,12 +987,11 @@ def escape_census(
     Walker i follows its own i.i.d. sequence on the stream derived from
     (seed.stream_id, i); doubling max_iter with the same seed reuses the
     same sequences, so the escaped count is nondecreasing in the cap.  The
-    walkers run in one :func:`_census_chunk` on the calling thread, whose
-    pool of live lanes refills as lanes retire, so the census pays one tail
-    of slow escapers rather than one per block of walkers.
+    walkers run in one :func:`_census_chunk` on the calling thread, one
+    refilling walk, so the census pays one tail of slow escapers rather than
+    one per block of walkers.
     """
-    xs = np.array([p[0] for p in points], dtype=np.complex128)
-    ys = np.array([p[1] for p in points], dtype=np.complex128)
+    xs, ys = np.array(points, dtype=np.complex128).reshape(-1, 2).T
     streams = rng.stream_table(seed.stream_id, len(points))
     return CensusResult(*_census_chunk(
         dist, seed.master_seed, streams, xs, ys, params.R, max_iter))

@@ -1,27 +1,20 @@
 """Lane kernel: one random step for a batch of walkers.
 
 Each lane follows its own i.i.d. map sequence.  Draws are counter-based, so
-lane k's map at step n is a pure function of (master seed, stream k, n) and
-does not depend on how the lanes are batched, compacted or split across
-threads, nor on the order in which the (lane, step) cells are hashed.  Every
-vectorised walker in the library draws and steps through this module and
-checks the exact-arithmetic window, the escape cone and the central bidisk
-here.  A finite support, one map or many, steps every lane by one formula on
-its map's column of the support's table.  A :class:`Walk` holds a batch's
-live lanes, with per-lane streams or under one shared sequence: it moves
-them, retires lanes (those that leave the window among them), compacts the
-survivors with their carry arrays and their drawn future steps, and admits
-new lanes, with their carry arrays, into the slots that retired ones left;
-the escape census and basin capture walk one such refilling pool of at most
-:data:`WALK_BLOCK` lanes on the calling thread.  A walk draws its steps in
-time blocks: a refill at step n hashes steps n .. n + T - 1 of every live
-lane in one call, T from :func:`draw_steps`, so a walk over few lanes pays a
-draw call's fixed cost once per block rather than once per step.
+lane k's map at step n is a pure function of (master seed, stream k, n),
+however the lanes are batched, compacted or split, and in whatever order
+the (lane, step) cells are hashed.  Every vectorised walker in the library
+steps through this module, which also checks the exact-arithmetic window,
+the escape cone and the central bidisk.  A :class:`Walk` holds a batch's
+live lanes: it moves, retires and admits them, and draws their steps in
+time blocks (:func:`draw_steps`).  :func:`refill_walk` is the one refilling
+pool: the escape census, basin capture and orbit recording read their
+lanes' fates from it.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Optional, Tuple
+from typing import Callable, Dict, Optional, Tuple
 
 import numpy as np
 
@@ -35,11 +28,13 @@ def horner(coeffs, y: np.ndarray) -> np.ndarray:
     at least two (its derivative included).  The accumulator is a fresh
     array, so the later steps update it in place, with the same bits as
     ``acc * y + c``: at 32k lanes a temporary per operation costs several
-    times the arithmetic."""
+    times the arithmetic.  One element is multiplied out of place: in place,
+    numpy multiplies it by its scalar complex formula, which rounds apart
+    from its array loop, so a lone lane would step apart from a batch."""
     acc = coeffs[0] * y
     acc += coeffs[1]
     for c in coeffs[2:]:
-        acc *= y
+        acc = acc * y if acc.size == 1 else np.multiply(acc, y, out=acc)
         acc += c
     return acc
 
@@ -61,11 +56,13 @@ def draw(dist: MapDistribution, master: int, streams: np.ndarray, n):
 
 def apply(dist: MapDistribution, drawn, X: np.ndarray, Y: np.ndarray) -> tuple:
     """Lane images (X', Y') under the drawn maps: on a finite support, by one
-    formula on each lane's column of the support's table (core.map_table;
-    map 0's when nothing is drawn), alpha through delta."""
+    formula on each lane's column of the support's table (core.map_table),
+    alpha through delta; under :func:`image` when nothing is drawn."""
     if isinstance(dist, FiniteDist):
+        if drawn is None:  # one map: its scalars, not a column of numpy scalars
+            return image(dist.maps[0], X, Y)
         table = dist._table  # type: ignore[attr-defined]
-        t = table[:len(table) // 2 + 2, 0 if drawn is None else drawn]
+        t = table[:len(table) // 2 + 2, drawn]
         return Y + t[0], horner(t[1:-1], Y) - t[-1] * X
     a, b = drawn
     base = dist.base
@@ -272,6 +269,53 @@ def _in_bidisk(ax: np.ndarray, ay: np.ndarray, R: float) -> np.ndarray:
     return np.maximum(ax, ay) < R
 
 
-# live lanes of a refilling walk (the escape census, basin capture) at most;
-# a lane's fate does not depend on it
+# live lanes of a refilling walk at most; a lane's fate does not depend on it
 WALK_BLOCK = 4096
+
+# fates of refill_walk's lanes; a settle hook sets codes >= 0 of its own
+ESCAPED, BOUNDED, UNDECIDED = -1, -2, -3
+
+
+def refill_walk(dist: MapDistribution, master: int, streams: np.ndarray, X: np.ndarray,
+                Y: np.ndarray, R: float, max_iter: int, per: int = 1,
+                settle: Optional[Callable] = None, **carry) -> np.ndarray:
+    """Fate of each lane of one refilling walk, in lane order.
+
+    Lane j starts at X[j // per], Y[j // per] and draws on streams[j].  At
+    most WALK_BLOCK lanes are live; before each step the next lanes, with
+    the values ``carry`` of their carry arrays, take the slots of retired
+    ones.  A lane taken in at walk step s takes its step k, its stream's
+    step-k draw, at walk step s + k, so its fate does not depend on when it
+    was taken in.  It is ESCAPED at its first step k <= max_iter in the
+    escape cone (at step 0 before the window check), BOUNDED at step
+    max_iter inside the central bidisk, and UNDECIDED otherwise.
+    ``settle(w, n, fate)`` runs on the live lanes before walk step n: it may
+    retire lanes with codes >= 0 of its own in ``fate``, and may return a
+    lane count below the walk's, at which the walk stops taking lanes in
+    and ends the live ones beyond it UNDECIDED.
+    """
+    total = streams.size
+    fate = np.full(total, UNDECIDED, dtype=np.int64)
+    w = Walk(X[:0], Y[:0], streams[:0], dist, master,
+             **{k: np.zeros(0, np.asarray(v).dtype) for k, v in carry.items()})
+    fed = n = 0
+    while True:
+        room = min(WALK_BLOCK - len(w), total - fed)
+        if room > 0:
+            p = slice(fed, fed + room) if per == 1 else np.arange(fed, fed + room) // per
+            fate[w.admit(X[p], Y[p], streams[fed:fed + room], R, **carry)] = ESCAPED
+            fed += room
+        if settle is not None and len(w):
+            cut = settle(w, n, fate)
+            if cut is not None and cut < total:
+                total = cut
+                w.retire(w.lane >= total)
+        if n >= max_iter:  # lanes at the cap end here
+            done = w.start == n - max_iter
+            inside = w.in_bidisk(R)[done]
+            fate[w.retire(done)[inside]] = BOUNDED
+        if not len(w) and fed >= total:
+            return fate
+        w.step(n)
+        fate[w.retire(w.in_cone(R))] = ESCAPED
+        n += 1

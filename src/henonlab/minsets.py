@@ -474,34 +474,30 @@ def _record_orbits(
 ) -> Tuple[np.ndarray, np.ndarray, int, int]:
     """Post-burn-in orbit tails of bounded walkers.
 
-    Returns (xs, ys, escaped_count, dropped_count); escapes are certified
-    cone entries, dropped points fell outside the bidisk undecided.
-    Recordings from walkers that later escape are debris the digraph stage
-    discards as transient.
+    Returns (xs, ys, escaped_count, dropped_count).  The walkers take
+    burn_in + n_record steps in one :func:`lanes.refill_walk`, whose settle
+    hook records each walker's points from its own step max(burn_in, 1) on;
+    escapes are certified cone entries, dropped points fell outside the
+    bidisk undecided.  Recordings from walkers that later escape are debris
+    the digraph stage discards as transient.
     """
     R = params.R
     streams = rng.stream_table(seed.stream_id, len(grid))
-    X = np.array([p[0] for p in grid], dtype=np.complex128)
-    Y = np.array([p[1] for p in grid], dtype=np.complex128)
-    w = lanes.Walk(X, Y, streams, dist, seed.master_seed)
-    escaped = 0
-    rec_x: List[np.ndarray] = []
-    rec_y: List[np.ndarray] = []
-    for step in range(burn_in + n_record):
-        escaped += w.retire(w.in_cone(R)).size
-        if step == 0:  # walkers that start outside the window are never stepped
-            w.move(w.X, w.Y)
-        if not len(w):
-            break
-        w.step(step)
-        if step >= burn_in - 1:
-            rec_x.append(w.X)
-            rec_y.append(w.Y)
-    xs = np.concatenate(rec_x) if rec_x else np.zeros(0, dtype=np.complex128)
-    ys = np.concatenate(rec_y) if rec_y else np.zeros(0, dtype=np.complex128)
+    X, Y = np.array(grid, dtype=np.complex128).reshape(-1, 2).T
+    first = max(burn_in, 1)
+    rec = [(X[:0], Y[:0])]
+
+    def record(w, n, fate):
+        if n >= first:
+            on = w.start <= n - first
+            rec.append((w.X[on], w.Y[on]))
+
+    fate = lanes.refill_walk(dist, seed.master_seed, streams, X, Y, R, burn_in + n_record,
+                             settle=record)
+    escaped = int(np.count_nonzero(fate == lanes.ESCAPED))
+    xs, ys = (np.concatenate(c) for c in zip(*rec))
     inbox = lanes.in_bidisk(xs, ys, R)
-    dropped = int((~inbox).sum())
-    return xs[inbox], ys[inbox], escaped, dropped
+    return xs[inbox], ys[inbox], escaped, int(np.count_nonzero(~inbox))
 
 
 # ---------------------------------------------------------------------------
@@ -689,59 +685,39 @@ def _tl_chunk(
 ) -> np.ndarray:
     """Tally of every probe, one row each: one column per finite descriptor,
     then INFINITY, then unresolved.  Lane j walks from probe j // per's start
-    point (starts holds every probe's x and y) on streams[j], in one pool of
-    at most lanes.WALK_BLOCK live lanes on the calling thread that takes the
-    next lanes as lanes retire, as escape._census_chunk does: a lane taken in
-    at walk step s takes its step k, on its stream's step-k draw, at walk
-    step s + k.  A lane with a point in two capture neighbourhoods cuts the
-    walk at its probe; once the earlier probes' lanes have ended,
+    point (starts holds every probe's x and y) on streams[j], in one
+    :func:`lanes.refill_walk`; its settle hook is the capture rule.  A lane
+    is captured by descriptor i after _CAPTURE_DWELL consecutive points in
+    its capture neighbourhood alone, is at INFINITY when it escapes, and is
+    unresolved otherwise.  A lane with a point in two capture neighbourhoods
+    cuts the walk at its probe; once the earlier probes' lanes have ended,
     AmbiguousCapture names the lowest probe cut."""
-    k = len(finite)
-    tally = np.zeros((starts[0].size, k + 2), dtype=np.int64)
+    k, ambiguous = len(finite), None
 
-    def count(gone, col):  # the retired lanes gone end in column col
-        if gone.size:
-            np.add.at(tally, (gone // per, col), 1)
+    def capture(w, n, fate):
+        nonlocal ambiguous
+        inside = np.stack([_inside_descriptor(d, w.X, w.Y) for d in finite])
+        n_in = inside.sum(axis=0)
+        hit = np.flatnonzero(n_in > 1)
+        if hit.size:  # lanes are in lane order: hit[0]'s probe is the lowest
+            ambiguous = int(w.lane[hit[0]] // per)
+        which = np.where(n_in == 1, inside.argmax(axis=0), -1)
+        c = w.carry
+        run = np.where(which < 0, 0, np.where(which == c["cand"], c["run"] + 1, 1))
+        c.update(cand=which, run=run)
+        done = run >= _CAPTURE_DWELL
+        if np.count_nonzero(done):
+            fate[w.retire(done)] = which[done]
+        return ambiguous * per if hit.size else None
 
-    w = lanes.Walk(starts[0][:0], starts[1][:0], streams[:0], dist, master,
-                   cand=np.zeros(0, np.int64), run=np.zeros(0, np.int64))
-    total, ambiguous, fed, n = streams.size, None, 0, 0
-    while True:
-        room = min(lanes.WALK_BLOCK - len(w), total - fed) if fed < total else 0
-        if room > 0:  # lanes in the cone escape at step 0, outside the window they stay unresolved
-            p = np.arange(fed, fed + room) // per
-            count(w.admit(starts[0][p], starts[1][p], streams[fed:fed + room], R,
-                          cand=-1, run=0), k)
-            fed += room
-        if finite and len(w):
-            inside = np.stack([_inside_descriptor(d, w.X, w.Y) for d in finite])
-            n_in = inside.sum(axis=0)
-            hit = np.flatnonzero(n_in > 1)
-            if hit.size:  # lanes are in lane order: hit[0]'s probe is the lowest
-                ambiguous = int(w.lane[hit[0]] // per)
-                total = ambiguous * per
-            which = np.where(n_in == 1, inside.argmax(axis=0), -1)
-            c = w.carry
-            run = np.where(which < 0, 0, np.where(which == c["cand"], c["run"] + 1, 1))
-            c.update(cand=which, run=run)
-            done = run >= _CAPTURE_DWELL
-            if np.count_nonzero(done):
-                count(w.retire(done), which[done])
-            if hit.size:
-                w.retire(w.lane >= total)
-        if n >= max_iter:  # lanes at the cap end here, unresolved
-            w.retire(w.start == n - max_iter)
-        if not len(w) and fed >= total:
-            break
-        w.step(n)  # lanes that leave the window stay unresolved
-        count(w.retire(w.in_cone(R)), k)
-        n += 1
+    fate = lanes.refill_walk(dist, master, streams, *starts, R, max_iter, per,
+                             capture if finite else None, cand=-1, run=0)
     if ambiguous is not None:
         z = (complex(starts[0][ambiguous]), complex(starts[1][ambiguous]))
         raise AmbiguousCapture(
             f"orbit of probe {ambiguous} from {z} lies in two capture neighborhoods")
-    tally[:, -1] = per - tally[:, :-1].sum(axis=1)
-    return tally
+    col = np.where(fate >= 0, fate, np.where(fate == lanes.ESCAPED, k, k + 1)).reshape(-1, per)
+    return (col[:, :, None] == np.arange(k + 2)).sum(axis=1)
 
 
 def estimate_TL_many(
@@ -756,8 +732,8 @@ def estimate_TL_many(
     """Capture statistics of :func:`estimate_TL` at every probe, probe i on
     seeds[i], from one walk over probes x samples lanes.
 
-    Lanes are laid out probe-major and walk in one refilling pool on the
-    calling thread (:func:`_tl_chunk`).  A lane's draws depend only on
+    Lanes are laid out probe-major and walk in one :func:`lanes.refill_walk`
+    on the calling thread (:func:`_tl_chunk`).  A lane's draws depend only on
     (master seed, its stream, step) and every lane operation is
     elementwise, so each estimate equals the one-probe call bit for bit;
     hence all seeds must share one master seed.  An ambiguous capture names

@@ -142,16 +142,16 @@ def apply_M(
 
 
 def _tree_power(dist: FiniteDist, phi, z: Point, n: int) -> float:
-    # one level per step: every path's image under map 0, then map 1, ...
-    m = len(dist.maps)
+    # one level per step: every path's image under map 0, then map 1, ...,
+    # in one (maps x paths) broadcast, so even one path steps in a batch
+    p = np.array(dist.weights)[:, None]
     w = lanes.Walk(np.array([z[0]], dtype=np.complex128), np.array([z[1]], dtype=np.complex128),
                    W=np.ones(1))
     w.move(w.X, w.Y)
     for _ in range(n):
-        k = len(w)
-        w = lanes.Walk(np.tile(w.X, m), np.tile(w.Y, m),
-                       W=np.tile(w.carry["W"], m) * np.repeat(dist.weights, k))
-        w.move(*lanes.apply(dist, np.repeat(np.arange(m), k), w.X, w.Y))
+        X, Y = (a.ravel() for a in lanes.apply(dist, np.arange(len(p))[:, None], w.X, w.Y))
+        w = lanes.Walk(X, Y, W=(w.carry["W"] * p).ravel())
+        w.move(X, Y)
     return float(np.sum(w.carry["W"] * _phi_array(phi, w.X, w.Y)))
 
 

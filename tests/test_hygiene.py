@@ -1,8 +1,8 @@
 """Source hygiene: every module-level import and private helper in the
-library is used, the vector overflow-window check, the scipy import and the
-thread pool each have one home, the escape census and basin capture stay off
-the thread pool, and every name the benchmark's span recorder wraps is still
-live and still counts."""
+library is used, the vector overflow-window check, the scipy import, the
+thread pool and the refilling lane pool each have one home, the escape census
+and basin capture stay off the thread pool, and every name the benchmark's
+span recorder wraps is still live and still counts."""
 
 from __future__ import annotations
 
@@ -150,6 +150,17 @@ def test_census_stays_off_the_pool():
                  and isinstance(n.func, ast.Name) and n.func.id == chunk]
         assert len(calls) == 1, entry
     assert not hasattr(lanes, "run_blocks")
+
+
+def test_refilling_pool_has_one_home():
+    # the census, basin capture and orbit recording read their lanes' fates
+    # from lanes.refill_walk: a second pool loop must not creep back
+    for path in MODULES:
+        if os.path.basename(path) != "lanes.py":
+            with open(path, encoding="utf-8") as fh:
+                text = fh.read()
+            for name in ("WALK_BLOCK", ".admit("):
+                assert name not in text, (os.path.basename(path), name)
 
 
 def _spans():

@@ -82,6 +82,30 @@ def test_gathered_step_matches_per_map_formula_bitwise(name, scale):
             assert g.tobytes() == want.tobytes()
 
 
+ONE_MAP = {
+    "quadratic": FiniteDist((QUAD_C,), (1.0,)),
+    "cubic": FiniteDist((CUBIC,), (1.0,)),
+    "complex-leading": FiniteDist((HenonMap(0.3 - 0.2j, 0.5 + 0.1j, Poly((2 - 1j, 0.5j, -0.7))),),
+                                  (1.0,)),
+}
+
+
+@pytest.mark.parametrize("scale", [1.0, 1e33])
+@pytest.mark.parametrize("name", sorted(ONE_MAP))
+def test_one_map_step_matches_the_table_column_bitwise(name, scale):
+    # a one-map support steps under its map's scalars (lanes.image), with
+    # the bits of the formula on column 0 of the support's table
+    dist = ONE_MAP[name]
+    u = np.random.default_rng(13).uniform(-1.5, 1.5, (4, LANES)) * scale
+    X, Y = u[0] + 1j * u[1], u[2] + 1j * u[3]
+    table = dist._table
+    t = table[:len(table) // 2 + 2, 0]
+    want = (Y + t[0], lanes.horner(t[1:-1], Y) - t[-1] * X)
+    for given in (None, np.zeros(LANES, dtype=np.intp)):
+        for g, w in zip(lanes.apply(dist, given, X, Y), want):
+            assert g.tobytes() == w.tobytes()
+
+
 def test_one_map_support_draws_nothing():
     streams = np.arange(8, dtype=np.uint64)
     assert lanes.draw(DISTS["one-map"], MASTER, streams, STEP) is None
@@ -205,6 +229,19 @@ def test_horner_matches_zero_start_reference():
         want = _zero_start_horner(tuple(coeffs), y)
         assert got.dtype == want.dtype
         assert np.array_equal(got.view(np.uint64), want.view(np.uint64)), (d, coeffs)
+
+
+@pytest.mark.parametrize("coeffs", [QUAD_C.poly.coeffs, CUBIC.poly.coeffs, QUAD_C.poly._deriv],
+                         ids=["quad", "cubic", "derivative"])
+def test_horner_steps_one_lane_with_the_bits_of_a_batch(coeffs):
+    # in place, numpy multiplies a one-element complex array by its scalar
+    # formula, which rounds apart from its array loop: a lane stepped alone
+    # (the tail of a refilling walk, a one-path tree level) must keep the
+    # bits it has in a batch
+    rs = np.random.default_rng(31)
+    y = rs.normal(size=500) + 1j * rs.normal(size=500)
+    alone = np.concatenate([lanes.horner(coeffs, y[i:i + 1]) for i in range(y.size)])
+    assert alone.tobytes() == lanes.horner(coeffs, y).tobytes()
 
 
 @pytest.mark.parametrize("coeffs", [QUAD_C.poly.coeffs, CUBIC.poly.coeffs, QUAD_C.poly._deriv],

@@ -1011,6 +1011,43 @@ def test_tl_admissions_cross_the_pool_width(two_map_setup, monkeypatch, width):
     assert len(set(got[3].counts.values())) > 1 and 0 < got[3].unresolved < 1
 
 
+def _sorted_points(xs, ys):
+    order = np.lexsort((ys.imag, ys.real, xs.imag, xs.real))
+    return xs[order].tobytes(), ys[order].tobytes()
+
+
+@pytest.mark.parametrize("burn_in", [0, 25])
+def test_record_admissions_cross_the_pool_width(ball_cycle_dist, monkeypatch, burn_in):
+    # walkers retire at staggered steps and new ones take their slots; each
+    # walker is recorded from its own step max(burn_in, 1) on, so the pool
+    # records the points of the full-width walk, in another order.  Among
+    # the starts sit walkers outside the window, in the cone, in the cone
+    # outside the window, leaving the window on their first step, and
+    # mapped to about (30, 0), outside the bidisk (R = 18.2) and the cone,
+    # on their first step: a dropped point when step 1 is recorded
+    params = condition_a_params(ball_cycle_dist)
+    odd = [(1e101 + 0j, 0j), (0j, 100 + 0j), (0j, 1e200 + 0j), (1e60 + 0j, 1e60 + 0j),
+           (8610 + 0j, 30 + 0j)]
+    grid = [odd[k // 7 % 5] if k % 7 == 3 else
+            ((0.37 * k) % 3.0 - 1.5 + 0j, (0.53 * k) % 3.0 - 1.5 + 0j) for k in range(1500)]
+    seed = SequenceSeed(5, 8)
+    want = minsets._record_orbits(ball_cycle_dist, params, grid, burn_in, 30, seed)
+    monkeypatch.setattr(lanes, "WALK_BLOCK", 37)
+    sizes = []
+    step = lanes.Walk.step
+
+    def spy(self, n):
+        sizes.append(len(self))
+        return step(self, n)
+
+    monkeypatch.setattr(lanes.Walk, "step", spy)
+    got = minsets._record_orbits(ball_cycle_dist, params, grid, burn_in, 30, seed)
+    assert _sorted_points(*got[:2]) == _sorted_points(*want[:2])
+    assert got[2:] == want[2:]
+    assert want[0].size and want[2] > 0 and (want[3] > 0) == (burn_in == 0)
+    assert max(sizes) == 37
+
+
 @pytest.mark.parametrize("one_map", [True, False], ids=["one-map", "two-copies"])
 def test_tl_ambiguity_names_the_lowest_probe(one_map):
     # probe 1 starts in both neighbourhoods and probe 0 reaches them on its

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from henonlab import lanes, rng
-from henonlab.core import HenonMap, Poly, eval_map
+from henonlab.core import OVERFLOW_LIMIT, HenonMap, Poly, eval_map
 from henonlab.dist import BallNoise, FiniteDist, SequenceSeed, condition_a_params
 from henonlab.minsets import INFINITY, MinimalSetDescriptor, discover_minimal_sets, estimate_TL
 from henonlab.transition import (
@@ -122,6 +122,36 @@ def test_tree_power_matches_the_concatenating_loop():
         X, Y, W = (np.concatenate(p) for p in zip(*parts))
     want = float(np.sum(W * np.array([phi_test(z) for z in zip(X, Y)])))
     assert _tree_power(PAIR, phi_test, Z0, 6) == want
+
+
+def test_tree_power_matches_a_per_path_reference():
+    # a quadratic and a cubic (a padded table column of the support): from
+    # y = 3 the paths that take the cubic often leave the window (|y| ~ 1e116
+    # after five cubic steps), and the rest stay in it.  Lane k walks path k
+    # under its own maps, map i at step l where bit l of k is i; its weight
+    # is the product of its maps' weights in step order.  A path that leaves
+    # the window contributes nothing.  The tree's order is map-major per
+    # level, so the last step's map varies slowest, as k does.  A bounded
+    # observable keeps one far path from outweighing the rest
+    def phi(q):
+        return math.atan(abs(q[0]) + 2 * abs(q[1]) - 0.3 * complex(q[0]).real)
+
+    cubic = HenonMap(alpha=0.25 + 0.5j, delta=0.5, poly=Poly((1.0, 0.0, -1.0, 0.5)))
+    dist = FiniteDist((QUAD_A, cubic), (0.375, 0.625))
+    z, n = (0.5 + 0j, 3.0 + 0j), 6
+    k = np.arange(2 ** n)
+    X, Y = np.full(k.size, z[0]), np.full(k.size, z[1])
+    W, inside = np.ones(k.size), np.ones(k.size, dtype=bool)
+    for step in range(n):
+        for i, (f, p) in enumerate(zip(dist.maps, dist.weights)):
+            on = (k >> step) & 1 == i
+            X[on], Y[on] = lanes.image(f, X[on], Y[on])
+            W[on] *= p
+        inside &= (np.abs(X) <= OVERFLOW_LIMIT) & (np.abs(Y) <= OVERFLOW_LIMIT)
+        X[~inside] = Y[~inside] = 0  # left the window: stepped on, never read
+    assert 0 < np.count_nonzero(inside) < k.size
+    want = float(np.sum(W[inside] * np.array([phi(q) for q in zip(X[inside], Y[inside])])))
+    assert _tree_power(dist, phi, z, n) == want
 
 
 @pytest.mark.parametrize("dist", [PAIR, BallNoise(QUAD_A, 0.05)], ids=["pair", "ball"])
