@@ -991,7 +991,8 @@ def escape_census(
     refilling walk, so the census pays one tail of slow escapers rather than
     one per block of walkers.
     """
-    xs, ys = np.array(points, dtype=np.complex128).reshape(-1, 2).T
+    xs = np.array([p[0] for p in points], dtype=np.complex128)
+    ys = np.array([p[1] for p in points], dtype=np.complex128)
     streams = rng.stream_table(seed.stream_id, len(points))
     return CensusResult(*_census_chunk(
         dist, seed.master_seed, streams, xs, ys, params.R, max_iter))
