@@ -272,7 +272,7 @@ def _in_bidisk(ax: np.ndarray, ay: np.ndarray, R: float) -> np.ndarray:
 # live lanes of a refilling walk at most; a lane's fate does not depend on it
 WALK_BLOCK = 4096
 
-# fates of refill_walk's lanes; a settle hook sets codes >= 0 of its own
+# int8 fates of refill_walk's lanes; a settle hook sets codes 0 .. 127 of its own
 ESCAPED, BOUNDED, UNDECIDED = -1, -2, -3
 
 
@@ -290,12 +290,12 @@ def refill_walk(dist: MapDistribution, master: int, streams: np.ndarray, X: np.n
     escape cone (at step 0 before the window check), BOUNDED at step
     max_iter inside the central bidisk, and UNDECIDED otherwise.
     ``settle(w, n, fate)`` runs on the live lanes before walk step n: it may
-    retire lanes with codes >= 0 of its own in ``fate``, and may return a
+    retire lanes with codes 0 .. 127 of its own in ``fate``, and may return a
     lane count below the walk's, at which the walk stops taking lanes in
     and ends the live ones beyond it UNDECIDED.
     """
     total = streams.size
-    fate = np.full(total, UNDECIDED, dtype=np.int64)
+    fate = np.full(total, UNDECIDED, dtype=np.int8)
     w = Walk(X[:0], Y[:0], streams[:0], dist, master,
              **{k: np.zeros(0, np.asarray(v).dtype) for k, v in carry.items()})
     fed = n = 0

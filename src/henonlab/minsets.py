@@ -686,13 +686,12 @@ def _tl_chunk(
     """Tally of every probe, one row each: one column per finite descriptor,
     then INFINITY, then unresolved.  Lane j walks from probe j // per's start
     point (starts holds every probe's x and y) on streams[j], in one
-    :func:`lanes.refill_walk`; its settle hook is the capture rule.  A lane
-    is captured by descriptor i after _CAPTURE_DWELL consecutive points in
-    its capture neighbourhood alone, is at INFINITY when it escapes, and is
-    unresolved otherwise.  A lane with a point in two capture neighbourhoods
-    cuts the walk at its probe; once the earlier probes' lanes have ended,
-    AmbiguousCapture names the lowest probe cut."""
+    :func:`lanes.refill_walk` whose settle hook is the capture rule (fate 0).
+    A lane with a point in two capture neighbourhoods cuts the walk at its
+    probe; once the earlier probes' lanes have ended, AmbiguousCapture names
+    the lowest probe cut."""
     k, ambiguous = len(finite), None
+    caught = np.zeros(streams.size, dtype=np.int64)  # a captured lane's descriptor
 
     def capture(w, n, fate):
         nonlocal ambiguous
@@ -707,7 +706,8 @@ def _tl_chunk(
         c.update(cand=which, run=run)
         done = run >= _CAPTURE_DWELL
         if np.count_nonzero(done):
-            fate[w.retire(done)] = which[done]
+            gone = w.retire(done)
+            fate[gone], caught[gone] = 0, which[done]
         return ambiguous * per if hit.size else None
 
     fate = lanes.refill_walk(dist, master, streams, *starts, R, max_iter, per,
@@ -716,7 +716,7 @@ def _tl_chunk(
         z = (complex(starts[0][ambiguous]), complex(starts[1][ambiguous]))
         raise AmbiguousCapture(
             f"orbit of probe {ambiguous} from {z} lies in two capture neighborhoods")
-    col = np.where(fate >= 0, fate, np.where(fate == lanes.ESCAPED, k, k + 1)).reshape(-1, per)
+    col = np.select([fate == 0, fate == lanes.ESCAPED], [caught, k], k + 1).reshape(-1, per)
     return (col[:, :, None] == np.arange(k + 2)).sum(axis=1)
 
 
