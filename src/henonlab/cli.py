@@ -5,8 +5,8 @@ the output directory.  Every report embeds the tool version and the fully
 resolved config (defaults materialized, a grid recorded as written), which
 can be fed back in to reproduce the artifact byte for byte.  Exit codes: 0
 on success, 2 for a config problem (message carries the JSON pointer), 3
-when the library fails: any ArithmeticError, RuntimeError or ValueError,
-an unanticipated ValueError included.
+when the library fails: any ArithmeticError, MemoryError, RuntimeError or
+ValueError, an unanticipated ValueError included.
 
 The discovery modules (minsets, transition, bifurcation) load scipy, so
 only the commands that run them import them, on first use; the raster,
@@ -468,6 +468,12 @@ _COMMANDS = {
 }
 
 
+def _cpus() -> int:
+    """The CPUs this process may run on."""
+    affinity = getattr(os, "sched_getaffinity", None)  # not on every platform
+    return len(affinity(0)) if affinity else os.cpu_count() or 1
+
+
 @functools.lru_cache(maxsize=None)
 def _build_parser() -> argparse.ArgumentParser:
     """The argument parser, built once per process: its ten subparsers take
@@ -478,8 +484,6 @@ def _build_parser() -> argparse.ArgumentParser:
         "functions, Lyapunov statistics, minimal sets, capture probabilities.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    affinity = getattr(os, "sched_getaffinity", None)  # not on every platform
-    cpus = len(affinity(0)) if affinity else os.cpu_count() or 1
     for name in _COMMANDS:
         p = sub.add_parser(name)
         if name != "selftest":
@@ -491,7 +495,7 @@ def _build_parser() -> argparse.ArgumentParser:
                            help="optional directory for the check report")
         p.add_argument("--seed", type=int, default=None,
                        help="override the config master seed")
-        p.add_argument("--threads", type=int, default=cpus,
+        p.add_argument("--threads", type=int, default=_cpus(),
                        help="worker threads (default: the CPUs this process may run on)")
     return parser
 
@@ -537,11 +541,12 @@ def run_cli(argv: Sequence[str]) -> int:
     handler, report = _COMMANDS[args.command]
     try:
         r = Resolver({} if cfg is None else cfg)  # selftest reads no config
-        result = handler(r, args.out, args.seed, args.threads)
+        # one worker per CPU at most: a KD query starts one thread per worker
+        result = handler(r, args.out, args.seed, min(args.threads, _cpus()))
     except ConfigError as e:
         print(f"config error: {e}", file=sys.stderr)
         return 2
-    except (ArithmeticError, RuntimeError, ValueError) as e:  # every library failure
+    except (ArithmeticError, MemoryError, RuntimeError, ValueError) as e:  # every library failure
         print(f"computation failed: {type(e).__name__}: {e}", file=sys.stderr)
         return 3
     if args.out is not None:

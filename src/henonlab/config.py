@@ -265,16 +265,8 @@ class Resolver:
 # entry points for callers holding a parsed config node
 
 
-def map_from(node: Any, ptr: str) -> HenonMap:
-    return Resolver(node, ptr).henon_map()
-
-
 def dist_from(node: Any, ptr: str) -> MapDistribution:
     return Resolver(node, ptr).dist()
-
-
-def family_from(node: Any, ptr: str) -> NoiseFamily:
-    return Resolver(node, ptr).family()
 
 
 def points_from(node: Any, ptr: str) -> List[Point]:

@@ -15,7 +15,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
-from typing import Iterable, Sequence, Tuple
+from typing import Sequence, Tuple
 
 import numpy as np
 
@@ -205,14 +205,6 @@ def inverse_as_plus(f: HenonMap) -> HenonMap:
     shifted = _shifted_coeffs(f.poly.coeffs, -f.alpha)
     scaled = tuple(c / f.delta for c in shifted)
     return HenonMap(alpha=-f.alpha, delta=1 / f.delta, poly=Poly(scaled))
-
-
-def sequence_degree(maps: Iterable[HenonMap]) -> int:
-    """Degree of the n-fold composition, tracked symbolically."""
-    d = 1
-    for f in maps:
-        d *= f.degree
-    return d
 
 
 def _single_map_radius(f: HenonMap, rho0: float) -> float:

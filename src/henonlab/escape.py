@@ -224,10 +224,6 @@ def as_source(obj: SourceLike) -> MapSource:
     return ListSource(list(obj))
 
 
-def shift_source(src: SourceLike, k: int = 1) -> MapSource:
-    return ShiftedSource(as_source(src), k)
-
-
 # ---------------------------------------------------------------------------
 # orbit classification
 
@@ -483,11 +479,10 @@ def green_stages(
     z: Point,
     params: FiltrationParams,
     n_total: int,
-    c_tel: Optional[float] = None,
 ) -> Tuple[List[float], Optional[int]]:
     """Stage values (normalized log norms) for n = 0..n_total plus the cone
     entry step; for telescoping diagnostics."""
-    _, entry, stages = _green_engine(source, z, params, c_tel, None, n_total, n_total)
+    _, entry, stages = _green_engine(source, z, params, None, None, n_total, n_total)
     return stages, entry
 
 
@@ -497,12 +492,11 @@ def green_minus(
     params: FiltrationParams,
     tol: float = 1e-6,
     max_iter: int = 1000,
-    c_tel: Optional[float] = None,
 ) -> GreenEstimate:
     """Backward escape rate, computed as green_plus of the swap-conjugated
     inverse sequence at the swapped point."""
     src = as_source(source).conjugate_inverse()
-    return green_plus(src, (z[1], z[0]), params, tol=tol, max_iter=max_iter, c_tel=c_tel)
+    return green_plus(src, (z[1], z[0]), params, tol=tol, max_iter=max_iter)
 
 
 # ---------------------------------------------------------------------------

@@ -119,25 +119,6 @@ class CaptureRamp:
 
 
 # ---------------------------------------------------------------------------
-# one step
-
-
-def apply_M(
-    dist: MapDistribution,
-    phi: Observable,
-    z: Point,
-    samples: int = 256,
-    seed: Optional[SequenceSeed] = None,
-) -> OperatorValue:
-    """One application of the transition operator at z: iterate_M at n = 1.
-
-    Exact weighted sum over a finite support; Monte Carlo with a standard
-    error for noise balls (seed required).
-    """
-    return iterate_M(dist, phi, z, 1, samples=samples, seed=seed)
-
-
-# ---------------------------------------------------------------------------
 # powers
 
 

@@ -15,7 +15,7 @@ import numpy as np
 
 from conftest import QUAD_A, QUAD_C, QUAD_W
 from henonlab.cli import run_cli
-from henonlab.config import dist_from, family_from, points_from, slice_from
+from henonlab.config import Resolver, dist_from, points_from, slice_from
 from henonlab.core import (
     HenonMap,
     Poly,
@@ -40,6 +40,7 @@ from henonlab.dist import (
 from henonlab.escape import (
     VERDICT_ESCAPED,
     DistSource,
+    ShiftedSource,
     SpliceSource,
     boundary_extract,
     escape_census,
@@ -47,7 +48,6 @@ from henonlab.escape import (
     green_stages,
     hausdorff_pixels,
     raster_slice,
-    shift_source,
     telescoping_constant,
 )
 from henonlab.lyapunov import backward_lyapunov_statistics, lyapunov_statistics
@@ -109,7 +109,7 @@ def test_inverse_roundtrip_bulk():
 #    invariance with |y| more than doubling, mirrored for the inverse cone
 def test_filtration_certificate_packs():
     t0 = time.monotonic()
-    fam = family_from(_preset("family-noise.json")["family"], "/family")
+    fam = Resolver(_preset("family-noise.json")["family"], "/family").family()
     packs = [
         dist_from(_preset("quad-attracting.json"), ""),
         dist_from(_preset("quad-volume.json"), ""),
@@ -156,7 +156,7 @@ def test_green_telescoping_functional_stabilization():
         src = DistSource(dist, SequenceSeed(0xFE, i))
         g0 = green_plus(src, z, params, tol=tol)
         assert g0.value > 0.0
-        g1 = green_plus(shift_source(src), eval_map(src[0], z), params, tol=tol)
+        g1 = green_plus(ShiftedSource(src, 1), eval_map(src[0], z), params, tol=tol)
         assert abs(g0.value - g1.value / src[0].degree) <= 2 * tol
 
     vol = dist_from(_preset("quad-volume.json"), "")
@@ -188,7 +188,7 @@ def test_lyapunov_fixed_point_oracle():
 #    100-point basin grid, and again through the inverse-time estimator
 def test_noise_contracts_both_time_directions():
     t0 = time.monotonic()
-    ball = family_at(family_from(_preset("family-noise.json")["family"], "/family"), 0.0)
+    ball = family_at(Resolver(_preset("family-noise.json")["family"], "/family").family(), 0.0)
     grid = [(0.03 * i + 0.015, 0.03 * j + 0.015) for j in range(10) for i in range(10)]
     for k, z in enumerate(grid):
         rep = lyapunov_statistics(ball, z, samples=10, n=300,
@@ -335,7 +335,7 @@ def test_operator_rate_fit_matches_multiplier():
 def test_family_scan_single_transition():
     t0 = time.monotonic()
     cfg = _preset("family-noise.json")
-    fam = family_from(cfg["family"], "/family")
+    fam = Resolver(cfg["family"], "/family").family()
     grid = [(0.05 + 0.1 * i, 0.05 + 0.1 * j) for j in range(3) for i in range(3)]
     coarse = scan_family(fam, [0.0, 0.25, 0.5, 0.75, 1.0], grid, SequenceSeed(23, 4),
                          burn_in=1000, n_record=100, cluster_eps=0.05,
@@ -366,7 +366,7 @@ def test_boundary_continuity_and_cap_shrink():
     fcfg = _preset("family-noise.json")
     spec = slice_from(fcfg["slice"], "/slice")
     assert spec.resolution == 512
-    ball = family_at(family_from(fcfg["family"], "/family"), 0.0)
+    ball = family_at(Resolver(fcfg["family"], "/family").family(), 0.0)
     params = condition_a_params(ball)
     head = DistSource(ball, SequenceSeed(41, 1))
     tail = DistSource(ball, SequenceSeed(41, 2))

@@ -20,9 +20,7 @@ from henonlab.config import (
     Resolver,
     as_complex,
     dist_from,
-    family_from,
     load_text,
-    map_from,
     points_from,
     slice_from,
 )
@@ -51,19 +49,19 @@ def _write_cfg(tmp_path, cfg, name="cfg.json"):
 
 def test_missing_delta_pointer():
     with pytest.raises(ConfigError) as exc:
-        map_from({"alpha": 0.0, "poly": [1.0, 0.0, 0.0]}, "/maps/0")
+        Resolver({"alpha": 0.0, "poly": [1.0, 0.0, 0.0]}, "/maps/0").henon_map()
     assert "/maps/0/delta" in str(exc.value)
 
 
 def test_bad_poly_pointer():
     with pytest.raises(ConfigError) as exc:
-        map_from({"alpha": 0.0, "delta": 0.1, "poly": [1.0, "x", 0.0]}, "/maps/0")
+        Resolver({"alpha": 0.0, "delta": 0.1, "poly": [1.0, "x", 0.0]}, "/maps/0").henon_map()
     assert "/maps/0/poly/1" in str(exc.value)
 
 
 def test_short_poly_rejected():
     with pytest.raises(ConfigError) as exc:
-        map_from({"alpha": 0.0, "delta": 0.1, "poly": [1.0, 0.0]}, "/maps/0")
+        Resolver({"alpha": 0.0, "delta": 0.1, "poly": [1.0, 0.0]}, "/maps/0").henon_map()
     assert "/maps/0/poly" in str(exc.value)
 
 
@@ -443,8 +441,9 @@ def test_escape_stats_records_a_grid_as_written(tmp_path):
     assert (b / "escape.json").read_bytes() == first
 
 
-@pytest.mark.parametrize("error", [ValueError("boom"), ZeroDivisionError("boom")],
-                         ids=["ValueError", "ZeroDivisionError"])
+@pytest.mark.parametrize("error", [ValueError("boom"), ZeroDivisionError("boom"),
+                                   MemoryError("boom")],
+                         ids=["ValueError", "ZeroDivisionError", "MemoryError"])
 def test_cli_unanticipated_library_errors_exit_3(tmp_path, monkeypatch, capsys, error):
     # a library failure that no field bound anticipated exits 3 with its
     # message, not 1 with a traceback, and writes no report
@@ -492,6 +491,26 @@ def test_cli_threads_do_not_change_bytes(tmp_path):
     assert run_cli(["tl", "--config", path, "--out", str(a), "--threads", "1"]) == 0
     assert run_cli(["tl", "--config", path, "--out", str(b), "--threads", "8"]) == 0
     assert (a / "tl.json").read_bytes() == (b / "tl.json").read_bytes()
+
+
+@pytest.mark.parametrize("cmd, cfg, target", [
+    ("render-julia", dict(CYCLE_CFG, slice=SLICE), "henonlab.cli.raster_slice"),
+    ("minsets", dict(CYCLE_CFG, cluster_eps=0.05), "henonlab.minsets.discover_minimal_sets"),
+], ids=["render-julia", "minsets"])
+def test_cli_threads_capped_at_cpu_count(tmp_path, monkeypatch, cmd, cfg, target):
+    # a KD query starts one thread per worker, up to one per query row: the
+    # CLI hands its handlers at most one worker per CPU. The spy stops the
+    # run before any work, so no thread starts
+    seen = []
+
+    def spy(*args, threads, **kwargs):
+        seen.append(threads)
+        raise ValueError("stop")
+
+    monkeypatch.setattr(target, spy)
+    assert run_cli([cmd, "--config", _write_cfg(tmp_path, cfg), "--out", str(tmp_path / "out"),
+                    "--threads", "1000000"]) == 3
+    assert len(seen) == 1 and 1 <= seen[0] <= (os.cpu_count() or 1)
 
 
 def test_cli_tl_probes_match_one_probe_estimates(tmp_path):
@@ -670,7 +689,7 @@ def test_preset_quad_volume():
 
 def test_preset_family_noise():
     cfg = json.loads(open(os.path.join(PRESET_DIR, "family-noise.json")).read())
-    fam = family_from(cfg["family"], "/family")
+    fam = Resolver(cfg["family"], "/family").family()
     assert isinstance(fam, NoiseFamily)
     assert 0 < fam.v < fam.u
     ts = cfg["t_grid"]

@@ -22,7 +22,6 @@ from henonlab.core import (
     inverse_as_plus,
     jacobian,
     norm,
-    sequence_degree,
     swap,
 )
 
@@ -140,10 +139,6 @@ def test_cone_forward_invariance_with_growth(y, frac):
             continue
         assert in_v_plus(w, params.R)
         assert abs(w[1]) >= params.rho * abs(z[1])
-
-
-def test_sequence_degree():
-    assert sequence_degree([QUAD, CUBIC, QUAD]) == 12
 
 
 def test_overflow_window():

@@ -20,7 +20,7 @@ from henonlab.core import (
     inverse_as_plus,
     swap,
 )
-from henonlab.config import dist_from, family_from
+from henonlab.config import Resolver, dist_from
 from henonlab.dist import BallNoise, FiniteDist, SequenceSeed, condition_a_params, family_at
 from henonlab.escape import (
     VERDICT_BOUNDED,
@@ -29,6 +29,7 @@ from henonlab.escape import (
     CensusResult,
     GreenIndeterminate,
     OrbitStatus,
+    ShiftedSource,
     SliceSpec,
     SpliceSource,
     as_source,
@@ -42,7 +43,6 @@ from henonlab.escape import (
     hausdorff_pixels,
     raster_slice,
     refine_steps,
-    shift_source,
     telescoping_constant,
 )
 
@@ -117,7 +117,7 @@ def test_green_functional_equation(quad_params):
     tol = 1e-8
     for z in [(0.3 + 0.2j, 1.9), (0.0, 2.5), (-1.0, 1e30)]:
         g0 = green_plus(QUAD, z, quad_params, tol=tol)
-        g1 = green_plus(shift_source(QUAD), eval_map(QUAD, z), quad_params, tol=tol)
+        g1 = green_plus(ShiftedSource(as_source(QUAD), 1), eval_map(QUAD, z), quad_params, tol=tol)
         assert abs(g0.value - g1.value / QUAD.degree) <= 2 * tol
 
 
@@ -433,7 +433,7 @@ def _fuzzed_attracting(k):
 
 
 def _family_noise_t0():
-    ball = family_at(family_from(_preset("family-noise.json")["family"], "/family"), 0.0)
+    ball = family_at(Resolver(_preset("family-noise.json")["family"], "/family").family(), 0.0)
     spec = SliceSpec((0.0, 0.0), (1.0, 0.0), (0.0, 1.0), 2.5, 96)
     return (ball, SequenceSeed(41, 1)), spec, condition_a_params(ball), 600
 

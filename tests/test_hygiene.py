@@ -1,8 +1,9 @@
 """Source hygiene: every module-level import and private helper in the
-library is used, the vector overflow-window check, the scipy import, the
-thread pool and the refilling lane pool each have one home, the escape census
-and basin capture stay off the thread pool, and every name the benchmark's
-span recorder wraps is still live and still counts."""
+library is used, every public function or class is used or documented, the
+vector overflow-window check, the scipy import, the thread pool and the
+refilling lane pool each have one home, the escape census and basin capture
+stay off the thread pool, and every name the benchmark's span recorder wraps
+is still live and still counts."""
 
 from __future__ import annotations
 
@@ -10,6 +11,7 @@ import ast
 import glob
 import importlib.util
 import os
+import re
 
 import numpy as np
 import pytest
@@ -79,16 +81,48 @@ def _loaded_names(tree: ast.AST) -> set:
     return used
 
 
-def test_no_dead_private_helpers():
+def _src_trees() -> dict:
+    """Module file name -> parsed source, __init__.py included."""
     trees = {}
     for path in glob.glob(os.path.join(SRC, "*.py")):
         with open(path, encoding="utf-8") as fh:
             trees[os.path.basename(path)] = ast.parse(fh.read())
+    return trees
+
+
+def test_no_dead_private_helpers():
+    trees = _src_trees()
     used = set().union(*map(_loaded_names, trees.values()))
     dead = {f"{mod}:{line} {name}"
             for mod, tree in trees.items()
             for name, line in _private_definitions(tree).items() if name not in used}
     assert not dead, f"private helpers nothing in src/ uses: {sorted(dead)}"
+
+
+def _reexported_names(tree: ast.Module) -> set:
+    """Names a package __init__ imports to re-export them."""
+    return {a.asname or a.name for node in tree.body
+            if isinstance(node, ast.ImportFrom) for a in node.names}
+
+
+def test_no_dead_public_names():
+    # a public function or class is read in src/ (re-exports included), is
+    # named in the benchmark harness, or is documented as lab API in
+    # README.md; anything else is an alias only tests call
+    trees = _src_trees()
+    used = set().union(*map(_loaded_names, trees.values()), _reexported_names(trees["__init__.py"]))
+    words = set()
+    for path in glob.glob(os.path.join(ROOT, "perfbench", "*.py")):
+        with open(path, encoding="utf-8") as fh:
+            words.update(re.findall(r"\w+", fh.read()))
+    with open(os.path.join(ROOT, "README.md"), encoding="utf-8") as fh:
+        for span in re.findall(r"`([^`\n]+)`", fh.read()):
+            words.update(re.findall(r"\w+", span))
+    dead = {f"{mod}:{node.lineno} {node.name}"
+            for mod, tree in trees.items() for node in tree.body
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+            and not node.name.startswith("_") and node.name not in used | words}
+    assert not dead, f"public names only tests use: {sorted(dead)}"
 
 
 @pytest.mark.parametrize("name, homes", [

@@ -13,7 +13,7 @@ from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import connected_components
 from scipy.spatial import cKDTree
 
-from henonlab.config import family_from, points_from
+from henonlab.config import Resolver, points_from
 from henonlab.core import HenonMap, Poly, eval_map
 from henonlab.dist import (
     BallNoise, FiniteDist, SequenceSeed, condition_a_params, family_at, support_sample,
@@ -746,7 +746,7 @@ def _family_t0():
     """bifurcate's discovery inputs at t = 0 on the family-noise preset."""
     with open(os.path.join(PRESET_DIR, "family-noise.json")) as fh:
         cfg = json.load(fh)
-    dist = family_at(family_from(cfg["family"], "/family"), 0.0)
+    dist = family_at(Resolver(cfg["family"], "/family").family(), 0.0)
     seed = bifurcation._t_stream(cli._phase(SequenceSeed(cfg["seed"], 0), 0), 0.0)
     return dist, points_from(cfg, ""), seed, cfg["n_record"], cfg["cluster_eps"]
 

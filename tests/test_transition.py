@@ -22,7 +22,6 @@ from henonlab.transition import (
     _mc_power,
     _stratified_counts,
     _tree_power,
-    apply_M,
     fd_derivative_TL,
     fit_convergence_rate,
     iterate_M,
@@ -72,7 +71,7 @@ def test_apply_M_finite_is_weighted_sum():
     by_hand = sum(
         w * phi_test(eval_map(f, Z0)) for w, f in zip(PAIR.weights, PAIR.maps)
     )
-    ov = apply_M(PAIR, phi_test, Z0)
+    ov = iterate_M(PAIR, phi_test, Z0, 1)
     assert ov.exact
     assert ov.value == pytest.approx(by_hand, rel=1e-12)
     one = iterate_M(PAIR, phi_test, Z0, 1)
@@ -190,11 +189,11 @@ def test_paths_leaving_the_window_contribute_zero():
 
 def test_ball_apply_reports_se():
     dist = BallNoise(QUAD_A, 0.05)
-    ov = apply_M(dist, phi_test, Z0, samples=512, seed=SEED)
-    again = apply_M(dist, phi_test, Z0, samples=512, seed=SEED)
+    ov = iterate_M(dist, phi_test, Z0, 1, samples=512, seed=SEED)
+    again = iterate_M(dist, phi_test, Z0, 1, samples=512, seed=SEED)
     assert ov == again
     assert not ov.exact and ov.se > 0
-    center = apply_M(FiniteDist((QUAD_A,), (1.0,)), phi_test, Z0)
+    center = iterate_M(FiniteDist((QUAD_A,), (1.0,)), phi_test, Z0, 1)
     assert abs(ov.value - center.value) < 0.1
 
 
@@ -222,7 +221,7 @@ def test_ball_power_reproducible():
 
 def test_mc_requires_seed():
     with pytest.raises(ValueError):
-        apply_M(BallNoise(QUAD_A, 0.05), phi_test, Z0)
+        iterate_M(BallNoise(QUAD_A, 0.05), phi_test, Z0, 1)
     with pytest.raises(ValueError):
         iterate_M(PAIR, phi_test, Z0, 3, budget=1)
 
